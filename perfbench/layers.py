@@ -10,11 +10,12 @@ absorbs.  Spans the program records itself (``shard.provision``,
 
 Self time is a span's interval minus the intervals of its direct child
 spans, whichever side recorded them -- the arithmetic of ``repro trace
-summarize`` -- so every microsecond is charged to exactly one span name
-and no metric double counts another.  A layer's time is the sum of its
-spans' self times.  Hot per-node predicates (``KubeNode.fits``) are
-counted, not timed: timing every call would slow a traced pass by a
-third.
+summarize`` -- so within one process an interval is charged to one span
+name, not to a span and its parent; spans the pool's manager thread opens
+nest under the main thread's (:class:`ThreadSafeTracer`).  A layer's time
+is the sum of its spans' self times, over all processes.  Hot per-node
+predicates (``KubeNode.fits``) are counted, not timed: timing every call
+would slow a traced pass by a third.
 """
 
 from __future__ import annotations
@@ -104,13 +105,18 @@ class ThreadSafeTracer(Tracer):
     shared-memory blocks (``transport.attach``) -- on its manager thread.
     With one shared stack, a span closed there would unwind spans the main
     thread still has open and cut them short; here each thread nests only
-    its own spans, and a lock keeps the span columns aligned.
+    its own spans, and a lock keeps the span columns aligned.  A span a
+    helper thread opens with nothing of its own open becomes a child of the
+    main thread's innermost open span (``pool.drain`` while the parent
+    waits on results), so the interval is charged once, not to both.
     """
 
     def __init__(self):
         super().__init__()
         self._lock = threading.Lock()
         self._local = threading.local()
+        # The creating thread is the main thread and keeps the base stack.
+        self._local.stack = self._stack
 
     def _thread_stack(self) -> list[int]:
         stack = getattr(self._local, "stack", None)
@@ -123,7 +129,7 @@ class ThreadSafeTracer(Tracer):
         with self._lock:
             index = len(self.names)
             self.names.append(name)
-            self.parents.append(stack[-1])
+            self.parents.append(stack[-1] if len(stack) > 1 else self._stack[-1])
             self.attrs.append(attrs)
             self.ends.append(0.0)
             self.starts.append(0.0)

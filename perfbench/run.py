@@ -3,17 +3,25 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload ensemble-k8s --seed 0 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload ensemble-k8s --seed 0 --seconds 28 --trace 0
 
 A run measures one workload of ``workloads.WORKLOADS`` as a closed loop --
 one client, one ``repro`` command at a time -- for ``--seconds`` seconds
 and at least three passes.  Every pass is a fresh interpreter, the way a
-CLI invocation runs: it imports ``repro.__main__`` (the set-up every
-command pays, sampled as ``setup_s``) and then times one
+CLI invocation runs: it imports ``repro.__main__`` and then times one
 ``repro.__main__.main(argv)`` call.  A pass counts only when its output
-checks out.
+checks out.  The import -- the set-up every command pays -- is sampled
+as ``setup_s`` by children that only import, run back to back.
 
-``--trace 0`` reports the end-to-end metrics, medians over the passes.
+The host's speed drifts by half within minutes and stalls in bursts of
+a second or so; neither ever makes a pass faster.  So a time is reported
+as the fastest pass (or set-up sample) of the run, scaled to a reference
+host speed: the parent times a fixed :func:`yardstick` after every child,
+and multiplies by the yardstick's reference time over its fastest run.
+The result reads as seconds on a host where the yardstick takes
+``YARDSTICK_REF_S``.
+
+``--trace 0`` reports the end-to-end metrics.
 ``--trace 1`` adds two traced passes at the same seed and reports the
 per-layer split, measured from outside the program (``layers.py``); the
 two must agree on every count.  The last line of standard output is one
@@ -28,7 +36,9 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
+import random
 import shutil
 import signal
 import statistics
@@ -37,6 +47,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 from workloads import DEFAULT_SEED, EXACT_COUNTS, PINNED, WORKLOADS, Workload
 
 BENCH = Path(__file__).resolve().parent
@@ -70,30 +81,54 @@ TRACED_PASSES = 2
 #: a run ends inside 180 s: no child runs past this, and no pass starts
 #: unless one as long as the longest so far still fits
 RUN_LIMIT_S = 165.0
-
-END_TO_END_UNITS = {"wall_s": "s", "cpu_s": "s", "peak_rss_mb": "MB", "setup_s": "s"}
-
-
-def unit_of(metric: str) -> str:
-    """A per-layer metric's unit, read off its name."""
-    if metric.endswith(("_s", ".s")):
-        return "s"
-    if metric.endswith("bytes"):
-        return "B"
-    if metric.endswith(("_ratio", "_frac", "_per_bind", "utilization")):
-        return "ratio"
-    return "count"
+#: the yardstick's time on the reference host: reported times are seconds
+#: on a host running at the speed where one yardstick takes this long
+YARDSTICK_REF_S = 0.030
+#: end-to-end metrics that are times, reported as the scaled fastest sample
+TIMES = ("wall_s", "cpu_s", "setup_s")
 
 
-def calibrate() -> float:
-    """Seconds for a fixed pure-Python loop, timed between passes: how fast
-    the host runs right now, so drift shows instead of reading as a change
-    in the program."""
-    t0 = time.perf_counter()
-    acc = 0
-    for i in range(400_000):
-        acc += i * i
-    return time.perf_counter() - t0
+def benchmark_spec() -> dict:
+    """BENCHMARK.json: the workloads' reasons and every metric's unit."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+class _Cell:
+    """One yardstick record."""
+
+    __slots__ = ("env", "app", "scale", "value")
+
+    def __init__(self, env: str, app: str, scale: int, value: float):
+        self.env, self.app, self.scale, self.value = env, app, scale, value
+
+    def key(self) -> str:
+        return f"{self.env}/{self.app}/{self.scale}"
+
+
+def yardstick() -> float:
+    """Seconds for a fixed piece of work, best of three: objects built and
+    grouped in a dict, sorting, JSON, hashing and NumPy arithmetic -- the
+    mix a ``repro`` command runs.  Nothing in it comes from the program
+    measured, so it tells how fast the host runs right now; it follows a
+    pass's time far more closely than a bare arithmetic loop does."""
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        rng = random.Random(7)
+        cells = [
+            _Cell(f"env{i % 14}", f"app{i % 11}", 2 ** (i % 8), rng.random())
+            for i in range(20_000)
+        ]
+        groups: dict[str, list[float]] = {}
+        for cell in cells:
+            groups.setdefault(cell.key(), []).append(cell.value)
+        rows = sorted((key, sum(v) / len(v)) for key, v in groups.items())
+        hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        a = np.arange(200_000, dtype=np.float64)
+        for _ in range(20):
+            a = np.sqrt(a * 1.0001 + 1.0)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def cpu_ticks() -> tuple[int, int] | None:
@@ -224,53 +259,63 @@ class Bench:
         #: the output every pass must reproduce: pinned for the shipped
         #: seeds, else set by the run's first verified pass
         self.digest = PINNED.get((workload.name, seed))
+        #: set-up samples, seconds
         self.setup: list[float] = []
-        self.calib: list[float] = []
+        #: yardstick seconds: one before the first child, one after each
+        self.yards: list[float] = [yardstick()]
         self.longest = 0.0
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.started
 
     def _child(self, spec: dict, *, importtime: bool = False):
+        """Run one child, then a yardstick: (spawn instant, exit code,
+        stdout, stderr)."""
         cmd = [sys.executable]
         if importtime:
             cmd += ["-X", "importtime"]
         cmd += ["-c", BOOT, str(SRC), str(BENCH), json.dumps(spec)]
-        return launch(cmd, cwd=Path(spec["cwd"]), timeout=RUN_LIMIT_S - self.elapsed())
+        ran = launch(cmd, cwd=Path(spec["cwd"]), timeout=RUN_LIMIT_S - self.elapsed())
+        self.yards.append(yardstick())
+        return ran
+
+    def scale(self) -> float:
+        """The factor from this run's seconds to seconds at the reference
+        host speed."""
+        return YARDSTICK_REF_S / min(self.yards)
 
     def fits(self) -> bool:
         """Whether one more pass as long as the longest so far ends in time."""
         return self.elapsed() + 1.5 * self.longest + 5.0 < RUN_LIMIT_S
 
-    def setup_sample(self) -> bool:
-        t_spawn, code, out, _ = self._child({"cwd": str(self.workdir), "setup_only": True})
-        result = _last_json(out) if code == 0 else None
-        if result is not None:
+    def sample_setup(self) -> None:
+        """SETUP_SAMPLES children that only import ``repro.__main__``, back
+        to back, with bytecode already compiled."""
+        for _ in range(SETUP_SAMPLES):
+            t_spawn, code, out, err = self._child({"cwd": str(self.workdir), "setup_only": True})
+            result = _last_json(out) if code == 0 else None
+            if result is None:
+                self.problems.append(f"a set-up sample exited {code}: {err.strip()[-400:]}")
+                return
             self.setup.append(result["imported"] - t_spawn)
-        return result is not None
 
-    def run_pass(self, *, traced: bool = False, cache: str | None = None) -> dict | None:
-        """One verified pass, or ``None`` when it failed (and was counted).
-
-        ``cache`` overrides the state the pass runs against: a warm
-        workload's first pass fills its cache cold.
-        """
+    def run_pass(self, *, traced: bool = False) -> dict | None:
+        """One verified pass, or ``None`` when it failed (and was counted)."""
         w = self.workload
         self.attempted += 1
         cwd = self.workdir / f"pass-{self.attempted}"
         cwd.mkdir()
-        cache_dir = {"cold": cwd / "cache", "warm": self.workdir / "warm-cache"}.get(w.cache)
         spec = {
-            "argv": w.argv(self.seed, None if cache_dir is None else str(cache_dir)),
+            "argv": w.argv(self.seed, str(cwd / "cache")),
             "cwd": str(cwd),
             "trace": traced,
             "workers": w.workers,
         }
         started = time.perf_counter()
-        t_spawn, code, out, err = self._child(spec, importtime=traced)
+        _, code, out, err = self._child(spec, importtime=traced)
         self.longest = max(self.longest, time.perf_counter() - started)
         result = _last_json(out) if code == 0 else None
-        problem = self._verify(result, code, err, cwd, cache or w.cache)
+        problem = self._verify(result, code, err, cwd)
         shutil.rmtree(cwd, ignore_errors=True)
         if problem is not None:
             self.failed += 1
@@ -279,11 +324,9 @@ class Bench:
             return None
         if traced:
             result["import_split"] = import_split(err)
-        else:
-            self.setup.append(result["imported"] - t_spawn)
         return result
 
-    def _verify(self, result, code, err: str, cwd: Path, cache: str | None) -> str | None:
+    def _verify(self, result, code, err: str, cwd: Path) -> str | None:
         w = self.workload
         if code is None:
             return "timed out"
@@ -303,7 +346,7 @@ class Bench:
         if not output_path.is_file():
             return f"no {w.output} was written"
         output = output_path.read_bytes()
-        problem = w.check(stdout_path.read_text(encoding="utf-8"), output, cache=cache)
+        problem = w.check(stdout_path.read_text(encoding="utf-8"), output)
         if problem is not None:
             return problem
         digest = hashlib.sha256(output).hexdigest()
@@ -313,9 +356,9 @@ class Bench:
             return f"output sha256 {digest} is not {self.digest}"
         return None
 
-    def measure(self, seconds: float, *, setup: bool = True) -> list[dict]:
-        """Closed-loop passes for ``seconds`` and at least MIN_PASSES, then
-        set-up samples up to SETUP_SAMPLES; returns the verified passes."""
+    def measure(self, seconds: float) -> list[dict]:
+        """Closed-loop passes for ``seconds`` and at least MIN_PASSES;
+        returns the verified passes."""
         passes = []
         deadline = time.perf_counter() + seconds
         for tries in range(1, MAX_PASSES + 1):
@@ -324,33 +367,33 @@ class Bench:
             result = self.run_pass()
             if result is not None:
                 passes.append(result)
-            self.calib.append(calibrate())
             if tries >= MIN_PASSES and time.perf_counter() >= deadline:
-                break
-        while setup and len(self.setup) < SETUP_SAMPLES and self.elapsed() + 5.0 < RUN_LIMIT_S:
-            if not self.setup_sample():
                 break
         return passes
 
     def host(self) -> dict[str, float]:
-        """host.calib_s (median loop time) and host.steal_frac over the run."""
+        """host.calib_s (median yardstick) and host.steal_frac over the run."""
         ticks = cpu_ticks()
         steal = 0.0
         if self.ticks and ticks and ticks[1] > self.ticks[1]:
             steal = (ticks[0] - self.ticks[0]) / (ticks[1] - self.ticks[1])
-        calib = statistics.median(self.calib) if self.calib else calibrate()
-        return {"host.calib_s": calib, "host.steal_frac": steal}
+        return {"host.calib_s": statistics.median(self.yards), "host.steal_frac": steal}
 
 
 def end_to_end(bench: Bench, passes: list[dict]) -> tuple[dict, dict]:
-    """(metrics, their samples): medians over the verified passes."""
+    """(metrics, their unscaled samples): each time is the fastest sample
+    scaled to the reference host speed; peak RSS is the median pass's."""
     samples = {
         "wall_s": [p["wall_s"] for p in passes],
         "cpu_s": [p["cpu_s"] for p in passes],
         "peak_rss_mb": [p["peak_rss_mb"] for p in passes],
         "setup_s": bench.setup,
     }
-    metrics = {name: statistics.median(v) if v else 0.0 for name, v in samples.items()}
+    scale = bench.scale()
+    metrics = {
+        name: (min(v) * scale if name in TIMES else statistics.median(v)) if v else 0.0
+        for name, v in samples.items()
+    }
     return metrics, samples
 
 
@@ -374,19 +417,28 @@ def per_layer(bench: Bench, untraced: list[dict], traced: list) -> tuple[dict, d
     deps, own = zip(*(t["import_split"] for t in ok))
     metrics["setup.deps_s"] = statistics.fmean(deps)
     metrics["setup.repro_s"] = statistics.fmean(own)
-    traced_wall = statistics.fmean(t["wall_s"] for t in ok)
-    baseline = statistics.median(p["wall_s"] for p in untraced) if untraced else traced_wall
-    metrics["trace.wall_s"] = traced_wall
+    traced_wall = min(t["wall_s"] for t in ok)
+    baseline = min((p["wall_s"] for p in untraced), default=traced_wall)
+    metrics["trace.wall_s"] = traced_wall * bench.scale()
     metrics["trace.overhead_frac"] = traced_wall / baseline - 1.0
     metrics.update(bench.host())
     return metrics, ok[0]["split"]["layers"]
 
 
-def print_end_to_end(metrics: dict, samples: dict) -> None:
+def print_end_to_end(bench: Bench, metrics: dict, samples: dict, units: dict) -> None:
+    print(
+        f"  times are the fastest sample x {bench.scale():.4f} (yardstick "
+        f"{YARDSTICK_REF_S} s / fastest of {len(bench.yards)}, "
+        f"median {statistics.median(bench.yards):.4f} s)"
+    )
     for name, value in metrics.items():
         values = sorted(samples[name])
-        extent = f"n={len(values)}, min {values[0]:.4f}, max {values[-1]:.4f}" if values else "n=0"
-        print(f"  {name:12s} {value:10.4f} {END_TO_END_UNITS[name]:2s}  median ({extent})")
+        extent = (
+            f"n={len(values)}, unscaled min {values[0]:.4f}, "
+            f"median {statistics.median(values):.4f}, max {values[-1]:.4f}"
+            if values else "n=0"
+        )
+        print(f"  {name:12s} {value:10.4f} {units[name]:2s}  ({extent})")
 
 
 def print_split(workload: Workload, layers: dict) -> None:
@@ -408,9 +460,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    spec = benchmark_spec()
     if not (SRC / "repro" / "__main__.py").is_file():
         print(
             f"perfbench: no program to measure at {SRC / 'repro'}; "
@@ -429,9 +482,9 @@ def main(argv: list[str] | None = None) -> int:
             check=True, stdout=subprocess.DEVNULL,
         )
         bench = Bench(workload, args.seed, workdir)
-        if workload.cache == "warm":
-            bench.run_pass(cache="cold")
-        passes = bench.measure(args.seconds, setup=not args.trace)
+        if not args.trace:
+            bench.sample_setup()
+        passes = bench.measure(args.seconds)
         if args.trace:
             traced = [bench.run_pass(traced=True) for _ in range(TRACED_PASSES)]
     finally:
@@ -441,10 +494,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.trace:
         metrics, layers = per_layer(bench, passes, traced)
-        units = {name: unit_of(name) for name in metrics}
     else:
         metrics, samples = end_to_end(bench, passes)
-        units = END_TO_END_UNITS
+    declared = spec["per_layer" if args.trace else "end_to_end"]
+    units = {m["name"]: m["unit"] for m in declared}
+    if metrics:
+        bench.problems += [f"no value for {name}" for name in units if name not in metrics]
+    why = {w["name"]: w["why"] for w in spec["workloads"]}.get(workload.name, "")
+    print(f"perfbench: {workload.name}: {why}")
     print(
         f"perfbench: {workload.name} at seed {args.seed}: {bench.attempted} passes, "
         f"{bench.failed} failed; output sha256 {bench.digest}"
@@ -455,14 +512,14 @@ def main(argv: list[str] | None = None) -> int:
         if layers:
             print_split(workload, layers)
     else:
-        print_end_to_end(metrics, samples)
+        print_end_to_end(bench, metrics, samples, units)
         print(HOST_PREFIX + json.dumps(bench.host()))
     print(json.dumps({
         "correct": not bench.problems,
         "attempted": bench.attempted,
         "failed": bench.failed,
         "metrics": {
-            name: {"value": value, "unit": units[name]} for name, value in metrics.items()
+            name: {"value": metrics.get(name, 0.0), "unit": unit} for name, unit in units.items()
         },
     }))
     return 0

@@ -5,19 +5,17 @@ Run from the root of a checkout::
 
     python3 perfbench/spread.py --seeds 0-9
     python3 perfbench/spread.py --seeds 0-4 --workloads ensemble-k8s
-    python3 perfbench/spread.py --seeds 0-9 --sets 2
 
-Runs BENCHMARK.json's command with ``--trace 0`` once per (seed, set,
-workload).  Every workload runs once for a seed before the next seed
-starts, and the sets alternate within a seed, so host drift spreads over
-all of them instead of landing on one.  Then it prints, per workload and
-metric, each set's median and spread -- the distance between the first
-and third quartile as a share of the median, as
+Runs BENCHMARK.json's command with ``--trace 0`` in two sets of runs, once
+per (seed, set, workload).  Every workload runs once for a seed before the
+next seed starts, and the sets alternate within a seed, so host drift
+spreads over all of them instead of landing on one.  Then it prints, per
+workload and metric, each set's median and spread -- the distance between
+the first and third quartile as a share of the median, as
 ``statistics.quantiles(values, n=4)`` gives them -- with the median
 ``host.calib_s`` beside them.  It flags a spread at or above a third of
-the metric's bound (``setup_s`` exempt) and a later set's median worse
-than the first set's by more than the bound, and exits 1 on any flag or
-failed run.
+the metric's bound and a second set's median worse than the first set's
+by more than the bound, and exits 1 on any flag or failed run.
 """
 
 from __future__ import annotations
@@ -27,10 +25,11 @@ import json
 import statistics
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-HOST_PREFIX = "perfbench: host "
+from run import HOST_PREFIX, ROOT, benchmark_spec
+
+#: two sets of the same runs must agree within the bounds
+SETS = 2
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -66,9 +65,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seeds", default="0-9", help="e.g. 0-9 or 0,3,5 (default 0-9)")
     parser.add_argument("--workloads", help="comma-separated (default: every workload)")
-    parser.add_argument("--sets", type=int, default=1, help="run sets to compare (default 1)")
     args = parser.parse_args(argv)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec = benchmark_spec()
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = (
         args.workloads.split(",") if args.workloads
@@ -77,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     values: dict[tuple[str, int, str], list[float]] = {}
     flags = []
     for seed in parse_seeds(args.seeds):
-        for run_set in range(args.sets):
+        for run_set in range(SETS):
             for workload in workloads:
                 result, host = run_once(spec["command"], workload, seed, spec["run_seconds"])
                 if result is None:
@@ -99,14 +97,14 @@ def main(argv: list[str] | None = None) -> int:
                 )
 
     print(f"{'workload':17s} {'metric':13s}"
-          + "".join(f" {'set ' + str(s) + ' median':>14s} {'spread':>7s}" for s in range(args.sets))
+          + "".join(f" {'set ' + str(s) + ' median':>14s} {'spread':>7s}" for s in range(SETS))
           + "  bound")
     for workload in workloads:
         for name in [*bounds, "host.calib_s"]:
             bound = bounds.get(name)
             row = f"{workload:17s} {name:13s}"
             medians = []
-            for run_set in range(args.sets):
+            for run_set in range(SETS):
                 vals = values.get((workload, run_set, name), [])
                 if len(vals) < 2:
                     row += f" {'-':>14s} {'-':>7s}"
@@ -117,20 +115,19 @@ def main(argv: list[str] | None = None) -> int:
                 share = (q3 - q1) / median if median else 0.0
                 medians.append(median)
                 mark = " "
-                if bound is not None and name != "setup_s" and share >= bound / 3:
+                if bound is not None and share >= bound / 3:
                     mark = "!"
                     flags.append(
                         f"{workload} {name}: set {run_set} spread {share:.3f} is at "
                         f"least a third of the bound {bound}"
                     )
                 row += f" {median:14.4f} {share:6.3f}{mark}"
-            if bound is not None and medians and medians[0]:
-                for run_set, median in enumerate(medians[1:], start=1):
-                    if median is not None and median > medians[0] * (1 + bound):
-                        flags.append(
-                            f"{workload} {name}: set {run_set} median {median:.4f} is worse "
-                            f"than set 0's {medians[0]:.4f} by more than {bound}"
-                        )
+            first, second = medians
+            if bound is not None and first and second is not None and second > first * (1 + bound):
+                flags.append(
+                    f"{workload} {name}: set 1 median {second:.4f} is worse "
+                    f"than set 0's {first:.4f} by more than {bound}"
+                )
             print(row + (f"  {bound}" if bound is not None else ""))
     for flag in flags:
         print(f"FLAG {flag}")

@@ -1,5 +1,6 @@
-"""The benchmark's workloads: what one pass runs, why it was chosen,
-which layers it should move, and how its output is checked.
+"""The benchmark's workloads: what one pass runs, which layers it should
+move, and how its output is checked.  Why each was chosen is its ``why``
+in BENCHMARK.json, which ``run.py`` prints with every run.
 
 Every workload is one ``repro`` CLI command run as a closed loop: one
 client, one command at a time.  A pass's timing counts only after its
@@ -32,7 +33,9 @@ NON_K8S_ENVS = (
     "gpu-cyclecloud-az",
 )
 
-STUDY_ITERATIONS = 100
+#: short enough that a run holds several passes, whose fastest is
+#: reported; the cache is still most of a pass
+STUDY_ITERATIONS = 40
 #: 7 environments x 4 sizes = 28 cells, 11 apps each
 STUDY_RECORDS = 28 * 11 * STUDY_ITERATIONS
 
@@ -59,33 +62,29 @@ _WORLDS_LINE = "worlds folded     : 8 (1 scenarios x 8 replicas)"
 @dataclass(frozen=True)
 class Workload:
     name: str
-    #: why the workload is in the benchmark (one line)
-    why: str
     #: the command's arguments; run.py appends ``--seed`` and ``--cache``
     args: tuple[str, ...]
     #: pool worker processes the command uses
     workers: int
     #: ``"stdout"``, or the file the command writes its dataset to
     output: str
-    #: ``None``; ``"cold"``: every pass writes an empty cache;
-    #: ``"warm"``: every pass re-reads one cache a cold pass filled
-    cache: str | None = None
+    #: whether every pass runs with ``--cache`` into an empty cache
+    cached: bool = False
     #: per-layer metric -> the end-to-end metric it should move here
     #: (``"none: ..."`` predicts no move, with the reason)
     predictions: dict[str, str] = field(default_factory=dict)
 
-    def argv(self, seed: int, cache_dir: str | None) -> list[str]:
+    def argv(self, seed: int, cache_dir: str) -> list[str]:
         argv = [*self.args, "--seed", str(seed)]
-        if self.cache is not None:
+        if self.cached:
             argv += ["--cache", cache_dir]
         return argv
 
-    def check(self, stdout: str, output: bytes, *, cache: str | None) -> str | None:
+    def check(self, stdout: str, output: bytes) -> str | None:
         """Why a pass's output is wrong, or ``None`` when it holds.
 
-        ``cache`` is the state the pass ran against (a warm workload's
-        filling pass runs cold).  Seed-free structure only: the bytes
-        themselves are held to the pinned digests.
+        Seed-free structure only: the bytes themselves are held to the
+        pinned digests.
         """
         if self.args[0] == "report":
             tally = _TALLY.search(stdout)
@@ -105,13 +104,11 @@ class Workload:
         line = _CACHE_LINE.search(stdout)
         if line is None:
             return "the study printed no run-cache line"
-        hits, misses, rest = int(line.group(1)), int(line.group(2)), line.group(3)
+        hits, rest = int(line.group(1)), line.group(3)
         if rest:
             return f"the run cache met invalid entries:{rest}"
-        if cache == "warm" and misses:
-            return f"the warm pass missed the cache {misses} times"
-        if cache == "cold" and hits:
-            return f"the cold pass hit the cache {hits} times"
+        if hits:
+            return f"the pass into an empty cache hit it {hits} times"
         return None
 
 
@@ -120,11 +117,6 @@ WORKLOADS = {
     for w in (
         Workload(
             name="report",
-            why=(
-                "The paper's headline command; the only workload on the "
-                "experiments harness (run_matrix), the scalar "
-                "ExecutionEngine.run path and report rendering."
-            ),
             args=("report",),
             workers=1,
             output="stdout",
@@ -141,11 +133,6 @@ WORKLOADS = {
         ),
         Workload(
             name="ensemble-k8s",
-            why=(
-                "The 8-replica baseline: Kubernetes deploy inside "
-                "shard.provision dominates, and 448 small shards stress "
-                "pool dispatch at 2 workers."
-            ),
             args=_ENSEMBLE,
             workers=2,
             output="stdout",
@@ -155,41 +142,18 @@ WORKLOADS = {
                 "k8s.fits_calls": "wall_s, cpu_s",
                 "engine.block_s": "wall_s, cpu_s",
                 "pool.wait_s": "wall_s (many small shards)",
-                "cache.*": "none: no cache",
-            },
-        ),
-        Workload(
-            name="ensemble-bulk",
-            why=(
-                "Bypasses Kubernetes: 492,800 runs in 224 large shards load "
-                "the engine, shm transport and fold, so a provisioning "
-                "change should not move it."
-            ),
-            args=(*_ENSEMBLE, "--envs", ",".join(NON_K8S_ENVS), "--iterations", "200"),
-            workers=2,
-            output="stdout",
-            predictions={
-                "apps.physics_s": "wall_s, cpu_s",
-                "engine.block_s": "wall_s, cpu_s",
-                "pool.wait_s": "wall_s (few large shards)",
                 "transport.attach_s": "wall_s",
                 "transport.pack_s": "cpu_s",
-                "transport.bytes": "peak_rss_mb",
                 "ensemble.fold_s": "wall_s",
-                "provision.s": "none: under 10%, no Kubernetes",
                 "cache.*": "none: no cache",
             },
         ),
         Workload(
             name="study-cache",
-            why=(
-                "The cache-write workload: a cold serial study into an empty "
-                "cache, where encoding and writing records is most of the pass."
-            ),
             args=_STUDY,
             workers=1,
             output="study.csv",
-            cache="cold",
+            cached=True,
             predictions={
                 "cache.encode_s": "wall_s",
                 "cache.write_s": "wall_s",
@@ -199,39 +163,15 @@ WORKLOADS = {
                 "transport.*": "none: serial",
             },
         ),
-        Workload(
-            name="study-cache-warm",
-            why=(
-                "The same study re-run against the cache its cold pass "
-                "filled: reads, decode and export, so a write-side gain "
-                "that costs reads shows here."
-            ),
-            args=_STUDY,
-            workers=1,
-            output="study.csv",
-            cache="warm",
-            predictions={
-                "cache.read_s": "wall_s",
-                "cache.decode_s": "wall_s",
-                "study.artifact_s": "wall_s, peak_rss_mb",
-                "engine.*": "none: every cell replays from the cache",
-                "provision.s": "none: every cell replays from the cache",
-            },
-        ),
     )
 }
 
-#: sha256 of each workload's output at the default and held-out seeds;
-#: both study workloads export the same dataset
+#: sha256 of each workload's output at the default and held-out seeds
 PINNED: dict[tuple[str, int], str] = {
     ("report", DEFAULT_SEED): "9671af5208138a3a00ebc16354f6af7b327c6a9da1779e11e55706e63ecc3b1f",
     ("report", HELD_OUT_SEED): "d2abad6c9857582b8b22188bfc94837f90a8f05727d7c5f1508abefa5022c42a",
-    ("ensemble-k8s", 0): "177b09b9e8932804e7a0b2a6c6acfc94cfdaded70f856fc281fcea9ebb357e80",
-    ("ensemble-k8s", 3): "4d081bdd0f4bb79f7099e9045548ec0be6286077aadeb726142c6a45130f4b53",
-    ("ensemble-bulk", DEFAULT_SEED): "8133da787012580a528ed195f69a0e433144f3a119a33616e9d6f1e130afed49",
-    ("ensemble-bulk", HELD_OUT_SEED): "29bb1038d360aac579a0219ec4ec05b8ca6d31f53e805186b90cefccd7ba49f5",
-    ("study-cache", DEFAULT_SEED): "061e9843827007b8a113e2488ed7a5344aa06b00677eb80473d541156e9571ef",
-    ("study-cache", HELD_OUT_SEED): "739b1ce84f9a6c235eec39d2c4fb29474f2b9e15c5c8466fbf3110fa2903abff",
-    ("study-cache-warm", DEFAULT_SEED): "061e9843827007b8a113e2488ed7a5344aa06b00677eb80473d541156e9571ef",
-    ("study-cache-warm", HELD_OUT_SEED): "739b1ce84f9a6c235eec39d2c4fb29474f2b9e15c5c8466fbf3110fa2903abff",
+    ("ensemble-k8s", DEFAULT_SEED): "177b09b9e8932804e7a0b2a6c6acfc94cfdaded70f856fc281fcea9ebb357e80",
+    ("ensemble-k8s", HELD_OUT_SEED): "4d081bdd0f4bb79f7099e9045548ec0be6286077aadeb726142c6a45130f4b53",
+    ("study-cache", DEFAULT_SEED): "2a503b1618bdd040d6fcd7690ce30ce90fcc0a906447dafe1418140d652d9501",
+    ("study-cache", HELD_OUT_SEED): "40c2df76072d9a50659014dabc97fb69ebfbdfd1fff6e32bbd9a26fb082c2e0f",
 }
