@@ -1275,8 +1275,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "examples:\n"
             "  python -m repro bench\n"
-            "      the full ~10.5k-record campaign: seed vs batched vs\n"
-            "      block pipelines, plus rng/transport components\n"
+            "      the full ~10.5k-record campaign: seed vs block\n"
+            "      pipelines, plus rng/transport components\n"
             "  python -m repro bench --output BENCH_vector.json\n"
             "      also write the machine-readable artifact CI uploads\n"
             "  python -m repro bench --quick\n"

@@ -85,12 +85,12 @@ class RunContext:
     iteration: int = 0
     #: app-specific options (e.g. AMG process topology "-P 8 4 2")
     options: dict[str, Any] = field(default_factory=dict)
-    #: shared memoized collective model; a batched group
-    #: (:meth:`ExecutionEngine.run_batch`) passes one model to every
-    #: iteration's context so distinct collectives price once per group
+    #: shared memoized collective model; a resolved group
+    #: (:meth:`ExecutionEngine.resolve_group`) passes one model to every
+    #: context it builds so distinct collectives price once per group
     comm_model: CollectiveModel | None = field(default=None, repr=False, compare=False)
-    #: group-scoped memo for :meth:`once`; a batched group shares one
-    #: dict across its iterations, a standalone context gets its own
+    #: group-scoped memo for :meth:`once`; a resolved group shares one
+    #: dict across its contexts, a standalone context gets its own
     group_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -141,17 +141,16 @@ class RunContext:
 
 @dataclass
 class AppBlockResult:
-    """Columnar outcome of every iteration of one batched group.
+    """Columnar outcome of every iteration of one group.
 
     Parallel arrays over the block's iterations; scalar fields mean
-    "the same for every iteration" (the common case — ported apps fail
+    "the same for every iteration" (the common case — apps fail
     uniformly per group, never per iteration).
 
     * ``fom`` — float column, NaN where the scalar path yields ``None``;
     * ``wall`` — wall seconds per iteration;
     * ``failed`` — bool column, or ``None`` when no iteration failed;
-    * ``failure_kind`` — one kind shared by every failed iteration (or
-      a per-iteration list from the fallback path);
+    * ``failure_kind`` — one kind shared by every failed iteration;
     * ``phases`` / ``extra`` — either one dict shared by every
       iteration (group-constant payloads), a dict whose array leaves
       hold per-iteration values (materialized lazily by the store), or
@@ -163,7 +162,7 @@ class AppBlockResult:
     fom_units: str
     wall: np.ndarray
     failed: np.ndarray | None = None
-    failure_kind: str | list | None = None
+    failure_kind: str | None = None
     phases: dict | list = field(default_factory=dict)
     extra: dict | list = field(default_factory=dict)
 
@@ -208,45 +207,17 @@ class AppModel(abc.ABC):
     def simulate(self, ctx: RunContext) -> AppResult:
         """Produce the run outcome for one (environment, scale) point."""
 
+    @abc.abstractmethod
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Columnar outcome for a whole batched group at once.
+        """Columnar outcome for a whole group of iterations at once.
 
         ``ctx`` is the group's shared context (its ``rng``/``iteration``
         are ignored here — per-iteration randomness comes from
         ``block``, a :class:`~repro.rng.StreamBlock` whose stream ``j``
-        is iteration ``block.iterations[j]``'s keyed stream).  Ported
-        apps override this with array math over the gathered draws; the
-        base implementation is the reference fallback — it replays
-        :meth:`simulate` per iteration through the block's streams, so
-        any app is block-callable and bit-identical either way.
+        is iteration ``block.iterations[j]``'s keyed stream).  Must be
+        bit-identical to :meth:`simulate` replayed per iteration through
+        the block's streams.
         """
-        n = len(block)
-        fom = np.empty(n, dtype=np.float64)
-        wall = np.empty(n, dtype=np.float64)
-        failed = np.zeros(n, dtype=bool)
-        kinds: list[str | None] = []
-        phases: list[dict] = []
-        extra: list[dict] = []
-        for j, iteration in enumerate(block.iterations):
-            ctx.rng = block.generator(j)
-            ctx.iteration = int(iteration)
-            result = self.simulate(ctx)
-            fom[j] = np.nan if result.fom is None else result.fom
-            wall[j] = result.wall_seconds
-            failed[j] = result.failed
-            kinds.append(result.failure_kind)
-            phases.append(result.phases)
-            extra.append(result.extra)
-        return AppBlockResult(
-            app=self.name,
-            fom=fom,
-            fom_units=self.fom_units,
-            wall=wall,
-            failed=failed if failed.any() else None,
-            failure_kind=kinds,
-            phases=phases,
-            extra=extra,
-        )
 
     # -- helpers ----------------------------------------------------------------
 

@@ -1,20 +1,18 @@
 """The vectorization benchmark suite (``repro bench``).
 
-Measures the three generations of the execution hot path on one
+Measures the execution hot path against its scalar reference on one
 paper-scale campaign (~10.5k records across 4 environments × all apps ×
 the study's 4 sizes):
 
-* **seed** — the original per-iteration path: one :meth:`ExecutionEngine.run`
+* **seed** — the scalar per-iteration path: one :meth:`ExecutionEngine.run`
   call per record, row-based fold (``ResultFrame.from_records``);
-* **batched** — PR 4's grouped path: :meth:`ExecutionEngine.run_batch`
-  (per-group resolution) into the columnar store, zero-copy fold;
 * **block** — the array-native path: :meth:`ExecutionEngine.run_block`
   (batched keyed RNG, columnar app physics, ``append_block``), zero-copy
   fold.
 
-Every pipeline produces byte-identical records and aggregates — the
-suite verifies that before it reports a single number — so the speedups
-are pure implementation wins.  Component microbenchmarks (keyed-stream
+Both pipelines produce byte-identical records and aggregates — the
+suite verifies that before it reports a single number — so the speedup
+is a pure implementation win.  Component microbenchmarks (keyed-stream
 seeding, store appends, shard transport pickling) localize where the
 time went.
 
@@ -98,15 +96,6 @@ def _seed_pipeline(campaign: BenchCampaign):
         for i in range(iterations):
             records.append(engine.run(env, app, scale, iteration=i))
     return records, ResultFrame.from_records(records).cell_aggregates()
-
-
-def _batched_pipeline(campaign: BenchCampaign):
-    engine = ExecutionEngine(seed=0)
-    iterations = campaign.iterations()
-    store = ResultStore()
-    for env, app, scale in campaign.cells():
-        store.extend(engine.run_batch(env, app, scale, iterations=iterations))
-    return store, store.to_frame().cell_aggregates()
 
 
 def _block_pipeline(campaign: BenchCampaign):
@@ -447,32 +436,21 @@ def render_transport_table(payload: dict) -> str:
 def run_bench(campaign: BenchCampaign | None = None) -> dict:
     """Run the suite; returns the JSON-safe payload the table renders.
 
-    Verifies byte-identical records and aggregates across all three
-    pipelines before reporting speedups.
+    Verifies byte-identical records and aggregates across both
+    pipelines before reporting the speedup.
     """
     campaign = campaign or BenchCampaign()
     with span("bench.run", records=campaign.target_records, repeats=campaign.repeats):
         with span("bench.seed", repeats=campaign.repeats):
             t_seed, (records, agg_seed) = _best_of(lambda: _seed_pipeline(campaign), campaign.repeats)
-        with span("bench.batched", repeats=campaign.repeats):
-            t_batched, (store_b, agg_b) = _best_of(lambda: _batched_pipeline(campaign), campaign.repeats)
         with span("bench.block", repeats=campaign.repeats):
             t_block, (store_v, agg_v) = _best_of(lambda: _block_pipeline(campaign), campaign.repeats)
-        return _fold_bench(
-            campaign, t_seed, t_batched, t_block,
-            records, store_b, store_v, agg_seed, agg_b, agg_v,
-        )
+        return _fold_bench(campaign, t_seed, t_block, records, store_v, agg_seed, agg_v)
 
 
-def _fold_bench(
-    campaign, t_seed, t_batched, t_block,
-    records, store_b, store_v, agg_seed, agg_b, agg_v,
-) -> dict:
-
+def _fold_bench(campaign, t_seed, t_block, records, store_v, agg_seed, agg_v) -> dict:
     # Faster, not different.
-    assert store_b.records == records, "batched pipeline diverged from seed"
     assert store_v.records == records, "block pipeline diverged from seed"
-    assert agg_b.rows() == agg_seed.rows()
     assert agg_v.rows() == agg_seed.rows()
 
     with span("bench.rng"):
@@ -492,11 +470,8 @@ def _fold_bench(
         },
         "pipeline": {
             "seed_seconds": t_seed,
-            "batched_seconds": t_batched,
             "block_seconds": t_block,
-            "batched_speedup": t_seed / t_batched,
             "block_speedup": t_seed / t_block,
-            "block_vs_batched": t_batched / t_block,
         },
         "rng": rng,
         "transport": transport,
@@ -517,14 +492,13 @@ def render_table(payload: dict) -> str:
         "",
         f"{'pipeline':<28}{'seconds':>10}{'speedup':>10}",
         f"{'seed (per-iteration)':<28}{p['seed_seconds']:>10.3f}{1.0:>9.2f}x",
-        f"{'batched (run_batch)':<28}{p['batched_seconds']:>10.3f}{p['batched_speedup']:>9.2f}x",
         f"{'block (run_block)':<28}{p['block_seconds']:>10.3f}{p['block_speedup']:>9.2f}x",
         "",
         f"{'component':<28}{'':>10}{'speedup':>10}",
         f"{'keyed rng (stream_block)':<28}{'':>10}{r['speedup']:>9.2f}x",
         f"{'transport bytes (columnar)':<28}{'':>10}{t['bytes_ratio']:>9.2f}x",
         "",
-        "records and aggregates byte-identical across all pipelines",
+        "records and aggregates byte-identical across both pipelines",
     ]
     # Present only when the run was traced (`repro bench --trace FILE`).
     phases = payload.get("phases")

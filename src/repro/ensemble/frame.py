@@ -11,8 +11,7 @@ hot path.  Over a paper-scale store (25k+ records) the vectorized cell
 aggregation is more than an order of magnitude faster than the
 per-record Python loop it replaces (``benchmarks/test_bench_ensemble.py``
 keeps the receipt), and the zero-copy conversion beats the seed's
-row-based ``from_records`` pass by far more
-(``benchmarks/test_bench_plan.py``).
+row-based ``from_records`` pass by far more.
 
 Frames can still be built from a list of :class:`RunRecord` dataclasses
 (:meth:`ResultFrame.from_records` — the row-based path shard results

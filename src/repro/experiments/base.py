@@ -8,11 +8,9 @@ from typing import Any, Callable, Iterable
 from repro.core.analysis import fom_series
 from repro.core.results import ResultStore
 from repro.envs.environment import Environment
-from repro.envs.registry import ENVIRONMENTS
 from repro.reporting.compare import Expectation, ExpectationResult, check_expectations
 from repro.reporting.series import Series
 from repro.reporting.tables import Table
-from repro.sim.cache import RunCache
 from repro.sim.execution import ExecutionEngine
 
 
@@ -35,34 +33,6 @@ class ExperimentOutput:
         return all(r.holds for r in self.check())
 
 
-@dataclass(frozen=True)
-class _MatrixCell:
-    """One environment's slice of a run matrix (picklable work unit)."""
-
-    env_id: str
-    apps: tuple[str, ...]
-    sizes: tuple[int, ...]
-    iterations: int
-    seed: int
-    options: tuple[tuple[str, Any], ...] | None
-    cache_dir: str | None
-
-
-def _run_matrix_cell(cell: _MatrixCell) -> list:
-    env = ENVIRONMENTS[cell.env_id]
-    cache = RunCache(cell.cache_dir) if cell.cache_dir else None
-    engine = ExecutionEngine(seed=cell.seed, cache=cache)
-    options = dict(cell.options) if cell.options is not None else None
-    records = []
-    for app_name in cell.apps:
-        for scale in cell.sizes:
-            for it in range(cell.iterations):
-                records.append(
-                    engine.run(env, app_name, scale, iteration=it, options=options)
-                )
-    return records
-
-
 def run_matrix(
     envs: Iterable[Environment],
     apps: Iterable[str],
@@ -71,56 +41,24 @@ def run_matrix(
     iterations: int = 5,
     seed: int = 0,
     options: dict[str, Any] | None = None,
-    workers: int = 1,
-    cache: RunCache | str | None = None,
 ) -> ResultStore:
     """Run apps × environments × sizes × iterations into a store.
 
-    ``workers`` fans the matrix out one environment per work unit across
-    a process pool (records merge back in environment order, so results
-    are identical for any worker count); ``cache`` — a
-    :class:`~repro.sim.cache.RunCache` or a directory path — replays
-    previously simulated runs instead of recomputing them.
+    Each (environment, app, size) group is one
+    :meth:`~repro.sim.execution.ExecutionEngine.run_block` call, so the
+    records equal per-iteration :meth:`ExecutionEngine.run` calls in
+    environment, app, size, iteration order.
     """
-    cache_dir = None
-    run_cache = None
-    if isinstance(cache, RunCache):
-        cache_dir = str(cache.root)
-        run_cache = cache
-    elif cache is not None:  # str or os.PathLike
-        cache_dir = str(cache)
-        run_cache = RunCache(cache)
-
-    if workers > 1:
-        from repro.parallel.pool import pmap
-
-        cells = [
-            _MatrixCell(
-                env_id=env.env_id,
-                apps=tuple(apps),
-                sizes=tuple(sizes(env)) if sizes else tuple(env.sizes()),
-                iterations=iterations,
-                seed=seed,
-                options=tuple(sorted(options.items())) if options else None,
-                cache_dir=cache_dir,
-            )
-            for env in envs
-        ]
-        store = ResultStore()
-        for records in pmap(_run_matrix_cell, cells, workers=workers):
-            store.extend(records)
-        return store
-
-    engine = ExecutionEngine(seed=seed, cache=run_cache)
+    apps = tuple(apps)
+    engine = ExecutionEngine(seed=seed)
     store = ResultStore()
     for env in envs:
-        env_sizes = list(sizes(env)) if sizes else list(env.sizes())
+        env_sizes = tuple(sizes(env)) if sizes else tuple(env.sizes())
         for app_name in apps:
             for scale in env_sizes:
-                for it in range(iterations):
-                    store.add(
-                        engine.run(env, app_name, scale, iteration=it, options=options)
-                    )
+                engine.run_block(
+                    env, app_name, scale, iterations=iterations, store=store, options=options
+                )
     return store
 
 

@@ -92,67 +92,3 @@ def conjugate_gradient(
         flops=flops,
         converged=converged,
     )
-
-
-def conjugate_gradient_block(
-    A: sp.spmatrix,
-    B: np.ndarray,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-) -> list[CGResult]:
-    """CG over a block of right-hand sides, one sparse matmat per step.
-
-    ``B`` is (n, k): every iteration advances all unconverged systems
-    with a single ``A @ P`` product and column-wise vector work, so
-    ``k`` solves cost one traversal of sparse products instead of
-    ``k``.  Converged columns freeze (their iterate stops updating and
-    stops accruing flops), matching the early exit of the single-RHS
-    loop; numerically the iterates agree with per-column
-    :func:`conjugate_gradient` to reduction-order rounding.
-    """
-    A = A.tocsr()
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if B.ndim != 2 or B.shape[0] != n:
-        raise ValueError("B must be (n, k)")
-    k = B.shape[1]
-    nnz = A.nnz
-    X = np.zeros((n, k))
-    R = B.copy()
-    P = R.copy()
-    rs_old = np.einsum("ij,ij->j", R, R)
-    b_norm = np.linalg.norm(B, axis=0)
-    b_norm[b_norm == 0.0] = 1.0
-    flops = np.zeros(k)
-    iterations = np.zeros(k, dtype=int)
-    active = np.ones(k, dtype=bool)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        AP = A @ P
-        pap = np.einsum("ij,ij->j", P, AP)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(active & (pap != 0.0), rs_old / np.where(pap == 0, 1.0, pap), 0.0)
-        X += alpha * P
-        R -= alpha * AP
-        rs_new = np.einsum("ij,ij->j", R, R)
-        flops[active] += 2.0 * nnz + 10.0 * n
-        iterations[active] += 1
-        done = active & (np.sqrt(rs_new) / b_norm < tol)
-        active &= ~done
-        beta = np.where(active, rs_new / np.where(rs_old == 0, 1.0, rs_old), 0.0)
-        P = np.where(active, R + beta * P, P)
-        rs_old = rs_new
-    residuals = np.linalg.norm(B - A @ X, axis=0)
-    return [
-        CGResult(
-            x=X[:, j].copy(),
-            iterations=int(iterations[j]),
-            residual_norm=float(residuals[j]),
-            flops=float(flops[j]),
-            converged=not active[j],
-        )
-        for j in range(k)
-    ]

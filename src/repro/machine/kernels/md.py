@@ -42,35 +42,6 @@ def lj_forces(
     return forces, energy
 
 
-def lj_forces_block(
-    pos: np.ndarray, box: float, *, epsilon: float = 1.0, sigma: float = 1.0,
-    cutoff: float = 2.5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forces and energies for a batch of configurations at once.
-
-    ``pos`` is (batch, n, 3); one einsum program covers the whole batch
-    — (forces (batch, n, 3), energies (batch,)).  Per-configuration
-    values agree with :func:`lj_forces` to reduction-order rounding
-    (the pair sums accumulate in a different association).
-    """
-    if pos.ndim != 3 or pos.shape[2] != 3:
-        raise ValueError("pos must be (batch, n, 3)")
-    n = pos.shape[1]
-    rij = pos[:, :, None, :] - pos[:, None, :, :]
-    rij -= box * np.round(rij / box)  # minimum image
-    r2 = np.einsum("bijk,bijk->bij", rij, rij)
-    r2[:, np.arange(n), np.arange(n)] = np.inf
-    mask = r2 < cutoff * cutoff
-    inv_r2 = np.where(mask, 1.0 / np.where(r2 == 0, np.inf, r2), 0.0)
-    s2 = sigma * sigma * inv_r2
-    s6 = s2 * s2 * s2
-    s12 = s6 * s6
-    fac = 24.0 * epsilon * (2.0 * s12 - s6) * inv_r2
-    forces = np.einsum("bij,bijk->bik", fac, rij)
-    energies = 2.0 * epsilon * np.sum(np.where(mask, s12 - s6, 0.0), axis=(1, 2))
-    return forces, energies
-
-
 def md_step(
     pos: np.ndarray,
     vel: np.ndarray,

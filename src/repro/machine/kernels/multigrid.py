@@ -16,18 +16,14 @@ import numpy as np
 
 
 def _residual(u: np.ndarray, f: np.ndarray, h2: float) -> np.ndarray:
-    """Residual of the 5-point Poisson stencil with Dirichlet borders.
-
-    Grid axes are the trailing two; any leading axes are batch, so the
-    same code serves one solve and a whole block of solves.
-    """
+    """Residual of the 5-point Poisson stencil with Dirichlet borders."""
     r = np.zeros_like(u)
-    r[..., 1:-1, 1:-1] = f[..., 1:-1, 1:-1] - (
-        4.0 * u[..., 1:-1, 1:-1]
-        - u[..., :-2, 1:-1]
-        - u[..., 2:, 1:-1]
-        - u[..., 1:-1, :-2]
-        - u[..., 1:-1, 2:]
+    r[1:-1, 1:-1] = f[1:-1, 1:-1] - (
+        4.0 * u[1:-1, 1:-1]
+        - u[:-2, 1:-1]
+        - u[2:, 1:-1]
+        - u[1:-1, :-2]
+        - u[1:-1, 2:]
     ) / h2
     return r
 
@@ -35,12 +31,8 @@ def _residual(u: np.ndarray, f: np.ndarray, h2: float) -> np.ndarray:
 def _jacobi(u: np.ndarray, f: np.ndarray, h2: float, sweeps: int, omega: float = 0.8) -> np.ndarray:
     for _ in range(sweeps):
         unew = u.copy()
-        unew[..., 1:-1, 1:-1] = (1 - omega) * u[..., 1:-1, 1:-1] + omega * 0.25 * (
-            u[..., :-2, 1:-1]
-            + u[..., 2:, 1:-1]
-            + u[..., 1:-1, :-2]
-            + u[..., 1:-1, 2:]
-            + h2 * f[..., 1:-1, 1:-1]
+        unew[1:-1, 1:-1] = (1 - omega) * u[1:-1, 1:-1] + omega * 0.25 * (
+            u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:] + h2 * f[1:-1, 1:-1]
         )
         u = unew
     return u
@@ -48,40 +40,30 @@ def _jacobi(u: np.ndarray, f: np.ndarray, h2: float, sweeps: int, omega: float =
 
 def _restrict(r: np.ndarray) -> np.ndarray:
     """Full weighting onto the coarse grid (size (n//2)+1 per dim)."""
-    nc = (r.shape[-1] - 1) // 2 + 1
-    coarse = np.zeros(r.shape[:-2] + (nc, nc))
-    coarse[..., 1:-1, 1:-1] = (
-        4.0 * r[..., 2:-2:2, 2:-2:2]
-        + 2.0 * (
-            r[..., 1:-3:2, 2:-2:2]
-            + r[..., 3:-1:2, 2:-2:2]
-            + r[..., 2:-2:2, 1:-3:2]
-            + r[..., 2:-2:2, 3:-1:2]
-        )
-        + (
-            r[..., 1:-3:2, 1:-3:2]
-            + r[..., 1:-3:2, 3:-1:2]
-            + r[..., 3:-1:2, 1:-3:2]
-            + r[..., 3:-1:2, 3:-1:2]
-        )
+    nc = (r.shape[0] - 1) // 2 + 1
+    coarse = np.zeros((nc, nc))
+    coarse[1:-1, 1:-1] = (
+        4.0 * r[2:-2:2, 2:-2:2]
+        + 2.0 * (r[1:-3:2, 2:-2:2] + r[3:-1:2, 2:-2:2] + r[2:-2:2, 1:-3:2] + r[2:-2:2, 3:-1:2])
+        + (r[1:-3:2, 1:-3:2] + r[1:-3:2, 3:-1:2] + r[3:-1:2, 1:-3:2] + r[3:-1:2, 3:-1:2])
     ) / 16.0
     return coarse
 
 
-def _prolong(e: np.ndarray, fine_shape: tuple[int, ...]) -> np.ndarray:
+def _prolong(e: np.ndarray, fine_shape: tuple[int, int]) -> np.ndarray:
     """Bilinear interpolation to the fine grid."""
     fine = np.zeros(fine_shape)
-    fine[..., ::2, ::2] = e
-    fine[..., 1::2, ::2] = 0.5 * (e[..., :-1, :] + e[..., 1:, :])
-    fine[..., ::2, 1::2] = 0.5 * (fine[..., ::2, :-2:2] + fine[..., ::2, 2::2])
-    fine[..., 1::2, 1::2] = 0.25 * (
-        e[..., :-1, :-1] + e[..., 1:, :-1] + e[..., :-1, 1:] + e[..., 1:, 1:]
+    fine[::2, ::2] = e
+    fine[1::2, ::2] = 0.5 * (e[:-1, :] + e[1:, :])
+    fine[::2, 1::2] = 0.5 * (fine[::2, :-2:2] + fine[::2, 2::2])
+    fine[1::2, 1::2] = 0.25 * (
+        e[:-1, :-1] + e[1:, :-1] + e[:-1, 1:] + e[1:, 1:]
     )
     return fine
 
 
 def _v_cycle(u: np.ndarray, f: np.ndarray, h: float, pre: int, post: int) -> np.ndarray:
-    n = u.shape[-1]
+    n = u.shape[0]
     h2 = h * h
     if n <= 5:
         # Coarse solve: heavy smoothing is exact enough at 5x5.
@@ -146,45 +128,3 @@ def v_cycle_solve(
         residual_history=tuple(history),
         nnz_hierarchy=nnz,
     )
-
-
-def v_cycle_solve_block(
-    rhs_block: np.ndarray,
-    *,
-    cycles: int = 10,
-    pre_smooth: int = 2,
-    post_smooth: int = 2,
-) -> list[MGResult]:
-    """Solve a batch of right-hand sides with shared V-cycles.
-
-    ``rhs_block`` is (batch, n, n); the whole hierarchy — smoothing,
-    restriction, coarse solves, prolongation — runs once over the batch
-    axis, so ``batch`` solves cost one traversal of array operations
-    instead of ``batch``.  Solve ``r`` is bit-identical to
-    ``v_cycle_solve(n, rhs=rhs_block[r], ...)`` — the stencils are
-    elementwise over the trailing grid axes.
-    """
-    if rhs_block.ndim != 3 or rhs_block.shape[1] != rhs_block.shape[2]:
-        raise ValueError("rhs_block must be (batch, n, n)")
-    n = rhs_block.shape[-1]
-    if n < 5 or bin(n - 1).count("1") != 1:
-        raise ValueError("n must be 2**k + 1 and >= 5")
-    h = 1.0 / (n - 1)
-    u = np.zeros_like(rhs_block, dtype=float)
-    histories = [
-        [float(np.linalg.norm(r))] for r in _residual(u, rhs_block, h * h)
-    ]
-    for _ in range(cycles):
-        u = _v_cycle(u, rhs_block, h, pre_smooth, post_smooth)
-        for k, r in enumerate(_residual(u, rhs_block, h * h)):
-            histories[k].append(float(np.linalg.norm(r)))
-    nnz = int(5 * n * n * 4 / 3)
-    return [
-        MGResult(
-            u=u[k],
-            cycles=cycles,
-            residual_history=tuple(histories[k]),
-            nnz_hierarchy=nnz,
-        )
-        for k in range(len(rhs_block))
-    ]

@@ -36,30 +36,3 @@ def kba_sweep(q: np.ndarray, sigma: float = 0.3) -> np.ndarray:
         south = np.where(j > 0, psi[i, np.maximum(j - 1, 0)], 0.0)
         psi[i, j] = q[i, j] + half * (west + south)
     return psi
-
-
-def kba_sweep_block(q: np.ndarray, sigma: float = 0.3) -> np.ndarray:
-    """Sweep a whole batch of grids at once: ``q`` is (batch, nx, ny).
-
-    The wavefront schedule is grid-shape-driven, so every batch member
-    shares it — each anti-diagonal update runs as one vector operation
-    over ``batch × wavefront`` and slice ``r`` is bit-identical to
-    ``kba_sweep(q[r], sigma)`` (same elementwise operations in the same
-    order; ``tests/test_kernels_block.py`` pins it).
-    """
-    if q.ndim != 3:
-        raise ValueError("q must be (batch, nx, ny)")
-    if not 0.0 <= sigma < 2.0:
-        raise ValueError("sigma must be in [0, 2) for stability")
-    _, nx, ny = q.shape
-    psi = np.zeros_like(q, dtype=float)
-    half = sigma / 2.0
-    for d in range(nx + ny - 1):
-        i0 = max(0, d - ny + 1)
-        i1 = min(nx - 1, d)
-        i = np.arange(i0, i1 + 1)
-        j = d - i
-        west = np.where(i > 0, psi[:, np.maximum(i - 1, 0), j], 0.0)
-        south = np.where(j > 0, psi[:, i, np.maximum(j - 1, 0)], 0.0)
-        psi[:, i, j] = q[:, i, j] + half * (west + south)
-    return psi

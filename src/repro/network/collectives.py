@@ -139,9 +139,9 @@ class CollectiveModel:
 
     Every operation is a pure function of (fabric, sizes), so results
     are memoized per instance: an app's level hierarchy re-asking for
-    the same tiny allreduce, and a batched group
-    (:meth:`~repro.sim.execution.ExecutionEngine.run_batch`) sharing one
-    model across iterations, pay for each distinct collective once.
+    the same tiny allreduce, and a resolved group
+    (:meth:`~repro.sim.execution.ExecutionEngine.resolve_group`) sharing
+    one model across iterations, pay for each distinct collective once.
     The memo never changes a value — only skips recomputing it.
     """
 

@@ -18,8 +18,9 @@ A plan is three nested granularities, all pure values:
   cluster-per-size granularity).
 * :class:`PlannedRun` — one (world, seed, env, app, size, iteration)
   coordinate: the explicit cross-product the shards group.  Shard
-  execution batches consecutive runs of one (env, app, size) group
-  through :meth:`~repro.sim.execution.ExecutionEngine.run_batch`.
+  execution simulates the consecutive runs of one (env, app, size)
+  group in one :meth:`~repro.sim.execution.ExecutionEngine.run_block`
+  call.
 
 Plans are deterministic in their inputs: worlds are ordered by
 position, shards world-major in serial campaign order, runs app-major

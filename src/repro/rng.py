@@ -15,8 +15,8 @@ The batched layer
 -----------------
 
 Constructing ``Generator(PCG64(SeedSequence(...)))`` costs tens of
-microseconds — twice per simulated run on the hot path, which dominated
-the batched pipeline.  :func:`stream_block` removes that cost for the
+microseconds — twice per simulated run, which dominates the scalar
+per-iteration path.  :func:`stream_block` removes that cost for the
 iteration axis of a group: it reproduces NumPy's seeding pipeline with
 vectorized integer arithmetic (the :class:`~numpy.random.SeedSequence`
 entropy-pool hash over all iterations at once, then the PCG64 seeding

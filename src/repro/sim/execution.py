@@ -31,7 +31,6 @@ from repro.apps.registry import app as app_lookup
 from repro.cloud.catalog import effective_rate
 from repro.cloud.placement import apply_placement
 from repro.envs.environment import Environment, EnvironmentKind
-from repro.errors import EnvironmentUnavailableError
 from repro.machine.gpu import sample_ecc_settings
 from repro.network.collectives import CollectiveModel
 from repro.network.fabric import Fabric
@@ -67,7 +66,7 @@ class HookupCutoff:
     §3.3's single-iteration rule — AKS CPU at size 256 ran once because
     hookup took 8.82 minutes — as a *value* rather than a closure, so
     the block path can apply it vectorized (:meth:`stop_index`) while
-    the scalar path keeps calling it per record.
+    the cached path calls it per materialized record.
     """
 
     env_id: str
@@ -183,8 +182,6 @@ class ExecutionEngine:
     #: set False to simulate the study's *initial* Azure containers,
     #: before the UCX transport hunt of §3.1 succeeded
     azure_ucx_tuned: bool = True
-    #: records every run made through this engine
-    history: list[RunRecord] = field(default_factory=list)
     #: optional content-addressed run cache; hits skip simulation
     cache: RunCache | None = None
     #: optional what-if overlay (:mod:`repro.scenarios`): spot pricing
@@ -261,7 +258,7 @@ class ExecutionEngine:
 
         Placement sampling, topology-effective fabric, ECC-conditioned
         node model, and pricing are functions of (seed, env, scale) —
-        :meth:`run_batch` resolves them once per (env, app, size) group
+        :meth:`run_block` resolves them once per (env, app, size) group
         instead of once per iteration, with identical results.
         """
         model = app_lookup(app) if isinstance(app, str) else app
@@ -352,18 +349,36 @@ class ExecutionEngine:
         iteration: int = 0,
         options: dict[str, Any] | None = None,
     ) -> RunRecord:
-        """Execute one run; never raises for in-study failure modes."""
-        model = app_lookup(app) if isinstance(app, str) else app
+        """Execute one run; never raises for in-study failure modes.
 
-        if not env.deployable:
-            record = self._skip(env, model, scale, iteration, "environment undeployable")
-        elif not model.supports(env.accelerator):
-            reason = model.unsupported_reason.get(env.accelerator, "unsupported")
-            record = self._skip(env, model, scale, iteration, reason)
-        else:
-            record = self._cached_execute(env, model, scale, iteration, options)
-        self.history.append(record)
+        The single-run API and the scalar reference :meth:`run_block` is
+        pinned against: per-iteration calls produce the same records as
+        one block over the same iterations.
+        """
+        model = app_lookup(app) if isinstance(app, str) else app
+        reason = self._skip_reason(env, model)
+        if reason is not None:
+            return self._skip(env, model, scale, iteration, reason)
+        key = None
+        if self.cache is not None:
+            key = self._cache_key(env, model, scale, iteration, options)
+            record = self.cache.get(key)
+            if record is not None:
+                return record
+        group = self.resolve_group(env, model, scale, options=options)
+        record = self._execute_in_group(group, iteration)
+        if key is not None:
+            self.cache.put(key, record)
         return record
+
+    @staticmethod
+    def _skip_reason(env: Environment, model: AppModel) -> str | None:
+        """Why a run of ``model`` on ``env`` never executes, or ``None``."""
+        if not env.deployable:
+            return "environment undeployable"
+        if not model.supports(env.accelerator):
+            return model.unsupported_reason.get(env.accelerator, "unsupported")
+        return None
 
     def _cache_key(
         self,
@@ -414,23 +429,6 @@ class ExecutionEngine:
             )
         )
 
-    def _cached_execute(
-        self,
-        env: Environment,
-        model: AppModel,
-        scale: int,
-        iteration: int,
-        options: dict[str, Any] | None,
-    ) -> RunRecord:
-        if self.cache is None:
-            return self._execute(env, model, scale, iteration, options)
-        key = self._cache_key(env, model, scale, iteration, options)
-        record = self.cache.get(key)
-        if record is None:
-            record = self._execute(env, model, scale, iteration, options)
-            self.cache.put(key, record)
-        return record
-
     def skipped(
         self,
         env: Environment,
@@ -442,9 +440,7 @@ class ExecutionEngine:
     ) -> RunRecord:
         """Record a run that never executed (e.g. a scenario denied quota)."""
         model = app_lookup(app) if isinstance(app, str) else app
-        record = self._skip(env, model, scale, iteration, reason)
-        self.history.append(record)
-        return record
+        return self._skip(env, model, scale, iteration, reason)
 
     def _skip(
         self,
@@ -470,32 +466,13 @@ class ExecutionEngine:
             extra={"reason": reason},
         )
 
-    def _execute(
-        self,
-        env: Environment,
-        model: AppModel,
-        scale: int,
-        iteration: int,
-        options: dict[str, Any] | None,
-    ) -> RunRecord:
-        group = self.resolve_group(env, model, scale, options=options)
-        return self._execute_in_group(group, iteration)
-
-    def _execute_in_group(
-        self,
-        group: ResolvedGroup,
-        iteration: int,
-        ctx: RunContext | None = None,
-    ) -> RunRecord:
+    def _execute_in_group(self, group: ResolvedGroup, iteration: int) -> RunRecord:
         """One iteration of a resolved group; all per-run randomness is
-        keyed on the iteration, so batched and one-at-a-time execution
-        produce identical records.  ``ctx`` lets a batch reuse one
-        context object (only ``rng``/``iteration`` vary within a group —
-        the caller must have set both for this iteration)."""
+        keyed on the iteration, so a block over many iterations and
+        one-at-a-time execution produce identical records."""
         env = group.env
         model = group.model
-        if ctx is None:
-            ctx = self._group_context(group, iteration)
+        ctx = self._group_context(group, iteration)
         hookup = hookup_time(
             env.cloud,
             env.is_gpu,
@@ -572,74 +549,6 @@ class ExecutionEngine:
             extra=extra,
         )
 
-    # -- batched running -------------------------------------------------------
-
-    def run_batch(
-        self,
-        env: Environment,
-        app: AppModel | str,
-        scale: int,
-        *,
-        iterations: int,
-        options: dict[str, Any] | None = None,
-        stop: Callable[[RunRecord], bool] | None = None,
-    ) -> list[RunRecord]:
-        """Run one (env, app, size) group for ``iterations`` iterations.
-
-        The batched hot path: environment placement, effective fabric,
-        ECC-conditioned node model, and pricing are resolved **once**
-        for the whole group instead of once per iteration, then every
-        iteration reuses the resolution — records are byte-identical to
-        calling :meth:`run` iteration by iteration
-        (``benchmarks/test_bench_plan.py`` keeps the speedup receipt).
-
-        ``stop`` is consulted after each record; returning ``True`` ends
-        the batch early (the §3.3 AKS-256 single-iteration policy).
-        Resolution is lazy, so a fully cache-hit batch never resolves.
-        """
-        model = app_lookup(app) if isinstance(app, str) else app
-        records: list[RunRecord] = []
-        if not env.deployable or not model.supports(env.accelerator):
-            # Skips carry no resolution; run() emits the same records
-            # (and history entries) the per-iteration path always did.
-            for iteration in range(iterations):
-                record = self.run(env, model, scale, iteration=iteration, options=options)
-                records.append(record)
-                if stop is not None and stop(record):
-                    break
-            return records
-
-        group: ResolvedGroup | None = None
-        ctx: RunContext | None = None
-        with span(
-            "engine.run_batch",
-            env=env.env_id, app=model.name, scale=scale, iterations=iterations,
-        ):
-            for iteration in range(iterations):
-                record = None
-                if self.cache is not None:
-                    key = self._cache_key(env, model, scale, iteration, options)
-                    record = self.cache.get(key)
-                if record is None:
-                    if group is None:
-                        group = self.resolve_group(env, model, scale, options=options)
-                        ctx = self._group_context(group, iteration)
-                    else:
-                        # Reuse the context: only the keyed rng and the
-                        # iteration number vary within a group.
-                        ctx.rng = stream(
-                            self.seed, "run", group.env.env_id, group.scale, iteration
-                        )
-                        ctx.iteration = iteration
-                    record = self._execute_in_group(group, iteration, ctx=ctx)
-                    if self.cache is not None:
-                        self.cache.put(key, record)
-                self.history.append(record)
-                records.append(record)
-                if stop is not None and stop(record):
-                    break
-        return records
-
     # -- the array-native block path -------------------------------------------
 
     def _simulate_columns(self, group: ResolvedGroup, iters: np.ndarray) -> _BlockColumns:
@@ -709,13 +618,10 @@ class ExecutionEngine:
             fom[fom_none] = np.nan
 
             app_kind = result.failure_kind
-            mixed = isinstance(app_kind, list) or bool(timeout.any()) or (
-                bool(failed.any()) and not bool(failed.all())
-            )
+            mixed = bool(timeout.any()) or (bool(failed.any()) and not bool(failed.all()))
             if mixed:
-                base = app_kind if isinstance(app_kind, list) else [app_kind] * n
                 kinds: Any = [
-                    base[j] if failed[j] else ("walltime" if timeout[j] else None)
+                    app_kind if failed[j] else ("walltime" if timeout[j] else None)
                     for j in range(n)
                 ]
             else:
@@ -831,12 +737,9 @@ class ExecutionEngine:
         results land in ``store`` via
         :meth:`~repro.core.results.ResultStore.append_block` — no
         per-run :class:`RunRecord` on the fast path.  Records are
-        byte-identical to :meth:`run_batch` (and therefore to
-        per-iteration :meth:`run` calls).
+        byte-identical to per-iteration :meth:`run` calls that end at
+        the first record ``stop`` accepts.
 
-        Differences from :meth:`run_batch`: results go to ``store``
-        (the caller's dataset) instead of a returned list, and
-        :attr:`history` is not populated — the store *is* the record.
         With a cache configured, rows materialize for the per-record
         cache protocol (probe order, puts, and hit/miss stats match the
         scalar path exactly); a :class:`HookupCutoff` ``stop`` applies
@@ -844,11 +747,8 @@ class ExecutionEngine:
         """
         model = app_lookup(app) if isinstance(app, str) else app
 
-        if not env.deployable or not model.supports(env.accelerator):
-            if not env.deployable:
-                reason = "environment undeployable"
-            else:
-                reason = model.unsupported_reason.get(env.accelerator, "unsupported")
+        reason = self._skip_reason(env, model)
+        if reason is not None:
             count = 0
             for iteration in range(iterations):
                 record = self._skip(env, model, scale, iteration, reason)

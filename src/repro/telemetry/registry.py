@@ -54,7 +54,6 @@ SPANS: dict[str, str] = {
     "shard.provision": "quota, cluster provisioning, and environment deploy",
     # the engine
     "engine.run_block": "one (env, app, size) group through the array-native path",
-    "engine.run_batch": "one (env, app, size) group through the batched path",
     "engine.resolve_group": "placement, fabric, ECC, and pricing resolution",
     "engine.rng": "batched keyed-stream seeding and hookup draws",
     "engine.physics": "the app model's columnar simulation",
@@ -64,7 +63,6 @@ SPANS: dict[str, str] = {
     # the benchmark suite
     "bench.run": "the whole benchmark suite",
     "bench.seed": "the per-iteration seed pipeline",
-    "bench.batched": "the run_batch pipeline",
     "bench.block": "the array-native block pipeline",
     "bench.rng": "the keyed-rng component microbenchmark",
     "bench.transport": "the shard-transport component microbenchmark",

@@ -7,6 +7,21 @@ from repro.envs.registry import environment
 from repro.experiments.base import ExperimentOutput, run_matrix, series_from_store
 from repro.reporting.compare import Expectation
 from repro.reporting.tables import Table
+from repro.sim.execution import ExecutionEngine
+from repro.sim.run_result import RunState
+
+
+def _scalar_matrix(envs, apps, sizes, *, iterations, seed=0, options=None):
+    """The per-iteration reference: one ``ExecutionEngine.run`` per
+    (environment, app, size, iteration), in run_matrix's order."""
+    engine = ExecutionEngine(seed=seed)
+    return [
+        engine.run(env, app, scale, iteration=it, options=options)
+        for env in envs
+        for app in apps
+        for scale in sizes(env)
+        for it in range(iterations)
+    ]
 
 
 def test_run_matrix_default_sizes_follow_environment():
@@ -23,15 +38,42 @@ def test_run_matrix_custom_sizes():
 
 
 def test_run_matrix_options_forwarded():
+    envs = [environment("gpu-gke-g")]
+    options = {"process_topology": (4, 4, 4)}
     store = run_matrix(
-        [environment("gpu-gke-g")],
-        ["amg2023"],
-        sizes=lambda e: (64,),
-        iterations=1,
-        options={"process_topology": (4, 4, 4)},
+        envs, ["amg2023"], sizes=lambda e: (64,), iterations=2, options=options
     )
     rec = store.records[0]
     assert rec.extra["process_topology"] == (4, 4, 4)
+    assert store.records == _scalar_matrix(
+        envs, ["amg2023"], lambda e: (64,), iterations=2, options=options
+    )
+
+
+def test_run_matrix_matches_scalar_runs():
+    envs = [
+        environment("cpu-eks-aws"),
+        environment("cpu-onprem-a"),
+        environment("gpu-parallelcluster-aws"),  # undeployable
+        environment("gpu-gke-g"),  # laghos has no GPU port
+    ]
+    apps = ["amg2023", "laghos", "lammps"]
+
+    def sizes(env):
+        return (32, 64)
+
+    store = run_matrix(envs, apps, sizes=sizes, iterations=3, seed=2)
+    assert store.records == _scalar_matrix(envs, apps, sizes, iterations=3, seed=2)
+    states = {(r.env_id, r.app): r.state for r in store.records}
+    assert states["gpu-parallelcluster-aws", "lammps"] is RunState.SKIPPED
+    assert states["gpu-gke-g", "laghos"] is RunState.SKIPPED
+
+
+def test_run_matrix_one_shot_apps_cover_every_environment():
+    envs = [environment("cpu-eks-aws"), environment("cpu-onprem-a")]
+    store = run_matrix(envs, (a for a in ["stream"]), sizes=lambda e: (32,), iterations=1)
+    assert len(store) == 2
+    assert store.environments() == ["cpu-eks-aws", "cpu-onprem-a"]
 
 
 def test_run_matrix_multiple_envs_and_apps():

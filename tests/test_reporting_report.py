@@ -1,8 +1,21 @@
 """Evaluation-report generator tests."""
 
+import hashlib
+
 import pytest
 
 from repro.reporting.report import REPORT_ORDER, generate_report
+
+#: sha256 of ``repro report --seed S``'s stdout: the markdown plus the
+#: newline ``print`` adds.  A change that moves any number moves these.
+GOLDEN_REPORT_SHA256 = {
+    0: "9671af5208138a3a00ebc16354f6af7b327c6a9da1779e11e55706e63ecc3b1f",
+    3: "d2abad6c9857582b8b22188bfc94837f90a8f05727d7c5f1508abefa5022c42a",
+}
+
+
+def _stdout_sha256(text: str) -> str:
+    return hashlib.sha256((text + "\n").encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -10,6 +23,14 @@ def report_text():
     # Default iterations (5 per point): the B-vs-Azure GPU tie in Figure 4
     # needs the paper's iteration count to resolve reliably.
     return generate_report(seed=0)
+
+
+def test_report_matches_golden_digest(report_text):
+    assert _stdout_sha256(report_text) == GOLDEN_REPORT_SHA256[0]
+
+
+def test_report_matches_golden_digest_at_seed_3():
+    assert _stdout_sha256(generate_report(seed=3)) == GOLDEN_REPORT_SHA256[3]
 
 
 def test_report_covers_every_experiment(report_text):

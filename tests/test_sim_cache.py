@@ -163,20 +163,6 @@ def test_cached_study_identical_to_uncached(tmp_path):
     assert warm.cache_hits == warm.datasets and warm.cache_misses == 0
 
 
-def test_run_matrix_accepts_cache_as_path_str_or_runcache(tmp_path):
-    from repro.experiments.base import run_matrix
-
-    plain = run_matrix([ENV], ["stream"], iterations=1, seed=1)
-    as_path = run_matrix([ENV], ["stream"], iterations=1, seed=1, cache=tmp_path)
-    as_str = run_matrix([ENV], ["stream"], iterations=1, seed=1, cache=str(tmp_path))
-    as_obj = run_matrix(
-        [ENV], ["stream"], iterations=1, seed=1, cache=RunCache(tmp_path)
-    )
-    assert (
-        as_path.to_csv() == as_str.to_csv() == as_obj.to_csv() == plain.to_csv()
-    )
-
-
 def test_cached_study_seed_change_is_all_misses(tmp_path):
     StudyRunner(StudyConfig.smoke(seed=4), cache_dir=str(tmp_path)).run()
     other = StudyRunner(StudyConfig.smoke(seed=5), cache_dir=str(tmp_path)).run()

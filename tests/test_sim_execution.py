@@ -111,12 +111,6 @@ def test_untuned_azure_ucx_flag():
     assert ctx2.fabric.quirk_multiplier(1024, "p2p") == 1.0
 
 
-def test_history_accumulates(engine):
-    engine.run(environment("cpu-eks-aws"), "amg2023", 32)
-    engine.run(environment("cpu-eks-aws"), "amg2023", 64)
-    assert len(engine.history) == 2
-
-
 def test_gpu_context_ranks_are_gpus(engine):
     ctx = engine.context(environment("gpu-eks-aws"), 256)
     assert ctx.ranks == 256

@@ -3,10 +3,9 @@
 The acceptance criterion of the vectorized iteration axis: the block
 path — batched keyed RNG, columnar app physics, array-native pricing /
 walltime / preemption, ``append_block`` — is byte-identical to the
-scalar reference (:meth:`ExecutionEngine.run_batch`, itself pinned to
-per-iteration :meth:`run` calls), over every app, over cache states,
-over early-stop cutoffs, and over whole study / scenario / ensemble
-plans at any worker count.
+scalar reference (per-iteration :meth:`ExecutionEngine.run` calls),
+over every app, over cache states, over early-stop cutoffs, and over
+whole study / scenario / ensemble plans at any worker count.
 """
 
 from __future__ import annotations
@@ -24,6 +23,18 @@ from repro.sim.cache import RunCache
 from repro.sim.execution import ExecutionEngine, HookupCutoff
 
 
+def _scalar_runs(engine, env, app, scale, *, iterations, stop=None):
+    """One :meth:`ExecutionEngine.run` per iteration, ending with the
+    first record ``stop`` accepts (the block path's stop rule)."""
+    records = []
+    for iteration in range(iterations):
+        record = engine.run(env, app, scale, iteration=iteration)
+        records.append(record)
+        if stop is not None and stop(record):
+            break
+    return records
+
+
 def _block_store(engine, env, app, scale, *, iterations, stop=None):
     store = ResultStore()
     engine.run_block(env, app, scale, iterations=iterations, store=store, stop=stop)
@@ -34,7 +45,7 @@ def _assert_equivalent(env_id, app, scale, *, iterations=6, scenario=None, stop=
     env = ENVIRONMENTS[env_id]
     scalar = ExecutionEngine(seed=0, scenario=scenario)
     block = ExecutionEngine(seed=0, scenario=scenario)
-    reference = scalar.run_batch(env, app, scale, iterations=iterations, stop=stop)
+    reference = _scalar_runs(scalar, env, app, scale, iterations=iterations, stop=stop)
     store = _block_store(block, env, app, scale, iterations=iterations, stop=stop)
     assert store.records == reference
 
@@ -44,7 +55,7 @@ def _assert_equivalent(env_id, app, scale, *, iterations=6, scenario=None, stop=
 
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_every_app_block_equals_scalar(app):
-    """Ported apps and base-class fallbacks alike: same records."""
+    """Every registered app: same records on both paths."""
     for env_id in ("cpu-eks-aws", "gpu-gke-g", "cpu-aks-az", "cpu-onprem-a"):
         _assert_equivalent(env_id, app, 64)
 
@@ -85,7 +96,7 @@ def test_cache_protocol_matches_scalar(tmp_path):
     scalar = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "a"))
     block = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "b"))
     for iterations in (6, 6, 9):  # cold, warm, mixed tail
-        reference = scalar.run_batch(env, "osu", 64, iterations=iterations)
+        reference = _scalar_runs(scalar, env, "osu", 64, iterations=iterations)
         store = _block_store(block, env, "osu", 64, iterations=iterations)
         assert store.records == reference
         assert block.cache.hits == scalar.cache.hits
@@ -115,7 +126,7 @@ def test_stop_truncation_realigns_invalid_counter(tmp_path):
     (warm.cache.path(keys[3])).write_text("garbage", encoding="utf-8")
 
     scalar = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "c"))
-    reference = scalar.run_batch(env, "lammps", 256, iterations=5, stop=stop)
+    reference = _scalar_runs(scalar, env, "lammps", 256, iterations=5, stop=stop)
     block = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "c"))
     store = _block_store(block, env, "lammps", 256, iterations=5, stop=stop)
     assert store.records == reference
@@ -131,7 +142,7 @@ def test_block_and_scalar_caches_interchange(tmp_path):
     writer = ExecutionEngine(seed=0, cache=RunCache(shared))
     store = _block_store(writer, env, "amg2023", 64, iterations=4)
     reader = ExecutionEngine(seed=0, cache=RunCache(shared))
-    replayed = reader.run_batch(env, "amg2023", 64, iterations=4)
+    replayed = _scalar_runs(reader, env, "amg2023", 64, iterations=4)
     assert reader.cache.hits == 4 and reader.cache.misses == 0
     # Cached records round-trip through JSON (tuples come back as
     # lists), so the interchange guarantee is on the exported dataset.
@@ -174,7 +185,7 @@ def _scalar_reference(config):
         for scale in config.sizes:
             for app in config.apps:
                 records.extend(
-                    engine.run_batch(env, app, scale, iterations=config.iterations)
+                    _scalar_runs(engine, env, app, scale, iterations=config.iterations)
                 )
     return records
 
