@@ -13,8 +13,10 @@ cache: the cost of not triaging.  The campaign side starts from a
 one-replica smoke pass over the full grid, cache writes, diff probes,
 and the full-depth grid pass over the survivors — and still has to win
 on the strength of pruning plus smoke-to-grid reuse alone.  Cells run
-at scale 256 (the paper's largest), where provisioning + Kubernetes
-scheduling dominate cell cost.
+at scale 256 (the paper's largest), where bringing up a cell's cluster
+— provisioning plus one Kubernetes pod per node, linear in node count
+— still costs more than simulating the cell.  Each side is timed as
+the fastest of three runs, each with its own fresh cache directory.
 
 Results land in ``BENCH_campaign.json`` (redirect with
 ``BENCH_CAMPAIGN_ARTIFACT``) and are gated against
@@ -44,14 +46,29 @@ BENCH_CAMPAIGN_ARTIFACT = os.environ.get(
 BASELINE_PATH = Path(__file__).parent / "BASELINE_campaign.json"
 REGRESSION_TOLERANCE = 1.25
 
+#: each side is timed as the fastest of this many runs
+REPEATS = 3
+
 #: the acceptance floor: campaign ≤ 50% of the naive full-grid ensemble
 ACCEPTANCE_RATIO = 0.50
 
-#: one environment per cloud; scale 256 makes provisioning + K8s
-#: scheduling the dominant cell cost
+#: one environment per cloud; at scale 256 cluster bring-up is the
+#: largest part of a cell's cost
 _ENVS = ("cpu-eks-aws", "cpu-aks-az", "cpu-gke-g", "cpu-onprem-a")
 _CLOUDS = ("aws", "az", "g", "p")
 N_PRUNED = 6
+
+
+def _fastest(run):
+    """Fastest of ``REPEATS`` timed ``run(cache_dir)`` calls, each given
+    its own fresh cache directory, and the last call's result."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        with tempfile.TemporaryDirectory() as cache_dir:
+            start = time.perf_counter()
+            result = run(cache_dir)
+            best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 def _scenarios() -> tuple[Scenario, ...]:
@@ -130,14 +147,10 @@ def test_bench_campaign_vs_naive_full_grid():
         )
     ).run()
 
-    start = time.perf_counter()
-    naive = EnsembleRunner(naive_spec).run()
-    t_naive = time.perf_counter() - start
-
-    with tempfile.TemporaryDirectory() as cache_dir:
-        start = time.perf_counter()
-        campaign = CampaignRunner(spec, cache_dir=cache_dir).run()
-        t_campaign = time.perf_counter() - start
+    t_naive, naive = _fastest(lambda _: EnsembleRunner(naive_spec).run())
+    t_campaign, campaign = _fastest(
+        lambda cache_dir: CampaignRunner(spec, cache_dir=cache_dir).run()
+    )
 
     # The pipeline behaved as designed: every fabric scenario pruned at
     # SMOKE, both price cuts reached the grid, one of them won.

@@ -1,11 +1,22 @@
 """The replication engine: determinism, seed-study anchoring, caching."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.core.study import StudyConfig, StudyRunner
 from repro.ensemble import EnsembleRunner, EnsembleSpec
 from repro.scenarios import scenario
+
+#: sha256 of ``repro ensemble run --replicas 8 --workers 2 --seed S``'s
+#: stdout: every environment and app at 2 iterations, 8 worlds.  A
+#: change that moves any number in the distribution tables moves these.
+GOLDEN_ENSEMBLE_SHA256 = {
+    0: "177b09b9e8932804e7a0b2a6c6acfc94cfdaded70f856fc281fcea9ebb357e80",
+    3: "4d081bdd0f4bb79f7099e9045548ec0be6286077aadeb726142c6a45130f4b53",
+}
 
 SMOKE = dict(
     env_ids=("cpu-eks-aws", "cpu-onprem-a"),
@@ -198,3 +209,12 @@ def test_json_snapshot_shape(smoke_result):
     cell = data["cells"][0]
     assert {"scenario", "env", "app", "scale", "fom", "cost_usd"} <= set(cell)
     assert cell["fom"]["count"] == 3
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_ENSEMBLE_SHA256))
+def test_default_ensemble_matches_golden_digest(seed, capsys):
+    argv = ["ensemble", "run", "--replicas", "8", "--workers", "2",
+            "--seed", str(seed)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_ENSEMBLE_SHA256[seed]

@@ -7,16 +7,19 @@ from repro.cloud.provisioner import ProvisionRequest, Provisioner
 from repro.cloud.quota import QuotaLedger, QuotaRequest
 from repro.errors import SchedulingError
 from repro.k8s.cluster import KubernetesCluster
+from repro.k8s.cni import CniConfig
+from repro.k8s.daemonsets import EFA_DEVICE_PLUGIN
 from repro.k8s.flux_operator import FluxOperator, MiniClusterSpec
+from repro.k8s.objects import KubeNode
 from repro.scheduler.base import Job, JobState
 
 
-def _kube(nodes=16):
+def _kube(nodes=16, cni=None):
     ledger = QuotaLedger(seed=0)
     ledger.request(QuotaRequest("aws", "hpc6a.48xlarge", "cpu", nodes + 1))
     prov = Provisioner(ledger, BillingMeter(), seed=0)
     cluster = prov.provision(ProvisionRequest("aws", "k8s", "hpc6a.48xlarge", nodes))
-    return KubernetesCluster.create(cluster)
+    return KubernetesCluster.create(cluster, cni=cni)
 
 
 def _spec(size=16, name="mc"):
@@ -32,6 +35,27 @@ def test_minicluster_one_pod_per_node():
     assert mc.size == 16
     nodes_used = {p.node_name for p in mc.pods}
     assert len(nodes_used) == 16
+
+
+def test_minicluster_checks_fits_once_per_pod(monkeypatch):
+    """The study's 256-node EKS bring-up admits each pod with one check."""
+    kube = _kube(256, cni=CniConfig("aws-vpc-cni", prefix_delegation=True))
+    kube.deploy_daemonset(EFA_DEVICE_PLUGIN)
+    calls = []
+    fits = KubeNode.fits
+
+    def counted_fits(node, pod):
+        calls.append(pod.name)
+        return fits(node, pod)
+
+    monkeypatch.setattr(KubeNode, "fits", counted_fits)
+    spec = MiniClusterSpec(
+        name="mc", image="app:latest", size=256, tasks_per_node=96,
+        fabric_resource="vpc.amazonaws.com/efa",
+    )
+    mc = FluxOperator(kube).create(spec)
+    assert len({p.node_name for p in mc.pods}) == 256
+    assert len(calls) == 256
 
 
 def test_bringup_includes_pull_and_bootstrap():
