@@ -8,12 +8,20 @@ under a content hash of exactly that key and replayed on the next
 request — re-renders and repeated experiments then skip simulation
 entirely.
 
-The cache is a plain directory of JSON files, one per record, fanned out
-by hash prefix so large campaigns don't produce a single huge directory.
-Keys incorporate :data:`CACHE_VERSION`; bump it whenever the record
-schema or the simulation semantics change so stale entries miss instead
-of resurfacing.  Corrupt or unreadable entries are treated as misses —
-the cache is an accelerator, never a source of truth.
+The cache is a plain directory of JSON files fanned out by hash prefix,
+so large campaigns don't produce a single huge directory: run records
+go one file per record, or one *batch envelope* per (environment, size)
+cell (:meth:`RunCache.batched`), next to cell- and world-level
+summaries.  Keys incorporate :data:`CACHE_VERSION`; bump it whenever the
+record schema or the simulation semantics change so stale entries miss
+instead of resurfacing.  Corrupt or unreadable entries are treated as
+misses — the cache is an accelerator, never a source of truth.
+
+A cold cached study encodes every record twice (once into its run
+envelope, once into its cell entry), so the per-record path is kept to
+the cost of building the JSON dict: :func:`encode_record` reads the
+fields directly, :func:`_jsonable` passes exact JSON-native values
+straight through, and miss probes open plain string paths.
 
 Records round-trip through JSON, which canonicalizes container types:
 a tuple in ``RunRecord.extra`` or ``phases`` (e.g. AMG's process
@@ -27,11 +35,11 @@ identical artifacts — but code comparing whole records or relying on
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import logging
 import os
+import threading
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -58,7 +66,20 @@ CACHE_VERSION = 3
 
 
 def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars (and other oddballs) into JSON-native types."""
+    """Coerce numpy scalars (and other oddballs) into JSON-native types.
+
+    Exact JSON-native types take the fast paths on ``type(value)``;
+    subclasses, numpy scalars and everything else fall through to the
+    ``isinstance`` chain below, so the result never depends on which
+    path a value took.
+    """
+    kind = type(value)
+    if kind is str or kind is float or kind is int or kind is bool or value is None:
+        return value
+    if kind is dict:
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [_jsonable(v) for v in value]
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -271,10 +292,33 @@ def world_key(
 
 
 def encode_record(record: RunRecord) -> dict[str, Any]:
-    """A JSON-safe dict for one run record."""
-    data = dataclasses.asdict(record)
-    data["state"] = record.state.value
-    return _jsonable(data)
+    """A JSON-safe dict for one run record, keys in field order.
+
+    Built field by field rather than through ``dataclasses.asdict``,
+    which deep-copies every value only for :func:`_jsonable` to walk the
+    copy again: ``state`` is its enum value and every other field goes
+    through :func:`_jsonable` once.  The keys are :class:`RunRecord`'s
+    fields in declaration order, so the JSON bytes (and every cache
+    entry) match the ``asdict`` encoding.  A dataclass nested in
+    ``phases`` or ``extra`` is encoded as its ``str()`` like any other
+    non-JSON value; no app puts one there.
+    """
+    return {
+        "env_id": _jsonable(record.env_id),
+        "app": _jsonable(record.app),
+        "scale": _jsonable(record.scale),
+        "nodes": _jsonable(record.nodes),
+        "iteration": _jsonable(record.iteration),
+        "state": record.state.value,
+        "fom": _jsonable(record.fom),
+        "fom_units": _jsonable(record.fom_units),
+        "wall_seconds": _jsonable(record.wall_seconds),
+        "hookup_seconds": _jsonable(record.hookup_seconds),
+        "cost_usd": _jsonable(record.cost_usd),
+        "phases": _jsonable(record.phases),
+        "failure_kind": _jsonable(record.failure_kind),
+        "extra": _jsonable(record.extra),
+    }
 
 
 def decode_record(data: dict[str, Any]) -> RunRecord:
@@ -310,14 +354,27 @@ class _CacheBatch:
 class RunCache:
     """Directory-backed cache of simulated run records.
 
-    Safe for concurrent writers: entries are written to a temporary file
-    and atomically renamed into place, and every worker of a sharded
-    study may point at the same directory.
+    Every worker of a sharded study may point at the same directory.
+    Each entry is written to a temporary file named for its process and
+    thread, then atomically renamed into place, so a reader never sees a
+    torn entry and concurrent writers of one key leave exactly one of
+    their payloads (the last rename wins).
+
+    Run envelopes (:meth:`batched`) can lose updates, though: their key
+    (:func:`batch_key`) ignores the app roster and the iteration count,
+    so two writers of one cell with different app rosters (or iteration
+    counts) each write back the envelope they read plus only their own
+    entries, and the last writer drops the other's.  That costs re-simulating the dropped
+    runs on a later probe, never wrong data — entries are keyed by full
+    :func:`run_key`.  The fix is an open item (ROADMAP.md, item 2).
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: ``root`` as a string: probes join and open plain strings
+        #: rather than building a ``Path`` per key
+        self._root = os.fspath(self.root)
         self.hits = 0
         self.misses = 0
         #: entries that *existed* but could not be used (corrupt JSON,
@@ -364,7 +421,10 @@ class RunCache:
         )
 
     def path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
+
+    def _file(self, key: str) -> str:
+        return os.path.join(self._root, key[:2], key + ".json")
 
     def get_json(self, key: str, *, level: str = "cell") -> Any | None:
         """The raw JSON payload for ``key``, or ``None`` on a miss.
@@ -377,7 +437,7 @@ class RunCache:
 
     def _read(self, key: str, level: str) -> Any | None:
         try:
-            with open(self.path(key), "r", encoding="utf-8") as fh:
+            with open(self._file(key), "r", encoding="utf-8") as fh:
                 text = fh.read()
             data = json.loads(text)
         except FileNotFoundError:
@@ -402,13 +462,8 @@ class RunCache:
         self._write(key, data, level)
 
     def _write(self, key: str, data: Any, level: str) -> None:
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         text = json.dumps(data, separators=(",", ":"))
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        self._atomic_write(key, text.encode("utf-8"))
         self.put_bytes += len(text)
         telemetry_count(f"cache.{level}.puts")
         telemetry_count(f"cache.{level}.put_bytes", len(text))
@@ -422,11 +477,24 @@ class RunCache:
         crash or silently trust the entry.  Testing hook only — nothing
         in the production path calls this.
         """
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        self._atomic_write(key, b"\xff\xfechaos\x00 corrupted entry")
+
+    def _atomic_write(self, key: str, payload: bytes) -> None:
+        """Write ``key``'s entry through a temp file renamed into place.
+
+        The temp name carries the process *and* thread id, so no two
+        writers ever share one: a thread can neither rename another's
+        half-written bytes into place nor lose its own temp file before
+        its ``os.replace``.  The last rename wins.
+        """
+        path = self._file(key)
+        directory, name = os.path.split(path)
+        os.makedirs(directory, exist_ok=True)
+        tmp = os.path.join(
+            directory, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
         with open(tmp, "wb") as fh:
-            fh.write(b"\xff\xfechaos\x00 corrupted entry")
+            fh.write(payload)
         os.replace(tmp, path)
 
     # -- batched I/O (one envelope per cell) --------------------------------
@@ -448,8 +516,13 @@ class RunCache:
         Reentrant per level: a nested ``batched`` reuses the open batch
         (the outer ``group_key`` wins) so helper layers can wrap
         defensively.  Entries are self-describing ``{run_key: payload}``
-        maps, so concurrent writers of the same deterministic cell
-        produce identical envelopes and last-writer-wins stays safe.
+        maps and the write is last-writer-wins: concurrent writers of a
+        cell with the *same* app roster and iteration count write
+        identical envelopes, but a writer with a different roster (or
+        iteration count) drops the entries the other added since it read
+        the envelope.  Those
+        runs re-simulate on a later probe; no entry is ever wrong (see
+        the class docstring).
         """
         outer = self._batches.get(level)
         if outer is not None:
@@ -465,7 +538,7 @@ class RunCache:
 
     def _read_envelope(self, group_key: str, level: str) -> dict[str, Any]:
         try:
-            with open(self.path(group_key), "r", encoding="utf-8") as fh:
+            with open(self._file(group_key), "r", encoding="utf-8") as fh:
                 text = fh.read()
             data = json.loads(text)
         except FileNotFoundError:
@@ -497,13 +570,8 @@ class RunCache:
             "v": CACHE_VERSION,
             "entries": {**batch.overlay, **batch.pending},
         }
-        path = self.path(batch.group_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         text = json.dumps(envelope, separators=(",", ":"))
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        self._atomic_write(batch.group_key, text.encode("utf-8"))
         self.put_bytes += len(text)
         self.batch_puts += 1
         telemetry_count(f"cache.{batch.level}.batch_puts")
