@@ -7,7 +7,10 @@ results are byte-identical to the front-ends' own reports — for any
 worker count.
 """
 
+import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +28,21 @@ from repro.plan import (
 )
 from repro.scenarios import Scenario, ScenarioSweep, scenario
 
+
+#: sha256 of ``repro plan show --json --seed S`` for each front-end's
+#: flags: the study, a one-scenario sweep and a 4-replica ensemble.
+GOLDEN_PLAN_SHOW_SHA256 = {
+    ((), 0): "c7a8b34e542cddf881d5fd1e1dabd2ece14053e3132e4766a5311b54db008bb6",
+    ((), 3): "c937149f214db8e54fbb82b0494ac26c408c5eba424e9183493bbb7ff2d459ec",
+    (("--scenario", "spot-everything"), 0):
+        "430da58e6024c2af7a76d58268cec46d827e015716b5c40191b6fe5caad6c9bf",
+    (("--scenario", "spot-everything"), 3):
+        "2193de77722575340e49b88c540a7de23c2344f08a6f184d77bd6776b61190ed",
+    (("--replicas", "4", "--scenario", "spot-everything"), 0):
+        "1df3c22b67d3c6c95808971f53fc44a3cecf0b1ce7c4dff0602a4fc0ef9a16ac",
+    (("--replicas", "4", "--scenario", "spot-everything"), 3):
+        "c48537a4e289814600327aa88b137a53871fed4cd07dd8a936067664accc1ff3",
+}
 
 CONFIG = StudyConfig(
     env_ids=("cpu-eks-aws", "cpu-onprem-a"),
@@ -227,6 +245,20 @@ def test_plan_show_cli_ensemble_json(capsys):
     assert [w["scenario"] for w in data["worlds"]] == [
         "baseline", "baseline", "price-war", "price-war",
     ]
+
+
+@pytest.mark.parametrize("flags,seed", sorted(GOLDEN_PLAN_SHOW_SHA256))
+def test_plan_show_json_matches_golden_digest(flags, seed, capsys, child_env):
+    argv = ["plan", "show", "--json", "--seed", str(seed), *flags]
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out.encode()
+    piped = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, env=child_env, check=True,
+    ).stdout
+    golden = GOLDEN_PLAN_SHOW_SHA256[flags, seed]
+    assert hashlib.sha256(in_process).hexdigest() == golden
+    assert hashlib.sha256(piped).hexdigest() == golden
 
 
 def test_plan_show_cli_rejects_unknown_scenario(capsys):

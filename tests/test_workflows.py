@@ -1,6 +1,12 @@
 """Workflow DAG and portability-scoring tests."""
 
+import hashlib
+import runpy
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.envs.registry import ENVIRONMENTS, environment
 from repro.errors import ConfigurationError
@@ -15,6 +21,12 @@ from repro.workflows.portability import (
     PortabilityScorer,
     portability_index,
 )
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "composite_workflow.py"
+
+#: sha256 of ``python examples/composite_workflow.py``'s stdout: the
+#: portability table, the placement plan and the infeasibility reasons.
+GOLDEN_EXAMPLE_SHA256 = "777b051a1c50fea907e0152ad9ab60395b0f597f77d77eb1085013a9055c0cc9"
 
 
 def _sim(**kw):
@@ -75,6 +87,100 @@ def test_mummi_workflow_shape():
 def test_component_validation():
     with pytest.raises(ConfigurationError):
         Component("bad", ComponentKind.AI, min_nodes=0)
+
+
+def test_mummi_workflow_order_edges_and_critical_path_are_pinned():
+    wf = mummi_style_workflow()
+    assert [c.name for c in wf.components()] == [
+        "orchestrator", "macro-sim", "ml-selector", "micro-sim", "feature-db",
+    ]
+    # Grouped by source in insertion order, not in connection order.
+    assert wf.edges() == [
+        ("macro-sim", "ml-selector", 2 << 30),
+        ("macro-sim", "feature-db", 256 << 20),
+        ("micro-sim", "feature-db", 512 << 20),
+        ("ml-selector", "micro-sim", 64 << 20),
+        ("orchestrator", "macro-sim", 1 << 20),
+    ]
+    assert wf.critical_path() == [
+        "orchestrator", "macro-sim", "ml-selector", "micro-sim", "feature-db",
+    ]
+
+
+def test_composite_workflow_example_output_is_pinned(capsys):
+    runpy.run_path(str(EXAMPLE), run_name="__main__")
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_EXAMPLE_SHA256
+
+
+# ----------------------------------------------- the networkx reference
+
+_NAMES = st.sampled_from("abcdefghi")
+
+#: Interleaved ``add``/``connect`` calls over nine names: duplicate
+#: components, unknown endpoints, negative byte counts, self-loops,
+#: repeated pairs and back edges all occur.
+_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _NAMES),
+        st.tuples(st.just("connect"), _NAMES, _NAMES, st.integers(-1, 1 << 31)),
+    ),
+    max_size=30,
+)
+
+
+class _Rejected(Exception):
+    """The reference refused a call."""
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def _reference_call(nx, graph, call):
+    """Apply ``call`` the way a networkx-backed workflow would."""
+    if call[0] == "add":
+        if call[1] in graph:
+            raise _Rejected
+        graph.add_node(call[1])
+        return
+    _, src, dst, nbytes = call
+    if src not in graph or dst not in graph or nbytes < 0:
+        raise _Rejected
+    graph.add_edge(src, dst, bytes_per_cycle=nbytes)
+    if not nx.is_directed_acyclic_graph(graph):
+        graph.remove_edge(src, dst)
+        raise _Rejected
+
+
+def _workflow_call(wf, call):
+    if call[0] == "add":
+        wf.add(Component(call[1], ComponentKind.SERVICE))
+    else:
+        wf.connect(call[1], call[2], bytes_per_cycle=call[3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls=_CALLS)
+@example(calls=[])
+def test_workflow_matches_networkx_reference(nx, calls):
+    wf = Workflow("reference")
+    graph = nx.DiGraph()
+    for call in [None, *calls]:
+        if call is not None:
+            try:
+                _reference_call(nx, graph, call)
+            except _Rejected:
+                with pytest.raises(ConfigurationError):
+                    _workflow_call(wf, call)
+            else:
+                _workflow_call(wf, call)
+        assert [c.name for c in wf.components()] == list(nx.topological_sort(graph))
+        assert wf.edges() == [
+            (u, v, data["bytes_per_cycle"]) for u, v, data in graph.edges(data=True)
+        ]
+        assert wf.critical_path() == nx.dag_longest_path(graph, weight=None)
 
 
 # ---------------------------------------------------------- portability
