@@ -1420,4 +1420,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        # Flush here, so a reader that went away (``| head``) surfaces
+        # inside this try rather than at interpreter shutdown.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull: the shutdown flush would raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)

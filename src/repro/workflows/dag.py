@@ -1,17 +1,15 @@
 """Workflow graphs: components, requirements, data flow.
 
-A :class:`Workflow` is a DAG (networkx) of :class:`Component` nodes.
-Edges carry the bytes exchanged per workflow cycle, which the
-portability scorer uses to penalise splitting chatty component pairs
-across environments (cloud egress + WAN latency).
+A :class:`Workflow` is a DAG of :class:`Component` nodes, kept in plain
+insertion-ordered dicts.  Edges carry the bytes exchanged per workflow
+cycle, which the portability scorer uses to penalise splitting chatty
+component pairs across environments (cloud egress + WAN latency).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-import networkx as nx
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -44,48 +42,98 @@ class Component:
 
 
 class Workflow:
-    """A DAG of components with data-flow edges."""
+    """A DAG of components with data-flow edges.
+
+    The graph is two insertion-ordered maps: each component's successors
+    with the bytes sent per cycle, and its predecessors in connection
+    order.  Every query below is a function of those insertion orders.
+    """
 
     def __init__(self, name: str):
         self.name = name
-        self._graph = nx.DiGraph()
+        self._components: dict[str, Component] = {}
+        self._succ: dict[str, dict[str, int]] = {}
+        self._pred: dict[str, list[str]] = {}
 
     # -- construction -----------------------------------------------------------
 
     def add(self, component: Component) -> Component:
-        if component.name in self._graph:
+        if component.name in self._components:
             raise ConfigurationError(f"duplicate component {component.name!r}")
-        self._graph.add_node(component.name, component=component)
+        self._components[component.name] = component
+        self._succ[component.name] = {}
+        self._pred[component.name] = []
         return component
 
     def connect(self, src: str, dst: str, *, bytes_per_cycle: int) -> None:
+        """Add (or re-weigh) the edge ``src -> dst``; refuse a cycle."""
         for name in (src, dst):
-            if name not in self._graph:
+            if name not in self._components:
                 raise ConfigurationError(f"unknown component {name!r}")
         if bytes_per_cycle < 0:
             raise ConfigurationError("bytes_per_cycle must be non-negative")
-        self._graph.add_edge(src, dst, bytes_per_cycle=bytes_per_cycle)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(src, dst)
+        if self._reaches(dst, src):
             raise ConfigurationError(
                 f"edge {src}->{dst} would create a cycle"
             )
+        if dst not in self._succ[src]:
+            self._pred[dst].append(src)
+        self._succ[src][dst] = bytes_per_cycle
+
+    def _reaches(self, start: str, target: str) -> bool:
+        """Whether a path leads from ``start`` to ``target`` (or they are one)."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            name = stack.pop()
+            if name == target:
+                return True
+            for nxt in self._succ[name]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
 
     # -- queries ----------------------------------------------------------------
 
+    def _order(self) -> list[str]:
+        """Component names in topological order, a generation at a time.
+
+        Kahn's algorithm: first every component without predecessors, in
+        insertion order; then each generation lists the components whose
+        last predecessor was in the previous one, in the order that
+        generation's successor lists release them.
+        """
+        waiting = {name: len(preds) for name, preds in self._pred.items()}
+        generation = [name for name, count in waiting.items() if count == 0]
+        order: list[str] = []
+        while generation:
+            order.extend(generation)
+            released = []
+            for name in generation:
+                for child in self._succ[name]:
+                    waiting[child] -= 1
+                    if waiting[child] == 0:
+                        released.append(child)
+            generation = released
+        return order
+
     def components(self) -> list[Component]:
-        return [self._graph.nodes[n]["component"] for n in nx.topological_sort(self._graph)]
+        return [self._components[name] for name in self._order()]
 
     def component(self, name: str) -> Component:
         try:
-            return self._graph.nodes[name]["component"]
+            return self._components[name]
         except KeyError:
             raise ConfigurationError(f"unknown component {name!r}") from None
 
     def edges(self) -> list[tuple[str, str, int]]:
+        """``(src, dst, bytes_per_cycle)``, grouped by source in insertion
+        order, then by successor in connection order."""
         return [
-            (u, v, data["bytes_per_cycle"])
-            for u, v, data in self._graph.edges(data=True)
+            (src, dst, nbytes)
+            for src, succ in self._succ.items()
+            for dst, nbytes in succ.items()
         ]
 
     def traffic_between(self, a: str, b: str) -> int:
@@ -99,11 +147,27 @@ class Workflow:
         return sum(c.min_nodes for c in self.components())
 
     def critical_path(self) -> list[str]:
-        """Longest chain of components by node weight."""
-        return nx.dag_longest_path(
-            self._graph,
-            weight=None,
-        )
+        """The longest chain of components, counted in hops.
+
+        Every edge counts one hop; component sizes do not weigh in.  Ties
+        go to the first in component order: the chain ends at the first
+        component (in :meth:`components` order) with the most hops, and
+        each step back takes the first predecessor (in connection order)
+        with the most hops.
+        """
+        hops: dict[str, int] = {}
+        back: dict[str, str | None] = {}
+        for name in self._order():
+            hops[name], back[name] = 0, None
+            for pred in self._pred[name]:
+                if hops[pred] + 1 > hops[name]:
+                    hops[name], back[name] = hops[pred] + 1, pred
+        if not hops:
+            return []
+        path = [max(hops, key=hops.__getitem__)]
+        while (pred := back[path[-1]]) is not None:
+            path.append(pred)
+        return path[::-1]
 
 
 def mummi_style_workflow() -> Workflow:

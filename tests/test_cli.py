@@ -1,5 +1,8 @@
 """CLI tests for ``python -m repro``."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -684,3 +687,19 @@ def test_campaign_run_accepts_fault_flags(tmp_path, capsys):
     # Recovery accounting lands in the profile section only — the
     # decision core stays byte-identical to an uninjected campaign.
     assert report["profile"]["faults"]["injected"] >= 1
+
+
+def test_closed_stdout_pipe_exits_quietly(child_env):
+    # ~90 kB of JSON: more than a pipe holds, so the CLI is still writing
+    # when the reader goes away after 100 bytes (``| head -c 100``).
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "plan", "show", "--json", "--replicas", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env, bufsize=0,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
