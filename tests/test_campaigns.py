@@ -11,6 +11,7 @@ scenarios on one env) shaped so every pruning path fires:
   anchor deterministically, so exceedance is 0 and the config prunes.
 """
 
+import hashlib
 import json
 import tempfile
 
@@ -52,6 +53,30 @@ SPEC_DICT = {
     "iterations": 2,
     "smoke": {"replicas": 1, "margin": 0.5},
     "grid": {"replicas": 2},
+}
+
+
+#: the README's campaign example: one env, one app, two candidate
+#: scenarios (one survives, one is pruned at SMOKE)
+README_SPEC_DICT = {
+    "sla": {"min_exceedance": 0.5, "min_completion": 0.5},
+    "scenarios": [
+        {"scenario_id": "cheap-aws",
+         "price_shocks": [{"cloud": "aws", "multiplier": 0.9}]},
+        {"scenario_id": "slow-aws",
+         "fabric": {"latency_multiplier": 3.0, "clouds": ["aws"]}},
+    ],
+    "env_ids": ["cpu-eks-aws"], "apps": ["lammps"], "sizes": [16],
+    "iterations": 2, "smoke": {"replicas": 1, "margin": 0.5},
+    "grid": {"replicas": 2},
+}
+
+#: sha256 of ``CampaignReport.core_json()`` for :data:`README_SPEC_DICT`
+#: at ``base_seed`` S.  A change that moves any decision-bearing byte of
+#: the published report moves these; worker count does not.
+GOLDEN_CAMPAIGN_CORE_SHA256 = {
+    0: "58dd0c5eb3890fc646445794e4f2a8f39fb7ac7589540a025e475be4c6131210",
+    3: "6c5ac18e13d20c0f8215b55a29a59fcf2cb5cc7b66b950dc9ef6fd643faa9adb",
 }
 
 
@@ -251,6 +276,16 @@ def test_workers_do_not_change_the_published_report(spec, result):
     assert sharded.winner == result.winner
     assert render_campaign(sharded).split("Campaign stages")[0] == \
         render_campaign(result).split("Campaign stages")[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CAMPAIGN_CORE_SHA256))
+def test_readme_campaign_core_matches_golden_digest(seed, workers):
+    spec = CampaignSpec.from_dict({**README_SPEC_DICT, "base_seed": seed})
+    result = CampaignRunner(spec, workers=workers).run()
+    assert result.winner.scenario_id == "cheap-aws"
+    digest = hashlib.sha256(result.report.core_json().encode()).hexdigest()
+    assert digest == GOLDEN_CAMPAIGN_CORE_SHA256[seed]
 
 
 def test_rerun_short_circuits_smoke_via_the_world_cache(spec):

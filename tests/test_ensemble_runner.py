@@ -18,6 +18,22 @@ GOLDEN_ENSEMBLE_SHA256 = {
     3: "4d081bdd0f4bb79f7099e9045548ec0be6286077aadeb726142c6a45130f4b53",
 }
 
+#: sha256 of the incremental ensemble's stdout (:data:`_INCREMENTAL_ARGV`
+#: at ``--seed S``): 4 replicas x (baseline + 2 scenarios) on two
+#: clouds, where the diff-aware attach reuses 4 cells and executes 12.
+#: Worker count does not move it.
+GOLDEN_INCREMENTAL_ENSEMBLE_SHA256 = {
+    0: "3f04f4c14a9a2e4ca733d1a6644635f44b6993d009e8b2287bed2a4718077a3b",
+    3: "f337ca5773024066f1dccff7cf9f45b67ac96092724d2ed695af5d868f23952d",
+}
+
+_INCREMENTAL_ARGV = [
+    "ensemble", "run", "--replicas", "4",
+    "--scenario", "azure-price-spike", "--scenario", "spot-everything",
+    "--envs", "cpu-eks-aws,cpu-aks-az", "--apps", "amg2023", "--sizes", "32",
+    "--incremental",
+]
+
 SMOKE = dict(
     env_ids=("cpu-eks-aws", "cpu-onprem-a"),
     apps=("amg2023", "lammps"),
@@ -218,3 +234,15 @@ def test_default_ensemble_matches_golden_digest(seed, capsys):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_ENSEMBLE_SHA256[seed]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("seed", sorted(GOLDEN_INCREMENTAL_ENSEMBLE_SHA256))
+def test_incremental_ensemble_matches_golden_digest(seed, workers, tmp_path, capsys):
+    argv = [*_INCREMENTAL_ARGV, "--seed", str(seed),
+            "--cache", str(tmp_path / "cache"), "--workers", workers]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert "cell reuse        : 4 cells reused, 12 executed" in stdout
+    digest = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digest == GOLDEN_INCREMENTAL_ENSEMBLE_SHA256[seed]
