@@ -35,6 +35,7 @@ from pathlib import Path
 from benchmarks.conftest import record_timing
 from repro.campaigns import CampaignRunner, CampaignSpec, SlaGate, StageBudget
 from repro.ensemble import EnsembleRunner
+from repro.plan import ExecutionOptions
 from repro.scenarios.spec import FabricDegradation, PriceShock, Scenario
 
 #: where the machine-readable campaign benchmark artifact lands
@@ -149,7 +150,10 @@ def test_bench_campaign_vs_naive_full_grid():
 
     t_naive, naive = _fastest(lambda _: EnsembleRunner(naive_spec).run())
     t_campaign, campaign = _fastest(
-        lambda cache_dir: CampaignRunner(spec, cache_dir=cache_dir).run()
+        lambda cache_dir: CampaignRunner(
+            spec,
+            ExecutionOptions(cache_dir=cache_dir),
+        ).run()
     )
 
     # The pipeline behaved as designed: every fabric scenario pruned at

@@ -24,6 +24,7 @@ import numpy as np
 from benchmarks.conftest import record_timing
 from repro.core.results import ResultStore
 from repro.ensemble import EnsembleRunner, EnsembleSpec, ResultFrame
+from repro.plan import ExecutionOptions
 from repro.sim.run_result import RunRecord, RunState
 
 #: 16 envs x 10 apps x 4 scales x 40 iterations = 25,600 records
@@ -144,12 +145,12 @@ def test_bench_world_summary_cache(tmp_path):
         iterations=2,
     )
     t0 = time.perf_counter()
-    cold = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
+    cold = EnsembleRunner(spec, ExecutionOptions(cache_dir=str(tmp_path))).run()
     t_cold = time.perf_counter() - t0
     assert cold.world_cache_misses == 4
 
     t0 = time.perf_counter()
-    warm = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
+    warm = EnsembleRunner(spec, ExecutionOptions(cache_dir=str(tmp_path))).run()
     t_warm = time.perf_counter() - t0
     assert warm.world_cache_hits == 4
     assert warm.render() == cold.render()

@@ -33,6 +33,7 @@ from pathlib import Path
 
 from benchmarks.conftest import record_timing
 from repro.core.study import StudyConfig
+from repro.plan import ExecutionOptions
 from repro.scenarios import FabricDegradation, Scenario, ScenarioSweep
 
 #: where the machine-readable incremental benchmark artifact lands
@@ -102,7 +103,10 @@ def test_bench_incremental_sweep_vs_from_scratch():
     t_scratch, scratch = _fastest(lambda _: ScenarioSweep(config, scenarios).run())
     t_incremental, incremental = _fastest(
         lambda cache_dir: ScenarioSweep(
-            config, scenarios, cache_dir=cache_dir, incremental=True
+            config,
+            scenarios,
+            ExecutionOptions(cache_dir=cache_dir),
+            incremental=True,
         ).run()
     )
 

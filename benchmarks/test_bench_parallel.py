@@ -25,6 +25,7 @@ import pytest
 from repro.apps.registry import APPS
 from repro.core.study import StudyConfig, StudyRunner
 from repro.envs.registry import ENVIRONMENTS
+from repro.plan import ExecutionOptions
 
 #: the CLI's default campaign (`python -m repro study`)
 DEFAULT_CONFIG = StudyConfig(
@@ -37,7 +38,10 @@ DEFAULT_CONFIG = StudyConfig(
 
 
 def _run(workers: int = 1, cache_dir: str | None = None):
-    return StudyRunner(DEFAULT_CONFIG, workers=workers, cache_dir=cache_dir).run()
+    return StudyRunner(
+        DEFAULT_CONFIG,
+        ExecutionOptions(workers=workers, cache_dir=cache_dir),
+    ).run()
 
 
 def test_bench_serial_study(benchmark):

@@ -34,6 +34,7 @@ from benchmarks.conftest import record_timing
 from repro.chaos import FaultPlan
 from repro.core.study import StudyConfig, StudyRunner
 from repro.errors import ShardExecutionError
+from repro.plan import ExecutionOptions
 
 #: where the machine-readable resume benchmark artifact lands
 BENCH_RESUME_ARTIFACT = os.environ.get(
@@ -105,17 +106,22 @@ def test_bench_resume_after_interrupt_vs_cold():
         # A deterministic abort just past the halfway shard.
         interrupted = StudyRunner(
             config,
-            cache_dir=cache_dir,
-            chaos=FaultPlan(abort=0.2, seed=seed),
+            ExecutionOptions(cache_dir=cache_dir, chaos=FaultPlan(abort=0.2, seed=seed)),
         )
         with pytest.raises(ShardExecutionError):
             interrupted.run()
 
     t_cold, cold = _fastest(
-        lambda cache_dir: StudyRunner(config, cache_dir=cache_dir).run()
+        lambda cache_dir: StudyRunner(
+            config,
+            ExecutionOptions(cache_dir=cache_dir),
+        ).run()
     )
     t_resume, resumed = _fastest(
-        lambda cache_dir: StudyRunner(config, cache_dir=cache_dir, resume=True).run(),
+        lambda cache_dir: StudyRunner(
+            config,
+            ExecutionOptions(cache_dir=cache_dir, resume=True),
+        ).run(),
         before=crash,
     )
 

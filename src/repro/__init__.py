@@ -41,6 +41,7 @@ from repro.envs import ENVIRONMENTS, Environment, environment
 from repro.network import FABRICS, fabric, hookup_time
 from repro.parallel import StudyShard, execute_shards, merge_shard_results, plan_shards
 from repro.plan import (
+    ExecutionOptions,
     PlanExecutor,
     PlannedRun,
     PlanWorld,
@@ -69,6 +70,7 @@ __all__ = [
     "EnsembleSpec",
     "Environment",
     "ExecutionEngine",
+    "ExecutionOptions",
     "FABRICS",
     "GoogleCloud",
     "OnPrem",

@@ -112,15 +112,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if record.ok else 1
 
 
-def _cache_dir_error(cache: str | None) -> str | None:
-    """A usage error when ``--cache`` points at a non-directory."""
-    import os
-
-    if cache and os.path.exists(cache) and not os.path.isdir(cache):
-        return f"error: --cache {cache!r} exists and is not a directory"
-    return None
-
-
 def _split_flag(value: str | None) -> tuple[str, ...] | None:
     """A comma-separated CLI flag as a tuple; ``None`` when unset."""
     return tuple(value.split(",")) if value else None
@@ -160,18 +151,34 @@ def _write_exports(
         print(f"{json_label:18s}: {args.json_output}")
 
 
-def _fault_options(args: argparse.Namespace):
-    """``(retry, chaos, resume)`` from the shared fault-tolerance flags.
+def _usage_error(exc: Exception) -> int:
+    """A bad flag value as a one-line ``error:`` on stderr (exit 2)."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
-    ``retry`` stays ``None`` — the runner's default
+
+def _execution_options(args: argparse.Namespace):
+    """The one :class:`~repro.plan.ExecutionOptions` the shared execution
+    flags describe (see :func:`_execution_parent`).
+
+    ``retry`` stays ``None`` — the default
     :class:`~repro.parallel.pool.RetryPolicy` — unless a retry knob was
     actually given; ``--chaos SPEC`` parses through
-    :meth:`~repro.chaos.FaultPlan.parse`.  Raises
-    :class:`~repro.errors.ConfigurationError` on bad values, which every
-    caller turns into a usage error (exit 2).
+    :meth:`~repro.chaos.FaultPlan.parse`.  ``--spill-mb`` is applied
+    here, once everything validated: the threshold travels through the
+    environment, so pool workers (forked or spawned) inherit it without
+    any shard plumbing.  Raises
+    :class:`~repro.errors.ConfigurationError` or ``ValueError`` on bad
+    values, which every caller turns into a usage error (exit 2).
     """
     from repro.errors import ConfigurationError
+    from repro.plan import ExecutionOptions
 
+    cache, spill_mb = args.cache or None, args.spill_mb
+    if cache and os.path.exists(cache) and not os.path.isdir(cache):
+        raise ConfigurationError(f"--cache {cache!r} exists and is not a directory")
+    if spill_mb is not None and spill_mb < 0:
+        raise ConfigurationError(f"--spill-mb must be at least 0 (got {spill_mb:g})")
     retry = None
     if args.max_retries is not None or args.shard_timeout is not None:
         from repro.parallel.pool import RetryPolicy
@@ -183,16 +190,23 @@ def _fault_options(args: argparse.Namespace):
             kwargs["timeout"] = args.shard_timeout
         retry = RetryPolicy(**kwargs)
     chaos = None
-    if getattr(args, "chaos", None):
+    if args.chaos:
         from repro.chaos import FaultPlan
 
         chaos = FaultPlan.parse(args.chaos)
-    if args.resume and not args.cache:
-        raise ConfigurationError(
-            "--resume needs --cache: completed cells re-attach through "
-            "the journal and caches the interrupted run wrote"
-        )
-    return retry, chaos, args.resume
+    options = ExecutionOptions(
+        workers=args.workers,
+        cache_dir=cache,
+        transport=args.transport,
+        retry=retry,
+        chaos=chaos,
+        resume=args.resume,
+    )
+    if spill_mb is not None:
+        from repro.core.results import set_spill_limit_mb
+
+        set_spill_limit_mb(spill_mb)
+    return options
 
 
 def _fmt_faults_line(faults) -> str:
@@ -209,18 +223,6 @@ def _print_faults(faults) -> None:
     """Recovery diagnostics on stderr (stdout stays byte-identical)."""
     if faults is not None and faults.activity:
         print(f"fault recovery    : {_fmt_faults_line(faults)}", file=sys.stderr)
-
-
-def _apply_transport_flags(args: argparse.Namespace) -> None:
-    """Apply the shared ``--spill-mb`` knob before any store is built.
-
-    The threshold travels through the environment so pool workers
-    (forked or spawned) inherit it without any shard plumbing.
-    """
-    if getattr(args, "spill_mb", None) is not None:
-        from repro.core.results import set_spill_limit_mb
-
-        set_spill_limit_mb(args.spill_mb)
 
 
 def _fmt_cache_line(
@@ -307,27 +309,14 @@ def _fmt_reuse_line(reuse) -> str:
 def _cmd_study(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
 
-    error = _cache_dir_error(args.cache)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    config = _config_from_args(args)
-    _apply_transport_flags(args)
     try:
-        retry, chaos, resume = _fault_options(args)
+        config, options = _config_from_args(args), _execution_options(args)
     except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     with _TraceSession(args) as session:
-        report = StudyRunner(
-            config,
-            workers=args.workers,
-            cache_dir=args.cache,
-            transport=args.transport,
-            retry=retry,
-            chaos=chaos,
-            resume=resume,
-        ).run()
+        # No runner outlives run(): its registry holds the pushed dataset
+        # artifact, which the exports below would otherwise sit beside.
+        report = StudyRunner(config, options).run()
     print(f"datasets          : {report.datasets}")
     print(f"clusters created  : {report.clusters_created}")
     print(f"containers built  : {report.containers_built} "
@@ -394,28 +383,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     # scenario run
-    error = _cache_dir_error(args.cache)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     try:
-        scenarios = [_resolve_scenario(name) for name in args.scenario]
-        _apply_transport_flags(args)
-        retry, chaos, resume = _fault_options(args)
+        options = _execution_options(args)
         sweep = ScenarioSweep(
             _config_from_args(args),
-            scenarios,
-            workers=args.workers,
-            cache_dir=args.cache,
+            [_resolve_scenario(name) for name in args.scenario],
+            options,
             incremental=args.incremental,
-            transport=args.transport,
-            retry=retry,
-            chaos=chaos,
-            resume=resume,
         )
     except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     with _TraceSession(args) as session:
         result = sweep.run()
     print(result.render_deltas())
@@ -472,31 +449,12 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     from repro.ensemble import EnsembleRunner
     from repro.errors import ConfigurationError
 
-    error = _cache_dir_error(args.cache)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     try:
+        options = _execution_options(args)
         spec = _ensemble_spec_from_args(args, replicas=args.replicas)
+        runner = EnsembleRunner(spec, options, incremental=args.incremental)
     except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _apply_transport_flags(args)
-    try:
-        retry, chaos, resume = _fault_options(args)
-        runner = EnsembleRunner(
-            spec,
-            workers=args.workers,
-            cache_dir=args.cache,
-            incremental=args.incremental,
-            transport=args.transport,
-            retry=retry,
-            chaos=chaos,
-            resume=resume,
-        )
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     with _TraceSession(args) as session:
         result = runner.run()
     print(result.render())
@@ -542,48 +500,31 @@ def _compile_plan_from_args(args: argparse.Namespace):
     return compile_study(_config_from_args(args), cache_dir=args.cache), "study"
 
 
-def _cmd_plan_diff(args: argparse.Namespace) -> int:
+def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
     from repro.plan import compile_study, diff_plans
 
-    error = _cache_dir_error(args.cache)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     try:
-        plan, _kind = _compile_plan_from_args(args)
-        baseline, _rest = plan.split_baseline()
-        if baseline.n_shards == 0:
-            # No baseline world in the variant plan: diff against the
-            # plain campaign the flags describe.
-            baseline = compile_study(_config_from_args(args), cache_dir=args.cache)
-        diff = diff_plans(baseline, plan)
+        # The execution flags are validated like on every executing
+        # subcommand; nothing executes here, so only --cache is used.
+        _execution_options(args)
+        plan, kind = _compile_plan_from_args(args)
+        if args.plan_command == "diff":
+            baseline, _rest = plan.split_baseline()
+            if baseline.n_shards == 0:
+                # No baseline world in the variant plan: diff against
+                # the plain campaign the flags describe.
+                baseline = compile_study(_config_from_args(args), cache_dir=args.cache)
+            diff = diff_plans(baseline, plan)
     except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json_dump:
-        print(json.dumps(diff.describe(), indent=2, sort_keys=True))
-    else:
-        print(diff.render())
-    return 0
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
+        return _usage_error(exc)
 
     if args.plan_command == "diff":
-        return _cmd_plan_diff(args)
-
-    error = _cache_dir_error(args.cache)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    try:
-        plan, kind = _compile_plan_from_args(args)
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+        if args.json_dump:
+            print(json.dumps(diff.describe(), indent=2, sort_keys=True))
+        else:
+            print(diff.render())
+        return 0
     description = plan.describe()
     if args.json_dump:
         print(json.dumps(description, indent=2, sort_keys=True))
@@ -821,33 +762,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             return _cmd_campaign_show(args)
         except (ConfigurationError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(exc)
 
     # campaign run
     from repro.campaigns import CampaignRunner
     from repro.reporting.frontier import frontier_table
 
-    error = _cache_dir_error(args.cache)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    _apply_transport_flags(args)
     try:
-        retry, chaos, resume = _fault_options(args)
+        options = _execution_options(args)
         spec = _campaign_spec_from_args(args)
-        runner = CampaignRunner(
-            spec,
-            workers=args.workers,
-            cache_dir=args.cache,
-            transport=args.transport,
-            retry=retry,
-            chaos=chaos,
-            resume=resume,
-        )
     except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
+    runner = CampaignRunner(spec, options)
     with _TraceSession(args) as session:
         result = runner.run()
     print(result.render())
@@ -886,8 +812,47 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance knobs shared by every executing subcommand."""
+def _execution_parent() -> argparse.ArgumentParser:
+    """The execution flags, one argparse parent for every subcommand
+    that runs or compiles a plan (``study``, ``scenario run``,
+    ``ensemble run``, ``campaign run``, ``plan show|diff``);
+    :func:`_execution_options` reads every one of them."""
+    from repro.plan.executor import TRANSPORTS
+
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes for sharded execution (default: 1, serial); "
+        "results are byte-identical for any count",
+    )
+    parser.add_argument(
+        "--cache",
+        metavar="DIR",
+        help="content-addressed cache directory (runs, cells, world "
+        "summaries, and the resume journal); repeat runs replay cached "
+        "work instead of re-simulating (keys embed the scenario digest, "
+        "so what-if worlds never collide).  `campaign run` defaults to a "
+        "private temporary directory",
+    )
+    parser.add_argument(
+        "--transport",
+        default="auto",
+        metavar="{" + ",".join(TRANSPORTS) + "}",
+        help="how shard results cross back from workers: shared-memory "
+        "blocks (shm, zero-copy), plain pickling, or probe-and-prefer-"
+        "shm (auto, the default); results are byte-identical either way",
+    )
+    parser.add_argument(
+        "--spill-mb",
+        type=float,
+        default=None,
+        metavar="MB",
+        help="spill result columns bigger than this to unlinked temp-"
+        "file mmaps (out-of-core stores; default: keep everything in "
+        "RAM).  Applies to this process and every worker",
+    )
     parser.add_argument(
         "--max-retries",
         type=int,
@@ -921,6 +886,7 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
         "corrupt, delay, abort; rates in [0,1]); a surviving run's "
         "dataset is byte-identical to an uninjected one",
     )
+    return parser
 
 
 def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
@@ -969,45 +935,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--iteration", type=int, default=0)
 
-    # Campaign selection + execution flags shared by `study` and
-    # `scenario run` (parsed by _config_from_args either way).
-    campaign_options = argparse.ArgumentParser(add_help=False)
+    execution = _execution_parent()
+    # The campaign selection shared by `study`, `plan show|diff`,
+    # `scenario run` and `ensemble run` (read by _config_from_args and
+    # _ensemble_spec_from_args), plus the execution flags.
+    campaign_options = argparse.ArgumentParser(add_help=False, parents=[execution])
     campaign_options.add_argument("--envs", help="comma-separated environment ids")
     campaign_options.add_argument("--apps", help="comma-separated app names")
     campaign_options.add_argument("--sizes", help="comma-separated scales")
     campaign_options.add_argument("--iterations", type=int, default=2)
     campaign_options.add_argument("--seed", type=int, default=0)
-    campaign_options.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for sharded execution (default: 1, serial)",
-    )
-    campaign_options.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="content-addressed run-cache directory; repeat campaigns "
-        "replay cached runs instead of re-simulating (keys embed the "
-        "scenario digest, so what-if worlds never collide)",
-    )
-    campaign_options.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help="how shard results cross back from workers: shared-memory "
-        "blocks (shm, zero-copy), plain pickling, or probe-and-prefer-"
-        "shm (auto, the default); results are byte-identical either way",
-    )
-    campaign_options.add_argument(
-        "--spill-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="spill result columns bigger than this to unlinked temp-"
-        "file mmaps (out-of-core stores; default: keep everything in "
-        "RAM).  Applies to this process and every worker",
-    )
-    _add_fault_flags(campaign_options)
 
     p_study = sub.add_parser(
         "study",
@@ -1205,6 +1142,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the five-stage pipeline and publish the campaign report",
         epilog=_CAMPAIGN_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        parents=[execution],
     )
     p_camp_run.add_argument(
         "--spec",
@@ -1213,34 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the CampaignSpec JSON file: objective, SLA gates, scenario "
         "search space, per-stage budgets",
     )
-    p_camp_run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for sharded execution (default: 1, serial); "
-        "the frontier and the winner are byte-identical for any count",
-    )
-    p_camp_run.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="run-cache directory shared by both stages (default: a "
-        "private temporary directory); persist it and a re-run from the "
-        "same spec replays the smoke stage from the world cache",
-    )
-    p_camp_run.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help="shard-result transport (see `repro study --help`)",
-    )
-    p_camp_run.add_argument(
-        "--spill-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="out-of-core column threshold (see `repro study --help`)",
-    )
-    _add_fault_flags(p_camp_run)
     p_camp_run.add_argument("--output", help="write the Pareto frontier CSV here")
     p_camp_run.add_argument(
         "--json",
@@ -1397,8 +1307,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"wrote {out} (load in chrome://tracing or https://ui.perfetto.dev)")
         return 0
     except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,6 +30,7 @@ spec: the report's core is byte-identical for any worker count.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -50,6 +51,7 @@ from repro.campaigns.stages import (
     surviving_scenarios,
 )
 from repro.ensemble.runner import EnsembleResult, EnsembleRunner
+from repro.plan import ExecutionOptions
 from repro.telemetry import Tracer, current_tracer, enabled, span, use_tracer
 
 
@@ -81,39 +83,21 @@ class CampaignResult:
 class CampaignRunner:
     """Executes a :class:`CampaignSpec`; see the module docstring."""
 
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        *,
-        workers: int = 1,
-        cache_dir: str | None = None,
-        transport: str = "auto",
-        retry=None,
-        chaos=None,
-        resume: bool = False,
-    ):
-        if resume and cache_dir is None:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "resume needs a cache directory: completed cells re-attach "
-                "through the journal and caches the interrupted campaign "
-                "wrote (pass cache_dir=...)"
-            )
+    def __init__(self, spec: CampaignSpec, options: ExecutionOptions | None = None):
         self.spec = spec
-        self.workers = workers
-        self.transport = transport
-        self.cache_dir = cache_dir
-        self.retry = retry
-        self.chaos = chaos
-        self.resume = resume
+        self.options = options if options is not None else ExecutionOptions()
 
     def run(self) -> CampaignResult:
         spec = self.spec
         with contextlib.ExitStack() as stack:
-            cache_dir = self.cache_dir or stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-campaign-")
-            )
+            options = self.options
+            if options.cache_dir is None:
+                options = dataclasses.replace(
+                    options,
+                    cache_dir=stack.enter_context(
+                        tempfile.TemporaryDirectory(prefix="repro-campaign-")
+                    ),
+                )
             # Stage timings come from the campaign.* spans, so a tracer
             # must exist; install a private one unless the caller (e.g.
             # `repro campaign run --trace`) already did.  Telemetry
@@ -121,18 +105,11 @@ class CampaignRunner:
             if not enabled():
                 stack.enter_context(use_tracer(Tracer()))
             tracer = current_tracer()
-            with span("campaign.run", digest=spec.digest(), workers=self.workers):
+            with span("campaign.run", digest=spec.digest(), workers=options.workers):
                 # ---------------------------------------------- SMOKE
                 with span("campaign.smoke", stage="smoke"):
                     smoke_runner = EnsembleRunner(
-                        spec.smoke_spec(),
-                        workers=self.workers,
-                        cache_dir=cache_dir,
-                        incremental=True,
-                        transport=self.transport,
-                        retry=self.retry,
-                        chaos=self.chaos,
-                        resume=self.resume,
+                        spec.smoke_spec(), options, incremental=True
                     )
                     smoke = smoke_runner.run()
                     smoke_candidates = evaluate_candidates(
@@ -145,14 +122,9 @@ class CampaignRunner:
                     alive = surviving_scenarios(spec.scenarios, survivors)
                     grid_runner = EnsembleRunner(
                         spec.grid_spec(alive),
-                        workers=self.workers,
-                        cache_dir=cache_dir,
+                        options,
                         incremental=True,
                         baseline_plan=smoke_runner.compile(),
-                        transport=self.transport,
-                        retry=self.retry,
-                        chaos=self.chaos,
-                        resume=self.resume,
                     )
                     grid = grid_runner.run()
                     grid_candidates = evaluate_candidates(grid, spec, margin=1.0)

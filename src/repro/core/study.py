@@ -32,6 +32,7 @@ A full-size study produces tens of thousands of records (the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.apps.registry import APPS
 from repro.containers.builder import AZURE_UCX_SETTINGS, ContainerBuilder
@@ -48,6 +49,9 @@ from repro.parallel.merge import TransportStats
 from repro.parallel.pool import FaultStats
 from repro.errors import ConfigurationError
 from repro.telemetry import span
+
+if TYPE_CHECKING:  # repro.plan sits above this module in the import graph
+    from repro.plan.executor import ExecutionOptions
 
 
 @dataclass
@@ -143,42 +147,28 @@ class StudyReport:
 class StudyRunner:
     """Executes a :class:`StudyConfig`.
 
-    ``workers`` selects how many processes execute the campaign's
-    (environment, size) cells; ``cache_dir`` enables the content-addressed
-    run cache shared by every worker.  Results are identical for any
-    worker count (see :mod:`repro.parallel`).
+    ``options`` (:class:`~repro.plan.executor.ExecutionOptions`) says
+    how: worker processes for the campaign's (environment, size) cells,
+    the content-addressed cache, the retry ladder, fault injection and
+    resume.  None of them changes the dataset (see :mod:`repro.parallel`).
 
     ``scenario`` runs the whole campaign under a what-if overlay
     (:mod:`repro.scenarios`); ``None`` — or an empty scenario — is the
     baseline world, byte for byte.
-
-    ``retry`` tunes the pool's fault-recovery ladder
-    (:class:`~repro.parallel.pool.RetryPolicy`), ``chaos`` injects
-    deterministic faults (:class:`repro.chaos.FaultPlan`), and
-    ``resume`` re-attaches cells a previous interrupted run journaled —
-    none of the three changes the dataset a surviving run produces.
     """
 
     def __init__(
         self,
         config: StudyConfig,
+        options: ExecutionOptions | None = None,
         *,
-        workers: int = 1,
-        cache_dir: str | None = None,
         scenario=None,
-        transport: str = "auto",
-        retry=None,
-        chaos=None,
-        resume: bool = False,
     ):
+        from repro.plan.executor import ExecutionOptions
+
         self.config = config
-        self.workers = workers
-        self.transport = transport
-        self.cache_dir = cache_dir
+        self.options = options if options is not None else ExecutionOptions()
         self.scenario = scenario
-        self.retry = retry
-        self.chaos = chaos
-        self.resume = resume
         self.registry = Registry()
         self.builder = ContainerBuilder()
         self.store = ResultStore()
@@ -239,7 +229,7 @@ class StudyRunner:
         from repro.plan import compile_study
 
         return compile_study(
-            self.config, cache_dir=self.cache_dir, scenario=self.scenario
+            self.config, cache_dir=self.options.cache_dir, scenario=self.scenario
         )
 
     def run(self) -> StudyReport:
@@ -247,18 +237,11 @@ class StudyRunner:
         from repro.plan import PlanExecutor
         from repro.scenarios.spec import active
 
-        with span("study.run", seed=self.config.seed, workers=self.workers):
+        with span("study.run", seed=self.config.seed, workers=self.options.workers):
             self.build_containers()
 
             scn = active(self.scenario)
-            executor = PlanExecutor(
-                self.compile(),
-                workers=self.workers,
-                transport=self.transport,
-                retry=self.retry,
-                chaos=self.chaos,
-                resume=self.resume,
-            )
+            executor = PlanExecutor(self.compile(), self.options)
             ((_, merged),) = executor.run(seed_incidents=self.incidents)
 
             self.store = merged.store

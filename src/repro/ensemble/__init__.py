@@ -27,6 +27,7 @@ seed study's own point values.
 Quickstart::
 
     from repro.ensemble import EnsembleRunner, EnsembleSpec
+    from repro.plan import ExecutionOptions
     from repro.scenarios import scenario
 
     spec = EnsembleSpec(
@@ -34,7 +35,7 @@ Quickstart::
         scenarios=(scenario("spot-everything"),),
         env_ids=("cpu-eks-aws",), apps=("amg2023",), sizes=(32,),
     )
-    result = EnsembleRunner(spec, workers=4).run()
+    result = EnsembleRunner(spec, ExecutionOptions(workers=4)).run()
     print(result.render())   # mean ± CI, p10/p50/p90, P(FOM ≥ baseline)
 """
 

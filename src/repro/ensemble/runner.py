@@ -45,6 +45,7 @@ from repro.parallel.merge import TransportStats
 from repro.parallel.pool import FaultStats
 from repro.parallel.shard import ShardResult
 from repro.plan import PlanExecutor, PlanWorld, ReuseStats, RunPlan, compile_ensemble
+from repro.plan.executor import ExecutionOptions, require_cache
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import active
 from repro.sim.cache import RunCache, world_key
@@ -186,7 +187,7 @@ class EnsembleResult:
 class EnsembleRunner:
     """Executes an :class:`EnsembleSpec` and folds the distributions.
 
-    ``workers`` and ``cache_dir`` behave exactly as on
+    ``options`` behave exactly as on
     :class:`~repro.core.study.StudyRunner`; the cache additionally
     stores per-world folded summaries under
     :func:`~repro.sim.cache.world_key`.
@@ -195,44 +196,22 @@ class EnsembleRunner:
     def __init__(
         self,
         spec: EnsembleSpec,
+        options: ExecutionOptions | None = None,
         *,
-        workers: int = 1,
-        cache_dir: str | None = None,
         incremental: bool = False,
         baseline_plan: RunPlan | None = None,
-        transport: str = "auto",
-        retry=None,
-        chaos=None,
-        resume: bool = False,
     ):
-        if incremental and cache_dir is None:
-            raise ConfigurationError(
-                "an incremental ensemble needs a cache directory: "
-                "untouched cells attach from the cell-level cache the "
-                "baseline replicas write (pass cache_dir=...)"
-            )
+        self.options = options if options is not None else ExecutionOptions()
+        if incremental:
+            require_cache("an incremental ensemble", self.options.cache_dir)
         if baseline_plan is not None and not incremental:
             raise ConfigurationError(
                 "baseline_plan only makes sense with incremental=True: "
                 "it extends the diff baseline the incremental schedule "
                 "attaches cells from"
             )
-        if resume and cache_dir is None:
-            raise ConfigurationError(
-                "resume needs a cache directory: completed cells re-attach "
-                "through the journal and caches the interrupted run wrote "
-                "(pass cache_dir=...)"
-            )
         self.spec = spec
-        self.workers = workers
-        self.transport = transport
-        self.cache_dir = cache_dir
         self.incremental = incremental
-        #: retry ladder / fault injection / journal re-attachment,
-        #: threaded through to every sub-plan's executor
-        self.retry = retry
-        self.chaos = chaos
-        self.resume = resume
         #: accumulates over one run() invocation (see EnsembleResult)
         self._transport_stats = TransportStats()
         self._fault_stats = FaultStats()
@@ -244,7 +223,7 @@ class EnsembleRunner:
 
     def compile(self) -> RunPlan:
         """The whole grid as one :class:`~repro.plan.ir.RunPlan`."""
-        return compile_ensemble(self.spec, cache_dir=self.cache_dir)
+        return compile_ensemble(self.spec, cache_dir=self.options.cache_dir)
 
     def _plans(self) -> tuple[PlanWorld, ...]:
         """The grid's worlds in fold order (compiled plan's world list)."""
@@ -281,12 +260,12 @@ class EnsembleRunner:
         result.transport = self._transport_stats
         self._fault_stats = FaultStats()
         result.faults = self._fault_stats
-        cache = RunCache(self.cache_dir) if self.cache_dir else None
+        cache = RunCache(self.options.cache_dir) if self.options.cache_dir else None
         plan = self.compile()
         with span(
             "ensemble.run",
             worlds=plan.n_worlds,
-            workers=self.workers,
+            workers=self.options.workers,
             incremental=self.incremental,
         ):
             baseline: RunPlan | None = None
@@ -422,13 +401,8 @@ class EnsembleRunner:
             return
         executor = PlanExecutor(
             plan.subset(world.index for world, _ in pending),
-            workers=self.workers,
-            incremental=baseline is not None,
+            self.options,
             baseline=baseline,
-            transport=self.transport,
-            retry=self.retry,
-            chaos=self.chaos,
-            resume=self.resume,
         )
         world_results = executor.iter_world_results()
         try:

@@ -8,7 +8,7 @@ scenario sweep, and the ensemble all share:
 * :mod:`repro.plan.compile` — compilers from each front-end's config;
 * :mod:`repro.plan.executor` — the single :class:`PlanExecutor` that
   runs any plan serially or across the worker pool with byte-identical
-  merge order;
+  merge order, under one frozen :class:`ExecutionOptions` value;
 * :mod:`repro.plan.diff` — cell-granular plan diffing: classify every
   (env, size) cell of a variant plan as *reusable* (attachable from the
   baseline's cache) or *dirty* (the scenario's overlay hooks touch it),
@@ -21,11 +21,12 @@ the reusable/dirty classification the incremental mode would act on.
 
 from repro.plan.compile import compile_ensemble, compile_scenarios, compile_study
 from repro.plan.diff import CellDiff, PlanDiff, diff_plans
-from repro.plan.executor import PlanExecutor, ReuseStats
+from repro.plan.executor import ExecutionOptions, PlanExecutor, ReuseStats
 from repro.plan.ir import PlannedRun, PlanWorld, RunPlan, planned_runs
 
 __all__ = [
     "CellDiff",
+    "ExecutionOptions",
     "PlanDiff",
     "PlanExecutor",
     "PlanWorld",

@@ -8,18 +8,25 @@ what makes every front-end's output byte-identical across worker
 counts: the shards are pure functions, the pool preserves submission
 order, and the merge folds per world in shard-plan order.
 
+How a plan executes — worker count, cache, transport, retry ladder,
+fault injection, resume — is one frozen :class:`ExecutionOptions`
+value.  Every front-end (study, sweep, ensemble, campaign) takes it and
+passes it here unchanged; its ``__post_init__`` is the one place those
+execution rules are checked.
+
 Shard batches stream through
 :func:`~repro.parallel.pool.pmap_chunked`, so peak memory is bounded by
 one chunk of shard results (plus the world currently being folded) —
 an ensemble of hundreds of worlds never holds more than a window of
 records at a time.
 
-**Incremental mode** (``incremental=True``) adds diff-aware reuse: the
-plan is diffed against a baseline plan (:func:`repro.plan.diff.diff_plans`)
+**Incremental mode** (a ``baseline=`` plan) adds diff-aware reuse: the
+plan is diffed against the baseline (:func:`repro.plan.diff.diff_plans`)
 and every cell the diff proves untouched is *attached* — its folded
 summary loaded straight from the cell-level cache the baseline run
 wrote — while only the dirty cells (and any reusable cells whose cache
-entries are cold or malformed) dispatch to shards.  Results are still
+entries are cold or malformed) dispatch to shards.  ``resume`` attaches
+the cells the journal proves complete the same way.  Results are still
 yielded in plan order and are byte-identical to a from-scratch run:
 attachment only ever substitutes a cached result stored under the same
 content-addressed key the cell would recompute.
@@ -47,6 +54,62 @@ from repro.plan.journal import ExecutionJournal
 from repro.sim.cache import RunCache
 from repro.telemetry import count as telemetry_count
 from repro.telemetry import current_tracer, enabled, span
+
+#: how shard result stores may cross back from pool workers
+TRANSPORTS = ("auto", "shm", "pickle")
+
+
+def require_cache(mode: str, cache_dir: str | None) -> None:
+    """The one "needs a cache" check: ``mode`` re-attaches cells from
+    the cell-level cache, so it cannot run without a cache directory."""
+    if cache_dir is None:
+        raise ConfigurationError(
+            f"{mode} needs a cache directory (--cache DIR, or "
+            "cache_dir=...): it attaches cells from the cell-level cache "
+            "instead of re-simulating them"
+        )
+
+
+@dataclass(frozen=True)
+class ExecutionOptions:
+    """How a plan executes — never what it computes.
+
+    No field changes a result byte: any worker count, transport, retry
+    ladder or surviving fault plan yields the same dataset, and the
+    cache only ever replays what the same coordinates would recompute.
+    """
+
+    #: worker processes; 1 executes inline, in this process
+    workers: int = 1
+    #: content-addressed cache directory (run, cell and world entries
+    #: plus the resume journal); ``None`` runs uncached
+    cache_dir: str | None = None
+    #: how shard stores cross back from workers: ``"shm"`` packs
+    #: columns into shared-memory blocks, ``"pickle"`` ships them
+    #: through the pool pipe, ``"auto"`` probes and prefers shm
+    transport: str = "auto"
+    #: the pool's fault-recovery ladder; ``None`` = :class:`RetryPolicy`
+    #: defaults
+    retry: RetryPolicy | None = None
+    #: fault-injection plan stamped onto every dispatched shard
+    #: (:class:`repro.chaos.FaultPlan`); ``None`` = no chaos
+    chaos: object | None = None
+    #: re-attach cells the journal proves complete instead of executing
+    #: them (:mod:`repro.plan.journal`)
+    resume: bool = False
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigurationError(
+                f"workers must be at least 1 (got {self.workers})"
+            )
+        if self.transport not in TRANSPORTS:
+            raise ConfigurationError(
+                f"unknown transport {self.transport!r}: choose "
+                + ", ".join(repr(t) for t in TRANSPORTS)
+            )
+        if self.resume:
+            require_cache("resume", self.cache_dir)
 
 
 @dataclass
@@ -83,60 +146,33 @@ class ReuseStats:
 
 
 class PlanExecutor:
-    """Executes a compiled :class:`RunPlan`, streaming worlds in order."""
+    """Executes a compiled :class:`RunPlan`, streaming worlds in order.
+
+    The cache is the plan's own (``plan.cache_dir``); ``options`` says
+    how to execute.  A ``baseline`` plan selects incremental mode: cells
+    the diff against it proves untouched attach from the cell cache.
+    """
 
     def __init__(
         self,
         plan: RunPlan,
+        options: ExecutionOptions | None = None,
         *,
-        workers: int = 1,
-        incremental: bool = False,
         baseline: RunPlan | None = None,
-        transport: str = "auto",
-        retry: RetryPolicy | None = None,
-        chaos: object | None = None,
-        resume: bool = False,
     ):
-        if incremental and plan.cache_dir is None:
-            raise ConfigurationError(
-                "incremental execution needs a cache directory: reusable "
-                "cells attach from the cell-level cache the baseline run "
-                "wrote (compile the plan with cache_dir=...)"
-            )
-        if resume and plan.cache_dir is None:
-            raise ConfigurationError(
-                "resume needs a cache directory: completed cells re-attach "
-                "through the journal and cell-level cache the interrupted "
-                "run wrote (compile the plan with cache_dir=...)"
-            )
-        if transport not in ("auto", "shm", "pickle"):
-            raise ConfigurationError(
-                f"unknown transport {transport!r}: choose 'auto', 'shm', "
-                "or 'pickle'"
-            )
+        options = options if options is not None else ExecutionOptions()
+        if baseline is not None:
+            require_cache("incremental execution", plan.cache_dir)
+        if options.resume:
+            require_cache("resume", plan.cache_dir)
         self.plan = plan
-        self.workers = workers
-        #: how shard stores cross back from workers: ``"shm"`` packs
-        #: columns into shared-memory blocks, ``"pickle"`` ships them
-        #: through the pool pipe, ``"auto"`` probes and prefers shm.
-        #: Results are byte-identical either way.
-        self.transport = transport
-        self.incremental = incremental
-        #: the plan reusable cells are diffed against; defaults to the
-        #: plan's own baseline worlds (:meth:`RunPlan.split_baseline`)
+        self.options = options
+        #: the plan reusable cells are diffed against (incremental mode)
         self.baseline = baseline
         #: the computed diff (populated when incremental iteration starts)
         self.diff = None
         #: reuse accounting (all zeros for non-incremental runs)
         self.reuse = ReuseStats()
-        #: retry ladder for the pool (defaults are production-sane)
-        self.retry = retry if retry is not None else RetryPolicy()
-        #: fault-injection plan stamped onto every dispatched shard
-        #: (:class:`repro.chaos.FaultPlan`); ``None`` = no chaos
-        self.chaos = chaos
-        #: re-attach cells the journal proves complete instead of
-        #: executing them (:mod:`repro.plan.journal`)
-        self.resume = resume
         #: recovery accounting: retries, requeues, rebuilds, resumed
         #: cells — all zeros for a clean run
         self.faults = FaultStats()
@@ -146,22 +182,22 @@ class PlanExecutor:
         # only one chunk of shard results is ever alive at a time.
         counts = self.plan.world_shard_counts()
         first = counts[0][1] if counts else 0
-        return max(first, max(1, self.workers) * 4, 1)
+        return max(first, self.options.workers * 4, 1)
 
     def _transport_mode(self) -> str:
         """The transport shards actually dispatch with.
 
         ``auto`` resolves to shared memory when the pool will really
         cross process boundaries and the platform supports it; inline
-        execution (``workers<=1``) never pays the packing cost.
+        execution (``workers=1``) never pays the packing cost.
         """
-        if self.workers <= 1:
+        if self.options.workers == 1:
             return "pickle"
-        if self.transport == "auto":
+        if self.options.transport == "auto":
             from repro.parallel.transport import shm_available
 
             return "shm" if shm_available() else "pickle"
-        return self.transport
+        return self.options.transport
 
     def _dispatchable(self, shards: Sequence[StudyShard]) -> tuple[StudyShard, ...]:
         """Shards as dispatched: trace- and transport-marked.
@@ -173,14 +209,15 @@ class PlanExecutor:
         """
         traced = enabled()
         mode = self._transport_mode()
-        if not traced and mode == "pickle" and self.chaos is None:
+        chaos = self.options.chaos
+        if not traced and mode == "pickle" and chaos is None:
             return tuple(shards)
         return tuple(
             dataclasses.replace(
                 s,
                 trace=traced or s.trace,
                 transport=mode,
-                chaos=self.chaos if self.chaos is not None else s.chaos,
+                chaos=chaos if chaos is not None else s.chaos,
             )
             for s in shards
         )
@@ -217,31 +254,55 @@ class PlanExecutor:
             return None
         return ExecutionJournal(self.plan.cache_dir)
 
-    def _resume_attached(
-        self, journal: ExecutionJournal | None
-    ) -> dict[int, ShardResult]:
-        """Cells the journal proves complete, re-attached from the cache.
+    def _attach(self, journal: ExecutionJournal | None) -> dict[int, ShardResult]:
+        """Cells that need not execute, re-attached from the cell cache.
 
-        A journaled key whose cache entry went cold or malformed simply
-        stays on the execute list — resume degrades to re-execution,
-        never to a hole in the tables.
+        Two sources: cells the diff against :attr:`baseline` proves
+        untouched, and (with ``resume``) cells the journal proves
+        complete.  Probes happen up front (the pool needs its work list
+        before submission), so the map peaks at the whole attachable
+        set; each entry is a *folded* cell summary — tiny next to the
+        simulation it replaces — and is popped as its world yields.  A
+        cell whose cache entry is cold or malformed silently joins the
+        dispatch list — reuse degrades to re-execution, never to a hole
+        in the tables; malformed entries additionally flow through
+        :meth:`RunCache.note_invalid` and count in
+        :attr:`reuse.invalid <ReuseStats.invalid>`.
         """
-        if not self.resume or journal is None:
-            return {}
-        done_keys = journal.completed()
-        if not done_keys:
+        reusable: frozenset[int] = frozenset()
+        if self.baseline is not None:
+            from repro.plan.diff import diff_plans
+
+            with span("plan.diff"):
+                self.diff = diff_plans(self.baseline, self.plan)
+            reusable = self.diff.reusable_indices()
+        done_keys: set[str] = set()
+        if self.options.resume and journal is not None:
+            done_keys = journal.completed()
+        if self.diff is None and not done_keys:
             return {}
         cache = RunCache(self.plan.cache_dir)
         attached: dict[int, ShardResult] = {}
-        with span("plan.attach", journaled=len(done_keys), resume=True):
+        resumed = 0
+        with span("plan.attach", reusable=len(reusable), journaled=len(done_keys)):
             for shard in self.plan.shards:
-                if shard_summary_key(shard) not in done_keys:
-                    continue
-                result = attach_shard(shard, cache)
-                if result is not None:
-                    attached[shard.index] = result
-        self.faults.resumed += len(attached)
-        telemetry_count("fault.resumed", len(attached))
+                reuse = shard.index in reusable
+                if reuse or (done_keys and shard_summary_key(shard) in done_keys):
+                    result = attach_shard(shard, cache)
+                    if result is not None:
+                        attached[shard.index] = result
+                        resumed += not reuse
+        if done_keys:
+            self.faults.resumed += resumed
+            telemetry_count("fault.resumed", resumed)
+        if self.diff is not None:
+            self.reuse.planned_reusable = self.diff.n_reusable
+            self.reuse.planned_dirty = self.diff.n_dirty
+            self.reuse.attached = len(attached)
+            self.reuse.executed = self.plan.n_shards - len(attached)
+            self.reuse.invalid = cache.invalid
+            for name, value in self.reuse.to_dict().items():
+                telemetry_count(f"plan.reuse.{name}", value)
         return attached
 
     def _journaled_results(
@@ -266,9 +327,9 @@ class PlanExecutor:
         batches = pmap_chunked(
             execute_shard,
             self._dispatchable(to_run),
-            workers=self.workers,
+            workers=self.options.workers,
             chunk_size=self._chunk_size(),
-            policy=self.retry,
+            policy=self.options.retry,
             stats=self.faults,
             on_result=bank,
         )
@@ -280,106 +341,25 @@ class PlanExecutor:
 
         Shards execute across the worker pool in plan order; results are
         regrouped by each world's shard count, so a world is yielded the
-        moment its last cell returns — no barrier across worlds.  In
-        incremental mode reusable cells attach from the cache instead of
-        executing; with ``resume`` journaled cells attach the same way;
-        the yielded groups are indistinguishable.
+        moment its last cell returns — no barrier across worlds.  Cells
+        :meth:`_attach` re-attached take their place in that order; the
+        yielded groups are indistinguishable.
         """
-        if self.incremental:
-            yield from self._iter_incremental()
-            return
         with span(
-            "plan.run", shards=len(self.plan.shards), workers=self.workers
+            "plan.run",
+            shards=len(self.plan.shards),
+            workers=self.options.workers,
+            incremental=self.baseline is not None,
         ):
             journal = self._journal()
             try:
-                attached = self._resume_attached(journal)
-                to_run = [
-                    s for s in self.plan.shards if s.index not in attached
-                ]
+                attached = self._attach(journal)
+                to_run = [s for s in self.plan.shards if s.index not in attached]
                 results = self._journaled_results(to_run, journal)
                 shards = iter(self.plan.shards)
                 for world, n_shards in self.plan.world_shard_counts():
                     # The world span stays open across the yield, so the
                     # caller's fold of this world is attributed to it.
-                    with span("plan.world", world=world.index, shards=n_shards):
-                        world_results = []
-                        for _ in range(n_shards):
-                            shard = next(shards)
-                            result = attached.pop(shard.index, None)
-                            world_results.append(
-                                result if result is not None else next(results)
-                            )
-                        assert all(r.world == world.index for r in world_results)
-                        self._absorb_traces(world_results)
-                        yield world, world_results
-            finally:
-                if journal is not None:
-                    journal.close()
-
-    def _iter_incremental(self) -> Iterator[tuple[PlanWorld, list[ShardResult]]]:
-        """The diff-aware path: attach reusable cells, dispatch the rest.
-
-        Attachment probes happen up front (the pool needs its work list
-        before submission), so the attached-result map peaks at the
-        whole reusable set; each entry is a *folded* cell summary — tiny
-        next to the simulation it replaces — and is popped as its world
-        yields.  A reusable cell whose cache entry is cold or malformed
-        silently joins the dispatch list; malformed entries additionally
-        flow through :meth:`RunCache.note_invalid` and count in
-        :attr:`reuse.invalid <ReuseStats.invalid>`.
-        """
-        from repro.plan.diff import diff_plans
-
-        with span(
-            "plan.run",
-            shards=len(self.plan.shards),
-            workers=self.workers,
-            incremental=True,
-        ):
-            baseline = self.baseline
-            if baseline is None:
-                baseline, _ = self.plan.split_baseline()
-            with span("plan.diff"):
-                self.diff = diff_plans(baseline, self.plan)
-            reusable = self.diff.reusable_indices()
-            cache = RunCache(self.plan.cache_dir)
-            journal = self._journal()
-            resume_keys: set[str] = set()
-            if self.resume and journal is not None:
-                resume_keys = journal.completed()
-            attached: dict[int, ShardResult] = {}
-            resumed = 0
-            to_run = []
-            try:
-                with span("plan.attach", reusable=len(reusable)):
-                    for shard in self.plan.shards:
-                        journaled = (
-                            bool(resume_keys)
-                            and shard_summary_key(shard) in resume_keys
-                        )
-                        if shard.index in reusable or journaled:
-                            before = cache.invalid
-                            result = attach_shard(shard, cache)
-                            self.reuse.invalid += cache.invalid - before
-                            if result is not None:
-                                attached[shard.index] = result
-                                if journaled and shard.index not in reusable:
-                                    resumed += 1
-                                continue
-                        to_run.append(shard)
-                if resumed:
-                    self.faults.resumed += resumed
-                    telemetry_count("fault.resumed", resumed)
-                self.reuse.planned_reusable = self.diff.n_reusable
-                self.reuse.planned_dirty = self.diff.n_dirty
-                self.reuse.attached = len(attached)
-                self.reuse.executed = len(to_run)
-                for name, value in self.reuse.to_dict().items():
-                    telemetry_count(f"plan.reuse.{name}", value)
-                results = self._journaled_results(to_run, journal)
-                shards = iter(self.plan.shards)
-                for world, n_shards in self.plan.world_shard_counts():
                     with span("plan.world", world=world.index, shards=n_shards):
                         world_results = []
                         for _ in range(n_shards):

@@ -19,7 +19,7 @@ randomness is keyed (never drawn from call order), so any worker count
 produces byte-identical per-scenario datasets, and the baseline world of
 a sweep is byte-identical to a plain :class:`StudyRunner` campaign.
 
-**Incremental sweeps** (``incremental=True``, requires ``cache_dir``)
+**Incremental sweeps** (``incremental=True``, requires a cache)
 exploit cell-granular reuse: the baseline campaign executes first, then
 every scenario world runs through the executor's incremental mode
 (:mod:`repro.plan.diff`) — cells a scenario cannot touch attach their
@@ -36,11 +36,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.study import StudyConfig, StudyReport, StudyRunner
-from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # repro.plan sits below this module in the import graph
     from repro.parallel.pool import FaultStats
-    from repro.plan.executor import ReuseStats
+    from repro.plan.executor import ExecutionOptions, ReuseStats
 from repro.reporting.deltas import delta_table, scenario_deltas
 from repro.reporting.tables import render_table
 from repro.scenarios.presets import scenario_grid
@@ -142,7 +141,7 @@ class SweepResult:
 class ScenarioSweep:
     """Runs a study under N scenarios and compares them to the baseline.
 
-    ``workers`` and ``cache_dir`` behave exactly as on
+    ``options`` behave exactly as on
     :class:`~repro.core.study.StudyRunner`; the cache keys embed each
     scenario's digest, so worlds never share entries but each world
     replays its own on a repeat sweep.
@@ -152,38 +151,22 @@ class ScenarioSweep:
         self,
         config: StudyConfig,
         scenarios: Iterable[Scenario] | Sequence[Scenario],
+        options: ExecutionOptions | None = None,
         *,
-        workers: int = 1,
-        cache_dir: str | None = None,
         include_baseline: bool = True,
         incremental: bool = False,
-        transport: str = "auto",
-        retry=None,
-        chaos=None,
-        resume: bool = False,
     ):
-        if incremental and cache_dir is None:
-            raise ConfigurationError(
-                "an incremental sweep needs a cache directory: untouched "
-                "cells attach from the cell-level cache the baseline "
-                "campaign writes (pass cache_dir=...)"
-            )
-        if resume and cache_dir is None:
-            raise ConfigurationError(
-                "resume needs a cache directory: completed cells re-attach "
-                "through the journal and caches the interrupted run wrote "
-                "(pass cache_dir=...)"
-            )
+        # Imported lazily: repro.plan sits below this module in the
+        # import graph (its shards import repro.scenarios.spec).
+        from repro.plan.executor import ExecutionOptions, require_cache
+
+        self.options = options if options is not None else ExecutionOptions()
+        if incremental:
+            require_cache("an incremental sweep", self.options.cache_dir)
         self.config = config
         self.scenarios = list(scenarios)
-        self.workers = workers
-        self.transport = transport
-        self.cache_dir = cache_dir
         self.include_baseline = include_baseline
         self.incremental = incremental
-        self.retry = retry
-        self.chaos = chaos
-        self.resume = resume
         # Fail fast on duplicate/reserved ids — before any world runs.
         scenario_grid(self.scenarios, include_baseline=include_baseline)
 
@@ -192,14 +175,12 @@ class ScenarioSweep:
 
     def compile(self):
         """The whole sweep as one :class:`~repro.plan.ir.RunPlan`."""
-        # Imported lazily: repro.plan sits below this module in the
-        # import graph (its shards import repro.scenarios.spec).
         from repro.plan import compile_scenarios
 
         return compile_scenarios(
             self.config,
             self.scenarios,
-            cache_dir=self.cache_dir,
+            cache_dir=self.options.cache_dir,
             include_baseline=self.include_baseline,
         )
 
@@ -245,64 +226,36 @@ class ScenarioSweep:
         with span(
             "sweep.run",
             worlds=len(self._worlds()),
-            workers=self.workers,
+            workers=self.options.workers,
             incremental=self.incremental,
         ):
-            if not self.incremental:
-                executor = PlanExecutor(
-                    self.compile(),
-                    workers=self.workers,
-                    transport=self.transport,
-                    retry=self.retry,
-                    chaos=self.chaos,
-                    resume=self.resume,
-                )
-                for world, merged in executor.merged_worlds(seed_incidents=build_incidents):
-                    fold(world, merged)
-                faults = executor.faults if executor.faults.activity else None
-                return SweepResult(outcomes=outcomes, faults=faults)
-
-            # Phase 1: the baseline campaign (the reference every scenario
-            # world diffs against).  With include_baseline=False the sweep
-            # still executes it — its cells are what the variants reuse —
-            # but keeps it out of the reported outcomes.
+            # (plan, diff baseline, fold its worlds?) per executor pass.
             plan = self.compile()
-            base_plan, rest_plan = plan.split_baseline()
-            emit_baseline = base_plan.n_shards > 0
-            if not emit_baseline:
-                base_plan = compile_study(self.config, cache_dir=self.cache_dir)
-            base_executor = PlanExecutor(
-                base_plan,
-                workers=self.workers,
-                transport=self.transport,
-                retry=self.retry,
-                chaos=self.chaos,
-                resume=self.resume,
-            )
-            for world, merged in base_executor.merged_worlds(seed_incidents=build_incidents):
-                if emit_baseline:
-                    fold(world, merged)
-
-            # Phase 2: every scenario world, diff-aware.  Untouched cells
-            # attach from the cell cache phase 1 just wrote; only touched
-            # cells dispatch to shards.
-            inc_executor = PlanExecutor(
-                rest_plan,
-                workers=self.workers,
-                incremental=True,
-                baseline=base_plan,
-                transport=self.transport,
-                retry=self.retry,
-                chaos=self.chaos,
-                resume=self.resume,
-            )
-            for world, merged in inc_executor.merged_worlds(seed_incidents=build_incidents):
-                fold(world, merged)
+            passes = [(plan, None, True)]
+            if self.incremental:
+                # Phase 1: the baseline campaign (the reference every
+                # scenario world diffs against).  With
+                # include_baseline=False the sweep still executes it —
+                # its cells are what the variants reuse — but keeps it
+                # out of the reported outcomes.  Phase 2: every scenario
+                # world, diff-aware: untouched cells attach from the
+                # cell cache phase 1 just wrote.
+                base_plan, rest_plan = plan.split_baseline()
+                emit_baseline = base_plan.n_shards > 0
+                if not emit_baseline:
+                    base_plan = compile_study(
+                        self.config, cache_dir=self.options.cache_dir
+                    )
+                passes = [(base_plan, None, emit_baseline), (rest_plan, base_plan, True)]
             faults = FaultStats()
-            faults.add(base_executor.faults)
-            faults.add(inc_executor.faults)
+            for pass_plan, baseline, emit in passes:
+                executor = PlanExecutor(pass_plan, self.options, baseline=baseline)
+                for world, merged in executor.merged_worlds(seed_incidents=build_incidents):
+                    if emit:
+                        fold(world, merged)
+                faults.add(executor.faults)
             return SweepResult(
                 outcomes=outcomes,
-                reuse=inc_executor.reuse,
+                reuse=executor.reuse if self.incremental else None,
                 faults=faults if faults.activity else None,
             )

@@ -28,6 +28,7 @@ from repro.campaigns import (
     pareto_frontier,
 )
 from repro.errors import ConfigurationError
+from repro.plan import ExecutionOptions
 from repro.reporting.frontier import frontier_table, render_campaign
 from repro.scenarios.presets import scenario_grid
 from repro.scenarios.spec import PriceShock, Scenario
@@ -270,7 +271,7 @@ def test_stage_records_and_timings(result):
 
 def test_workers_do_not_change_the_published_report(spec, result):
     """Acceptance: workers 1 vs 4 — byte-identical core report."""
-    sharded = CampaignRunner(spec, workers=4).run()
+    sharded = CampaignRunner(spec, ExecutionOptions(workers=4)).run()
     assert sharded.report.core_json() == result.report.core_json()
     assert frontier_table(sharded).to_csv() == frontier_table(result).to_csv()
     assert sharded.winner == result.winner
@@ -282,7 +283,7 @@ def test_workers_do_not_change_the_published_report(spec, result):
 @pytest.mark.parametrize("seed", sorted(GOLDEN_CAMPAIGN_CORE_SHA256))
 def test_readme_campaign_core_matches_golden_digest(seed, workers):
     spec = CampaignSpec.from_dict({**README_SPEC_DICT, "base_seed": seed})
-    result = CampaignRunner(spec, workers=workers).run()
+    result = CampaignRunner(spec, ExecutionOptions(workers=workers)).run()
     assert result.winner.scenario_id == "cheap-aws"
     digest = hashlib.sha256(result.report.core_json().encode()).hexdigest()
     assert digest == GOLDEN_CAMPAIGN_CORE_SHA256[seed]
@@ -291,8 +292,8 @@ def test_readme_campaign_core_matches_golden_digest(seed, workers):
 def test_rerun_short_circuits_smoke_via_the_world_cache(spec):
     """Acceptance: same spec + same cache dir — smoke executes nothing."""
     with tempfile.TemporaryDirectory() as cache_dir:
-        cold = CampaignRunner(spec, cache_dir=cache_dir).run()
-        warm = CampaignRunner(spec, cache_dir=cache_dir).run()
+        cold = CampaignRunner(spec, ExecutionOptions(cache_dir=cache_dir)).run()
+        warm = CampaignRunner(spec, ExecutionOptions(cache_dir=cache_dir)).run()
     assert warm.smoke.world_cache_hits == warm.smoke.worlds
     assert warm.smoke.world_cache_misses == 0
     assert warm.smoke.reuse is not None and warm.smoke.reuse.executed == 0

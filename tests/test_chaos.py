@@ -22,6 +22,7 @@ from repro.errors import (
     TransientShardError,
 )
 from repro.parallel.pool import FaultStats, RetryPolicy, pmap
+from repro.plan import ExecutionOptions
 
 pytestmark = pytest.mark.chaos
 
@@ -164,7 +165,7 @@ def test_pool_exhaustion_falls_to_final_serial_rung():
 
 
 def _smoke_csv(**kwargs) -> tuple[str, FaultStats]:
-    runner = StudyRunner(StudyConfig.smoke(), **kwargs)
+    runner = StudyRunner(StudyConfig.smoke(), ExecutionOptions(**kwargs))
     report = runner.run()
     return report.store.to_csv(), report.faults
 
@@ -215,7 +216,8 @@ def test_kill_chaos_inline_never_shoots_the_driver(clean_csv):
 
 def test_abort_surfaces_as_typed_error_naming_the_cell():
     runner = StudyRunner(
-        StudyConfig.smoke(), chaos=FaultPlan(abort=1.0, seed=0)
+        StudyConfig.smoke(),
+        ExecutionOptions(chaos=FaultPlan(abort=1.0, seed=0)),
     )
     with pytest.raises(ShardExecutionError, match=r"cell \(cpu-") as excinfo:
         runner.run()
@@ -237,7 +239,7 @@ def test_corrupted_cache_entries_degrade_to_re_execution(tmp_path, clean_csv):
     assert first == clean_csv  # poisoning happens *after* the result
     # The repeat campaign probes the poisoned entries, flags every one
     # invalid, and re-simulates back to the same bytes.
-    runner = StudyRunner(StudyConfig.smoke(), cache_dir=cache)
+    runner = StudyRunner(StudyConfig.smoke(), ExecutionOptions(cache_dir=cache))
     report = runner.run()
     assert report.store.to_csv() == clean_csv
     assert report.cache_invalid >= 1

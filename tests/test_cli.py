@@ -637,7 +637,25 @@ def test_study_chaos_rate_out_of_range_is_a_clean_error(capsys):
 def test_study_resume_without_cache_is_a_clean_error(capsys):
     assert main(["study", "--resume"]) == 2
     err = capsys.readouterr().err
-    assert "--resume needs --cache" in err
+    assert "resume needs a cache directory" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--workers", "0"], "workers must be at least 1 (got 0)"),
+        (["--workers", "-2"], "workers must be at least 1 (got -2)"),
+        (["--spill-mb", "-5"], "--spill-mb must be at least 0 (got -5)"),
+        (["--transport", "bogus"], "unknown transport 'bogus'"),
+    ],
+)
+def test_study_out_of_range_execution_flags_are_clean_errors(flags, message, capsys):
+    assert main(["study", *_SMOKE_FLAGS, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_study_resume_replays_journaled_cells(tmp_path, capsys):

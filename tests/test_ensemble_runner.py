@@ -8,6 +8,7 @@ import pytest
 from repro.__main__ import main
 from repro.core.study import StudyConfig, StudyRunner
 from repro.ensemble import EnsembleRunner, EnsembleSpec
+from repro.plan import ExecutionOptions
 from repro.scenarios import scenario
 
 #: sha256 of ``repro ensemble run --replicas 8 --workers 2 --seed S``'s
@@ -73,8 +74,8 @@ def test_workers_do_not_change_the_rendered_tables():
     """Acceptance: workers=1 vs workers=4 byte-identical distributions."""
     spec = EnsembleSpec(n_replicas=2, scenarios=(scenario("azure-price-spike"),),
                         **SMOKE)
-    serial = EnsembleRunner(spec, workers=1).run()
-    sharded = EnsembleRunner(spec, workers=4).run()
+    serial = EnsembleRunner(spec, ExecutionOptions(workers=1)).run()
+    sharded = EnsembleRunner(spec, ExecutionOptions(workers=4)).run()
     assert serial.render() == sharded.render()
     assert serial.to_json() == sharded.to_json()
 
@@ -110,11 +111,11 @@ def test_replicas_actually_vary():
 
 def test_world_cache_replays_summaries(tmp_path):
     spec = EnsembleSpec(n_replicas=2, scenarios=(scenario("price-war"),), **SMOKE)
-    cold = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
+    cold = EnsembleRunner(spec, ExecutionOptions(cache_dir=str(tmp_path))).run()
     assert cold.world_cache_hits == 0
     assert cold.world_cache_misses == 4
 
-    warm = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
+    warm = EnsembleRunner(spec, ExecutionOptions(cache_dir=str(tmp_path))).run()
     assert warm.world_cache_hits == 4
     assert warm.world_cache_misses == 0
     # The replay folds to the same bytes as the fresh run (the cache
@@ -129,7 +130,7 @@ def test_world_cache_corruption_resimulates_silently(tmp_path):
     from repro.sim.cache import RunCache
 
     spec = EnsembleSpec(n_replicas=2, **SMOKE)
-    runner = EnsembleRunner(spec, cache_dir=str(tmp_path))
+    runner = EnsembleRunner(spec, ExecutionOptions(cache_dir=str(tmp_path)))
     cold = runner.run()
     # The directory also holds run/cell entries; target the two world
     # summaries specifically.
@@ -146,7 +147,7 @@ def test_world_cache_corruption_resimulates_silently(tmp_path):
         '"records": 1, "completed": 1, "fom_mean": "x", "wall_mean": null, '
         '"cost_total": 1.0}], "spend": "oops", "incidents": 0}'
     )
-    repaired = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
+    repaired = EnsembleRunner(spec, ExecutionOptions(cache_dir=str(tmp_path))).run()
     assert repaired.render() == cold.render()
     assert repaired.world_cache_misses == 2
 
@@ -164,11 +165,15 @@ def test_uncached_run_reports_no_phantom_cache_traffic():
 
 
 def test_world_cache_is_replica_aware(tmp_path):
-    EnsembleRunner(EnsembleSpec(n_replicas=1, **SMOKE),
-                   cache_dir=str(tmp_path)).run()
+    EnsembleRunner(
+        EnsembleSpec(n_replicas=1, **SMOKE),
+        ExecutionOptions(cache_dir=str(tmp_path)),
+    ).run()
     # One more replica: replica 0 replays, replica 1 executes.
-    grown = EnsembleRunner(EnsembleSpec(n_replicas=2, **SMOKE),
-                           cache_dir=str(tmp_path)).run()
+    grown = EnsembleRunner(
+        EnsembleSpec(n_replicas=2, **SMOKE),
+        ExecutionOptions(cache_dir=str(tmp_path)),
+    ).run()
     assert grown.world_cache_hits == 1
     assert grown.world_cache_misses == 1
 

@@ -17,6 +17,7 @@ from repro.parallel import (
     plan_shards,
     pmap,
 )
+from repro.plan import ExecutionOptions
 
 
 #: covers a cloud K8s env, on-prem (queue path), an undeployable env,
@@ -105,7 +106,7 @@ def serial_report():
 
 
 def test_workers4_byte_identical_to_serial(serial_report):
-    parallel_report = StudyRunner(MIXED_CONFIG, workers=4).run()
+    parallel_report = StudyRunner(MIXED_CONFIG, ExecutionOptions(workers=4)).run()
     assert parallel_report.store.to_csv() == serial_report.store.to_csv()
     assert parallel_report.spend_by_cloud == serial_report.spend_by_cloud
     assert parallel_report.clusters_created == serial_report.clusters_created
@@ -115,12 +116,12 @@ def test_workers4_byte_identical_to_serial(serial_report):
 
 
 def test_workers2_matches_workers4(serial_report):
-    a = StudyRunner(MIXED_CONFIG, workers=2).run()
+    a = StudyRunner(MIXED_CONFIG, ExecutionOptions(workers=2)).run()
     assert a.store.to_csv() == serial_report.store.to_csv()
 
 
 def test_smoke_report_invariants_hold_under_workers():
-    report = StudyRunner(StudyConfig.smoke(), workers=3).run()
+    report = StudyRunner(StudyConfig.smoke(), ExecutionOptions(workers=3)).run()
     assert report.datasets == 8
     assert report.containers_built == 2
     assert report.clusters_created == 1

@@ -18,6 +18,7 @@ from repro.__main__ import main
 from repro.core.study import StudyConfig, StudyRunner
 from repro.ensemble import EnsembleRunner, EnsembleSpec
 from repro.plan import (
+    ExecutionOptions,
     PlanExecutor,
     PlannedRun,
     RunPlan,
@@ -148,7 +149,7 @@ def test_digest_is_stable_and_coordinate_sensitive():
 
 
 def _store_csvs(plan, workers=1):
-    executor = PlanExecutor(plan, workers=workers)
+    executor = PlanExecutor(plan, ExecutionOptions(workers=workers))
     return [merged.store.to_csv() for _, merged in executor.merged_worlds()]
 
 
@@ -199,7 +200,10 @@ def test_executor_streams_worlds_in_plan_order():
     plan = compile_ensemble(spec)
     seen = [
         (world.index, [r.index for r in results])
-        for world, results in PlanExecutor(plan, workers=4).iter_world_results()
+        for world, results in PlanExecutor(
+            plan,
+            ExecutionOptions(workers=4),
+        ).iter_world_results()
     ]
     assert [w for w, _ in seen] == [0, 1, 2]
     assert [i for _, idxs in seen for i in idxs] == list(range(plan.n_shards))
@@ -275,13 +279,13 @@ def test_malformed_run_cache_entry_warns_and_counts(tmp_path, caplog):
         env_ids=("cpu-eks-aws",), apps=("amg2023",), sizes=(32,),
         iterations=2, seed=0,
     )
-    cold = StudyRunner(config, cache_dir=str(tmp_path)).run()
+    cold = StudyRunner(config, ExecutionOptions(cache_dir=str(tmp_path))).run()
     assert cold.cache_invalid == 0
     # Corrupt every entry (run-level and cell-level alike).
     for entry in tmp_path.glob("*/*.json"):
         entry.write_text("{truncated")
     with caplog.at_level("WARNING", logger="repro.sim.cache"):
-        warm = StudyRunner(config, cache_dir=str(tmp_path)).run()
+        warm = StudyRunner(config, ExecutionOptions(cache_dir=str(tmp_path))).run()
     assert warm.store.to_csv() == cold.store.to_csv()
     assert warm.cache_invalid > 0
     assert any("re-simulating" in r.message for r in caplog.records)
@@ -294,7 +298,7 @@ def test_malformed_world_summary_warns_and_counts(tmp_path, caplog):
         n_replicas=2, env_ids=("cpu-onprem-a",), apps=("amg2023",),
         sizes=(32,), iterations=1,
     )
-    runner = EnsembleRunner(spec, cache_dir=str(tmp_path))
+    runner = EnsembleRunner(spec, ExecutionOptions(cache_dir=str(tmp_path)))
     cold = runner.run()
     assert cold.world_cache_invalid == 0
     keys = [runner._world_key(world) for world in runner._plans()]
@@ -302,7 +306,7 @@ def test_malformed_world_summary_warns_and_counts(tmp_path, caplog):
     paths[0].write_text("{truncated")           # non-JSON corruption
     paths[1].write_text('{"v": 999, "cells": []}')  # JSON-valid, malformed
     with caplog.at_level("WARNING", logger="repro.sim.cache"):
-        repaired = EnsembleRunner(spec, cache_dir=str(tmp_path)).run()
+        repaired = EnsembleRunner(spec, ExecutionOptions(cache_dir=str(tmp_path))).run()
     assert repaired.render() == cold.render()
     assert repaired.world_cache_invalid == 2
     messages = [r.message for r in caplog.records]

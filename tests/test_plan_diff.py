@@ -34,7 +34,7 @@ from repro.envs.registry import ENVIRONMENTS
 from repro.errors import ConfigurationError
 from repro.parallel.merge import merge_shard_results
 from repro.parallel.shard import shard_summary_key
-from repro.plan import PlanExecutor, compile_study, diff_plans
+from repro.plan import ExecutionOptions, PlanExecutor, compile_study, diff_plans
 from repro.scenarios import (
     FabricDegradation,
     FaultScaling,
@@ -201,10 +201,16 @@ def test_incremental_sweep_is_byte_identical_across_worker_counts(tmp_path):
     scns = [_random_scenario(rng, f"world-{i}") for i in range(3)]
     scratch = ScenarioSweep(_config(), scns).run()
     inc1 = ScenarioSweep(
-        _config(), scns, cache_dir=str(tmp_path / "c1"), incremental=True
+        _config(),
+        scns,
+        ExecutionOptions(cache_dir=str(tmp_path / "c1")),
+        incremental=True,
     ).run()
     inc4 = ScenarioSweep(
-        _config(), scns, cache_dir=str(tmp_path / "c4"), workers=4, incremental=True
+        _config(),
+        scns,
+        ExecutionOptions(cache_dir=str(tmp_path / "c4"), workers=4),
+        incremental=True,
     ).run()
     assert set(scratch.outcomes) == set(inc1.outcomes) == set(inc4.outcomes)
     for sid, outcome in scratch.outcomes.items():
@@ -234,7 +240,7 @@ def test_empty_diff_plan_attaches_every_cell(tmp_path):
     )
     plan = compile_study(_config(), cache_dir=str(tmp_path / "cache"), scenario=scn)
     [(_, scratch)] = PlanExecutor(plan).run()  # warms the cell cache
-    executor = PlanExecutor(plan, incremental=True, baseline=plan)
+    executor = PlanExecutor(plan, baseline=plan)
     [(_, rerun)] = executor.run()
     assert executor.diff.n_dirty == 0
     assert executor.reuse.attached == plan.n_shards
@@ -328,7 +334,7 @@ def test_mutating_one_field_resimulates_exactly_the_touched_cells(
 ):
     base_plan = compile_study(_config(), cache_dir=fuzz_cache)
     variant = compile_study(_config(), cache_dir=fuzz_cache, scenario=mutated)
-    executor = PlanExecutor(variant, incremental=True, baseline=base_plan)
+    executor = PlanExecutor(variant, baseline=base_plan)
     resimulated = set()
     merged = None
     for _, results in executor.iter_world_results():
@@ -367,7 +373,7 @@ def test_malformed_cell_entries_surface_and_reexecute(tmp_path, corruption):
         path.write_text(path.read_text()[:40])  # a torn write
     else:
         path.write_text(json.dumps({"nope": 1}))  # valid JSON, wrong schema
-    executor = PlanExecutor(variant, incremental=True, baseline=base_plan)
+    executor = PlanExecutor(variant, baseline=base_plan)
     [(_, merged)] = executor.run()
     assert executor.reuse.invalid >= 1
     assert executor.reuse.planned_reusable == 3
@@ -406,7 +412,10 @@ def test_sweep_surfaces_invalid_cell_entries_in_its_reuse_counter(
 
     monkeypatch.setattr(RunCache, "get_json", tearing_get)
     result = ScenarioSweep(
-        _config(), [scn], cache_dir=cache_dir, incremental=True
+        _config(),
+        [scn],
+        ExecutionOptions(cache_dir=cache_dir),
+        incremental=True,
     ).run()
     assert result.reuse is not None
     assert result.reuse.invalid >= 1
@@ -430,8 +439,8 @@ def test_ensemble_surfaces_broken_world_summaries(tmp_path, corruption):
         sizes=(32,),
         iterations=2,
     )
-    first = EnsembleRunner(spec, cache_dir=cache_dir).run()
-    runner = EnsembleRunner(spec, cache_dir=cache_dir)
+    first = EnsembleRunner(spec, ExecutionOptions(cache_dir=cache_dir)).run()
+    runner = EnsembleRunner(spec, ExecutionOptions(cache_dir=cache_dir))
     path = RunCache(cache_dir).path(runner._world_key(runner.compile().worlds[0]))
     assert path.exists(), "the first run must have written the world summary"
     if corruption == "truncated":
@@ -465,7 +474,11 @@ def test_incremental_ensemble_matches_from_scratch(tmp_path):
         iterations=2,
     )
     scratch = EnsembleRunner(spec).run()
-    inc = EnsembleRunner(spec, cache_dir=str(tmp_path / "c"), incremental=True).run()
+    inc = EnsembleRunner(
+        spec,
+        ExecutionOptions(cache_dir=str(tmp_path / "c")),
+        incremental=True,
+    ).run()
     assert inc.reuse is not None
     # Both az-spike replicas attach their untouched aws cell.
     assert inc.reuse.attached == 2
@@ -481,7 +494,7 @@ def test_incremental_modes_require_a_cache_directory():
         price_shocks=(PriceShock(cloud="az", multiplier=3.0),),
     )
     with pytest.raises(ConfigurationError):
-        PlanExecutor(compile_study(_config()), incremental=True)
+        PlanExecutor(compile_study(_config()), baseline=compile_study(_config()))
     with pytest.raises(ConfigurationError):
         ScenarioSweep(_config(), [scn], incremental=True)
     with pytest.raises(ConfigurationError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.study import StudyConfig
+from repro.plan import ExecutionOptions
 from repro.reporting.deltas import delta_table, scenario_delta, scenario_deltas
 from repro.reporting.tables import render_table
 from repro.scenarios import ScenarioSweep, scenario
@@ -20,7 +21,7 @@ def sweep_result():
     return ScenarioSweep(
         config,
         [scenario("azure-price-spike"), scenario("congested-fabrics")],
-        workers=2,
+        ExecutionOptions(workers=2),
     ).run()
 
 

@@ -19,6 +19,7 @@ from repro.chaos import FaultPlan
 from repro.core.study import StudyConfig, StudyRunner
 from repro.ensemble import EnsembleRunner, EnsembleSpec
 from repro.errors import ConfigurationError, ShardExecutionError
+from repro.plan import ExecutionOptions
 from repro.plan.journal import ExecutionJournal
 
 pytestmark = pytest.mark.chaos
@@ -62,14 +63,15 @@ def test_interrupted_study_resumes_byte_identically(tmp_path, study_csv):
     # first chunk's four cells in the journal.
     seed = _interrupting_seed(shards, safe_until=4)
     interrupted = StudyRunner(
-        _STUDY, cache_dir=cache, chaos=FaultPlan(abort=0.1, seed=seed)
+        _STUDY,
+        ExecutionOptions(cache_dir=cache, chaos=FaultPlan(abort=0.1, seed=seed)),
     )
     with pytest.raises(ShardExecutionError):
         interrupted.run()
     journal = ExecutionJournal(cache)
     assert len(journal.completed()) >= 4
 
-    resumed = StudyRunner(_STUDY, cache_dir=cache, resume=True).run()
+    resumed = StudyRunner(_STUDY, ExecutionOptions(cache_dir=cache, resume=True)).run()
     assert resumed.store.to_csv() == study_csv
     assert resumed.faults is not None
     assert resumed.faults.resumed >= 4
@@ -77,21 +79,21 @@ def test_interrupted_study_resumes_byte_identically(tmp_path, study_csv):
 
 def test_resume_of_a_finished_study_attaches_everything(tmp_path, study_csv):
     cache = str(tmp_path / "cache")
-    StudyRunner(_STUDY, cache_dir=cache).run()
-    resumed = StudyRunner(_STUDY, cache_dir=cache, resume=True).run()
+    StudyRunner(_STUDY, ExecutionOptions(cache_dir=cache)).run()
+    resumed = StudyRunner(_STUDY, ExecutionOptions(cache_dir=cache, resume=True)).run()
     assert resumed.store.to_csv() == study_csv
     assert resumed.faults.resumed == len(_STUDY.env_ids) * len(_STUDY.sizes)
 
 
 def test_resume_without_cache_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match="cache"):
-        StudyRunner(_STUDY, resume=True).run()
+        StudyRunner(_STUDY, ExecutionOptions(resume=True)).run()
 
 
 def test_clean_run_with_cache_still_journals(tmp_path):
     """Journaling is unconditional with a cache: any run is resumable."""
     cache = tmp_path / "cache"
-    StudyRunner(_STUDY, cache_dir=str(cache)).run()
+    StudyRunner(_STUDY, ExecutionOptions(cache_dir=str(cache))).run()
     journal = ExecutionJournal(str(cache))
     assert journal.path.exists()
     assert len(journal.completed()) == len(_STUDY.env_ids) * len(_STUDY.sizes)
@@ -126,9 +128,11 @@ def test_interrupted_ensemble_resumes_byte_identically(
     seed = _interrupting_seed(shards, safe_until=16)
     interrupted = EnsembleRunner(
         _SPEC,
-        workers=workers,
-        cache_dir=cache,
-        chaos=FaultPlan(abort=0.1, seed=seed),
+        ExecutionOptions(
+            workers=workers,
+            cache_dir=cache,
+            chaos=FaultPlan(abort=0.1, seed=seed),
+        ),
     )
     with pytest.raises(ShardExecutionError):
         interrupted.run()
@@ -141,7 +145,8 @@ def test_interrupted_ensemble_resumes_byte_identically(
     # from the world-summary cache; cells drained but never folded
     # re-attach through the journal.  Both layers must engage.
     resumed_runner = EnsembleRunner(
-        _SPEC, workers=workers, cache_dir=cache, resume=True
+        _SPEC,
+        ExecutionOptions(workers=workers, cache_dir=cache, resume=True),
     )
     result = resumed_runner.run()
     assert result.distribution_table().to_csv() == ensemble_csv
@@ -152,4 +157,4 @@ def test_interrupted_ensemble_resumes_byte_identically(
 
 def test_ensemble_resume_requires_cache():
     with pytest.raises(ConfigurationError, match="cache"):
-        EnsembleRunner(_SPEC, resume=True)
+        EnsembleRunner(_SPEC, ExecutionOptions(resume=True))

@@ -12,6 +12,7 @@ These are the subsystem's contract tests:
 import pytest
 
 from repro.core.study import StudyConfig, StudyRunner
+from repro.plan import ExecutionOptions
 from repro.scenarios import (
     BASELINE,
     QuotaSqueeze,
@@ -56,7 +57,9 @@ def test_empty_scenario_reproduces_the_seed_study_exactly():
 def test_empty_scenario_is_baseline_for_any_worker_count():
     plain = StudyRunner(_config()).run()
     empty4 = StudyRunner(
-        _config(), workers=4, scenario=Scenario(scenario_id="noop")
+        _config(),
+        ExecutionOptions(workers=4),
+        scenario=Scenario(scenario_id="noop"),
     ).run()
     assert empty4.store.to_csv() == plain.store.to_csv()
     assert _flat_incidents(empty4.incidents) == _flat_incidents(plain.incidents)
@@ -78,8 +81,8 @@ def test_sweep_baseline_world_matches_a_plain_study_runner():
 @pytest.mark.parametrize("name", ["spot-everything", "quota-crunch", "degraded-efa"])
 def test_scenario_campaign_identical_for_any_worker_count(name):
     scn = scenario(name)
-    serial = StudyRunner(_config(), workers=1, scenario=scn).run()
-    sharded = StudyRunner(_config(), workers=4, scenario=scn).run()
+    serial = StudyRunner(_config(), ExecutionOptions(workers=1), scenario=scn).run()
+    sharded = StudyRunner(_config(), ExecutionOptions(workers=4), scenario=scn).run()
     assert sharded.store.to_csv() == serial.store.to_csv()
     assert sharded.store.records == serial.store.records
     assert _flat_incidents(sharded.incidents) == _flat_incidents(serial.incidents)
@@ -88,8 +91,8 @@ def test_scenario_campaign_identical_for_any_worker_count(name):
 
 def test_sweep_identical_for_any_worker_count():
     scns = [scenario("spot-everything"), scenario("azure-price-spike")]
-    serial = ScenarioSweep(_config(), scns, workers=1).run()
-    sharded = ScenarioSweep(_config(), scns, workers=4).run()
+    serial = ScenarioSweep(_config(), scns, ExecutionOptions(workers=1)).run()
+    sharded = ScenarioSweep(_config(), scns, ExecutionOptions(workers=4)).run()
     assert list(serial.reports) == list(sharded.reports)
     for sid in serial.reports:
         assert (
@@ -110,7 +113,11 @@ def test_spot_everything_shows_real_deltas_on_the_default_campaign():
         iterations=2,
         seed=0,
     )
-    result = ScenarioSweep(config, [scenario("spot-everything")], workers=4).run()
+    result = ScenarioSweep(
+        config,
+        [scenario("spot-everything")],
+        ExecutionOptions(workers=4),
+    ).run()
     (delta,) = result.deltas()
     assert delta.spend_delta_usd < 0  # spot is cheaper...
     assert delta.run_cost_delta_usd < 0
@@ -163,7 +170,11 @@ def test_laggy_bills_charges_reconciliation_effort():
         env_ids=("cpu-eks-aws", "cpu-onprem-a"), apps=("amg2023",),
         sizes=(32,), iterations=2, seed=0,
     )
-    result = ScenarioSweep(config, [scenario("laggy-bills")], workers=1).run()
+    result = ScenarioSweep(
+        config,
+        [scenario("laggy-bills")],
+        ExecutionOptions(workers=1),
+    ).run()
     (delta,) = result.deltas()
     # Same spend, same runs — but the lagged world pays reconciliation.
     assert delta.spend_delta_usd == 0.0
@@ -245,13 +256,21 @@ def test_touched_cells_never_share_cache_entries_with_the_baseline(tmp_path):
     )
     scn = scenario("spot-aws")  # touches the cell's own cloud
 
-    base_cold = StudyRunner(config, cache_dir=cache_dir).run()
+    base_cold = StudyRunner(config, ExecutionOptions(cache_dir=cache_dir)).run()
     assert base_cold.cache_misses > 0 and base_cold.cache_hits == 0
-    scn_cold = StudyRunner(config, cache_dir=cache_dir, scenario=scn).run()
+    scn_cold = StudyRunner(
+        config,
+        ExecutionOptions(cache_dir=cache_dir),
+        scenario=scn,
+    ).run()
     assert scn_cold.cache_hits == 0  # touched cell: different keys
 
-    base_warm = StudyRunner(config, cache_dir=cache_dir).run()
-    scn_warm = StudyRunner(config, cache_dir=cache_dir, scenario=scn).run()
+    base_warm = StudyRunner(config, ExecutionOptions(cache_dir=cache_dir)).run()
+    scn_warm = StudyRunner(
+        config,
+        ExecutionOptions(cache_dir=cache_dir),
+        scenario=scn,
+    ).run()
     assert base_warm.store.to_csv() == base_cold.store.to_csv()
     assert scn_warm.store.to_csv() == scn_cold.store.to_csv()
 
@@ -267,8 +286,12 @@ def test_untouched_cells_reuse_baseline_cache_entries_byte_identically(tmp_path)
     )
     scn = scenario("azure-price-spike")  # cannot touch an aws cell
 
-    base_cold = StudyRunner(config, cache_dir=cache_dir).run()
-    scn_warm = StudyRunner(config, cache_dir=cache_dir, scenario=scn).run()
+    base_cold = StudyRunner(config, ExecutionOptions(cache_dir=cache_dir)).run()
+    scn_warm = StudyRunner(
+        config,
+        ExecutionOptions(cache_dir=cache_dir),
+        scenario=scn,
+    ).run()
     assert scn_warm.cache_misses == 0  # every probe hits baseline entries
     assert scn_warm.store.to_csv() == base_cold.store.to_csv()
 
@@ -280,8 +303,8 @@ def test_sweep_replays_from_cache(tmp_path):
         iterations=2, seed=0,
     )
     scns = [scenario("spot-aws")]
-    cold = ScenarioSweep(config, scns, cache_dir=cache_dir).run()
-    warm = ScenarioSweep(config, scns, cache_dir=cache_dir).run()
+    cold = ScenarioSweep(config, scns, ExecutionOptions(cache_dir=cache_dir)).run()
+    warm = ScenarioSweep(config, scns, ExecutionOptions(cache_dir=cache_dir)).run()
     for sid in cold.reports:
         assert warm.reports[sid].store.to_csv() == cold.reports[sid].store.to_csv()
         assert warm.reports[sid].cache_hits == warm.reports[sid].datasets

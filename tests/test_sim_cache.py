@@ -17,6 +17,7 @@ import repro.parallel.shard as shard_module
 from repro.__main__ import main
 from repro.core.study import StudyConfig, StudyRunner
 from repro.envs.registry import ENVIRONMENTS
+from repro.plan import ExecutionOptions
 from repro.sim.cache import (
     RunCache,
     _jsonable,
@@ -258,8 +259,8 @@ def test_corrupt_entry_treated_as_miss(tmp_path):
 def test_cached_study_identical_to_uncached(tmp_path):
     config = StudyConfig.smoke(seed=4)
     plain = StudyRunner(config).run()
-    cold = StudyRunner(config, cache_dir=str(tmp_path)).run()
-    warm = StudyRunner(config, cache_dir=str(tmp_path)).run()
+    cold = StudyRunner(config, ExecutionOptions(cache_dir=str(tmp_path))).run()
+    warm = StudyRunner(config, ExecutionOptions(cache_dir=str(tmp_path))).run()
     assert cold.store.to_csv() == plain.store.to_csv()
     assert warm.store.to_csv() == plain.store.to_csv()
     assert warm.spend_by_cloud == plain.spend_by_cloud
@@ -269,8 +270,14 @@ def test_cached_study_identical_to_uncached(tmp_path):
 
 
 def test_cached_study_seed_change_is_all_misses(tmp_path):
-    StudyRunner(StudyConfig.smoke(seed=4), cache_dir=str(tmp_path)).run()
-    other = StudyRunner(StudyConfig.smoke(seed=5), cache_dir=str(tmp_path)).run()
+    StudyRunner(
+        StudyConfig.smoke(seed=4),
+        ExecutionOptions(cache_dir=str(tmp_path)),
+    ).run()
+    other = StudyRunner(
+        StudyConfig.smoke(seed=5),
+        ExecutionOptions(cache_dir=str(tmp_path)),
+    ).run()
     assert other.cache_hits == 0
     assert other.cache_misses > 0
 
@@ -396,7 +403,10 @@ def test_concurrent_threads_writing_one_key_never_collide(tmp_path):
 
 
 def test_cached_study_writes_envelopes_not_per_run_files(tmp_path):
-    report = StudyRunner(StudyConfig.smoke(seed=4), cache_dir=str(tmp_path)).run()
+    report = StudyRunner(
+        StudyConfig.smoke(seed=4),
+        ExecutionOptions(cache_dir=str(tmp_path)),
+    ).run()
     # Far fewer files than runs: one run-batch envelope (plus cell
     # summaries) per (env, size) cell instead of one file per record.
     assert report.datasets > len(_cache_files(tmp_path))

@@ -17,6 +17,7 @@ from repro.core.results import ResultStore
 from repro.core.study import StudyConfig, StudyRunner
 from repro.envs.registry import ENVIRONMENTS
 from repro.ensemble import EnsembleRunner, EnsembleSpec
+from repro.plan import ExecutionOptions
 from repro.scenarios import ScenarioSweep
 from repro.scenarios.presets import scenario as scenario_lookup
 from repro.sim.cache import RunCache
@@ -199,7 +200,7 @@ def test_study_plan_matches_per_iteration_reference():
 def test_study_plan_workers_unchanged():
     config = _study_config()
     serial = StudyRunner(config).run()
-    parallel = StudyRunner(config, workers=4).run()
+    parallel = StudyRunner(config, ExecutionOptions(workers=4)).run()
     assert parallel.store.records == serial.store.records
     assert parallel.store.to_csv() == serial.store.to_csv()
 
@@ -208,7 +209,7 @@ def test_scenario_plan_workers_unchanged():
     config = _study_config(env_ids=("cpu-eks-aws",), apps=("lammps", "osu"))
     scenarios = [scenario_lookup("spot-everything")]
     serial = ScenarioSweep(config, scenarios).run()
-    parallel = ScenarioSweep(config, scenarios, workers=4).run()
+    parallel = ScenarioSweep(config, scenarios, ExecutionOptions(workers=4)).run()
     for sid, report in serial.reports.items():
         assert parallel.reports[sid].store.records == report.store.records
 
@@ -223,6 +224,6 @@ def test_ensemble_plan_workers_unchanged():
         iterations=2,
     )
     serial = EnsembleRunner(spec).run()
-    parallel = EnsembleRunner(spec, workers=4).run()
+    parallel = EnsembleRunner(spec, ExecutionOptions(workers=4)).run()
     assert parallel.render() == serial.render()
     assert parallel.to_json() == serial.to_json()

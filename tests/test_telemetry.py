@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.study import StudyConfig, StudyRunner
+from repro.plan import ExecutionOptions
 from repro.sim.cache import INVALID_REASON_CAP, RunCache
 from repro.telemetry import (
     COUNTERS,
@@ -190,7 +191,8 @@ def _traced_study(tmp_path, workers: int = 1):
     tracer = Tracer()
     with use_tracer(tracer):
         report = StudyRunner(
-            StudyConfig.smoke(), workers=workers, cache_dir=str(tmp_path / "cache")
+            StudyConfig.smoke(),
+            ExecutionOptions(workers=workers, cache_dir=str(tmp_path / "cache")),
         ).run()
     return report, merge_trace(tracer)
 
@@ -270,7 +272,8 @@ def test_worker_lanes_carry_dispatch_ordinals(tmp_path):
 def test_traced_run_byte_identical(tmp_path, workers):
     def run(traced: bool, cache_root):
         runner = StudyRunner(
-            StudyConfig.smoke(), workers=workers, cache_dir=str(cache_root)
+            StudyConfig.smoke(),
+            ExecutionOptions(workers=workers, cache_dir=str(cache_root)),
         )
         if not traced:
             return runner.run()
@@ -293,7 +296,9 @@ def test_traced_scenario_sweep_byte_identical(tmp_path):
 
     def run(traced: bool):
         sweep = ScenarioSweep(
-            StudyConfig.smoke(), [scenario_lookup("spot-everything")], workers=2
+            StudyConfig.smoke(),
+            [scenario_lookup("spot-everything")],
+            ExecutionOptions(workers=2),
         )
         if not traced:
             return sweep.run()
@@ -319,7 +324,10 @@ def test_traced_ensemble_byte_identical(tmp_path):
     )
 
     def run(traced: bool, cache_root):
-        runner = EnsembleRunner(spec, workers=2, cache_dir=str(cache_root))
+        runner = EnsembleRunner(
+            spec,
+            ExecutionOptions(workers=2, cache_dir=str(cache_root)),
+        )
         if not traced:
             return runner.run()
         tracer = Tracer()
@@ -344,8 +352,7 @@ def test_incremental_sweep_trace_coverage(tmp_path):
         ScenarioSweep(
             StudyConfig.smoke(),
             [scenario_lookup("azure-price-spike")],
-            workers=4,
-            cache_dir=str(tmp_path / "cache"),
+            ExecutionOptions(workers=4, cache_dir=str(tmp_path / "cache")),
             incremental=True,
         ).run()
     doc = merge_trace(tracer)
@@ -415,10 +422,10 @@ def test_invalid_reasons_reported_by_study(tmp_path):
     config = StudyConfig(
         env_ids=("cpu-eks-aws",), apps=("lammps",), sizes=(32,), iterations=2
     )
-    StudyRunner(config, cache_dir=str(cache_dir)).run()
+    StudyRunner(config, ExecutionOptions(cache_dir=str(cache_dir))).run()
     for victim in cache_dir.glob("*/*.json"):
         victim.write_text("{ not json")
-    report = StudyRunner(config, cache_dir=str(cache_dir)).run()
+    report = StudyRunner(config, ExecutionOptions(cache_dir=str(cache_dir))).run()
     assert report.cache_invalid >= 1
     assert report.cache_invalid_reasons
     assert sum(report.cache_invalid_reasons.values()) == report.cache_invalid

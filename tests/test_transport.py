@@ -20,6 +20,7 @@ from repro.parallel.transport import (
     reap_segments,
     shm_available,
 )
+from repro.plan import ExecutionOptions
 from repro.sim.execution import ExecutionEngine
 
 pytestmark = pytest.mark.skipif(
@@ -156,7 +157,8 @@ def test_absorb_copies_out_of_the_block():
 
 def _study_csv(workers: int, transport: str) -> str:
     runner = StudyRunner(
-        StudyConfig.smoke(), workers=workers, transport=transport
+        StudyConfig.smoke(),
+        ExecutionOptions(workers=workers, transport=transport),
     )
     return runner.run().store.to_csv()
 
@@ -168,7 +170,10 @@ def test_study_byte_identical_across_transports():
 
 
 def test_study_reports_shm_transport():
-    runner = StudyRunner(StudyConfig.smoke(), workers=2, transport="shm")
+    runner = StudyRunner(
+        StudyConfig.smoke(),
+        ExecutionOptions(workers=2, transport="shm"),
+    )
     report = runner.run()
     assert report.transport is not None
     assert report.transport.mode == "shm"
@@ -178,7 +183,10 @@ def test_study_reports_shm_transport():
 
 
 def test_study_inline_run_reports_inline():
-    runner = StudyRunner(StudyConfig.smoke(), workers=1, transport="shm")
+    runner = StudyRunner(
+        StudyConfig.smoke(),
+        ExecutionOptions(workers=1, transport="shm"),
+    )
     report = runner.run()
     # workers=1 never crosses a process boundary: no packing happens.
     assert report.transport is not None
