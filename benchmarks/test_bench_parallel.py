@@ -13,7 +13,9 @@ Worker count: the cold sharded benchmark uses 4 workers.  On a
 multi-core host the pool buys wall time roughly linearly in cores; on a
 single-core CI runner it only buys process overhead, which is why the
 asserted ≥2x comes from the cache path — that one is hardware-
-independent.
+independent.  Both sides of the 2x gate are sub-second, so each is timed
+as the fastest of ``REPEATS`` runs after one untimed warm-up: a single
+timing on a shared host reads scheduler noise as a regression.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ DEFAULT_CONFIG = StudyConfig(
     iterations=2,
     seed=0,
 )
+
+
+#: each side of the 2x gate is timed as the fastest of this many runs
+REPEATS = 3
 
 
 def _run(workers: int = 1, cache_dir: str | None = None):
@@ -70,20 +76,28 @@ def test_bench_cached_study(benchmark, tmp_path):
     assert report.cache_hits == report.datasets
 
 
+def _fastest(**kwargs):
+    """Fastest of ``REPEATS`` timed ``_run(**kwargs)`` calls after one
+    untimed warm-up, and the last call's result."""
+    _run(**kwargs)
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = _run(**kwargs)
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
 def test_sharded_and_cached_studies_match_serial_with_2x_speedup(tmp_path):
     """Acceptance: identical datasets, ≥2x for the cache-warm campaign."""
-    t0 = time.perf_counter()
-    serial = _run()
-    t_serial = time.perf_counter() - t0
+    t_serial, serial = _fastest()
 
     sharded = _run(workers=4)
     assert sharded.store.to_csv() == serial.store.to_csv()
     assert sharded.spend_by_cloud == serial.spend_by_cloud
 
-    _run(workers=4, cache_dir=str(tmp_path))  # cold, populates the cache
-    t0 = time.perf_counter()
-    warm = _run(workers=4, cache_dir=str(tmp_path))
-    t_warm = time.perf_counter() - t0
+    # The warm-up run is the cold one that populates the cache.
+    t_warm, warm = _fastest(workers=4, cache_dir=str(tmp_path))
 
     assert warm.store.to_csv() == serial.store.to_csv()
     assert warm.cache_hits == warm.datasets
