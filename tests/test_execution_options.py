@@ -80,10 +80,6 @@ def test_out_of_range_options_are_rejected_when_built(bad, message):
         ExecutionOptions(**bad)
 
 
-def test_resume_with_a_cache_is_valid(tmp_path):
-    assert ExecutionOptions(cache_dir=str(tmp_path), resume=True).resume
-
-
 @pytest.mark.parametrize("front_end", sorted(_CONSTRUCT))
 @pytest.mark.parametrize(
     "bad", [{"workers": 0}, {"transport": "bogus"}, {"resume": True}]
