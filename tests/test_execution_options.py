@@ -85,6 +85,8 @@ def test_out_of_range_options_are_rejected_when_built(bad, message):
     "bad", [{"workers": 0}, {"transport": "bogus"}, {"resume": True}]
 )
 def test_every_front_end_raises_when_constructed(front_end, bad):
+    """The check runs as the options are built, so a bad value fails the
+    front-end's construction line, before anything executes."""
     with pytest.raises(ConfigurationError):
         _CONSTRUCT[front_end](ExecutionOptions(**bad))
 
