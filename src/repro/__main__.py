@@ -84,7 +84,12 @@ def _print_scenarios() -> None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    out = run_experiment(args.id, seed=args.seed, iterations=args.iterations)
+    from repro.errors import ConfigurationError
+
+    try:
+        out = run_experiment(args.id, seed=args.seed, iterations=args.iterations)
+    except ConfigurationError as exc:
+        return _usage_error(exc)
     if out.table is not None:
         print(render_table(out.table))
     for series in out.series:
@@ -197,7 +202,6 @@ def _execution_options(args: argparse.Namespace):
     options = ExecutionOptions(
         workers=args.workers,
         cache_dir=cache,
-        transport=args.transport,
         retry=retry,
         chaos=chaos,
         resume=args.resume,
@@ -326,7 +330,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     if args.cache:
         print(f"run cache         : "
               f"{_fmt_cache_line(report.cache_hits, report.cache_misses, report.cache_invalid, report.cache_invalid_reasons)}")
-    if report.transport is not None and report.transport.mode != "inline":
+    if report.transport is not None and report.transport.stores:
         # Diagnostics, not results: worker count changes this line, so
         # it goes to stderr to keep stdout byte-identical across runs.
         print(f"shard transport   : {report.transport.summary()}", file=sys.stderr)
@@ -467,9 +471,9 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
               f"{_fmt_cache_line(result.world_cache_hits, result.world_cache_misses, result.world_cache_invalid, result.world_cache_invalid_reasons)}")
     if result.reuse is not None:
         print(f"cell reuse        : {_fmt_reuse_line(result.reuse)}")
-    if result.transport is not None and result.transport.mode != "inline":
+    if result.transport is not None and result.transport.stores:
         # Diagnostics on stderr: stdout stays byte-identical across
-        # worker counts and transports.
+        # worker counts.
         print(f"shard transport   : {result.transport.summary()}", file=sys.stderr)
     _print_faults(result.faults)
     _write_exports(
@@ -488,7 +492,8 @@ def _compile_plan_from_args(args: argparse.Namespace):
     from repro.plan import compile_ensemble, compile_scenarios, compile_study
 
     if args.spec or args.replicas is not None:
-        spec = _ensemble_spec_from_args(args, replicas=args.replicas or 1)
+        # --spec ignores --replicas; without it, --replicas was given.
+        spec = _ensemble_spec_from_args(args, replicas=args.replicas)
         return compile_ensemble(spec, cache_dir=args.cache), "ensemble"
     if args.scenario:
         plan = compile_scenarios(
@@ -791,7 +796,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
               f"{_fmt_cache_line(result.smoke.world_cache_hits + result.grid.world_cache_hits, result.smoke.world_cache_misses + result.grid.world_cache_misses, result.smoke.world_cache_invalid + result.grid.world_cache_invalid)}")
     for label, stage_result in (("smoke transport", result.smoke),
                                 ("grid transport", result.grid)):
-        if stage_result.transport is not None and stage_result.transport.mode != "inline":
+        if stage_result.transport is not None and stage_result.transport.stores:
             # Diagnostics on stderr, like the study/ensemble lines.
             print(f"{label:18s}: {stage_result.transport.summary()}", file=sys.stderr)
     from repro.parallel.pool import FaultStats as _FaultStats
@@ -817,8 +822,6 @@ def _execution_parent() -> argparse.ArgumentParser:
     that runs or compiles a plan (``study``, ``scenario run``,
     ``ensemble run``, ``campaign run``, ``plan show|diff``);
     :func:`_execution_options` reads every one of them."""
-    from repro.plan.executor import TRANSPORTS
-
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "--workers",
@@ -835,14 +838,6 @@ def _execution_parent() -> argparse.ArgumentParser:
         "work instead of re-simulating (keys embed the scenario digest, "
         "so what-if worlds never collide).  `campaign run` defaults to a "
         "private temporary directory",
-    )
-    parser.add_argument(
-        "--transport",
-        default="auto",
-        metavar="{" + ",".join(TRANSPORTS) + "}",
-        help="how shard results cross back from workers: shared-memory "
-        "blocks (shm, zero-copy), plain pickling, or probe-and-prefer-"
-        "shm (auto, the default); results are byte-identical either way",
     )
     parser.add_argument(
         "--spill-mb",
@@ -1208,9 +1203,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         action="store_true",
         help=(
-            "run the zero-copy transport benchmark instead: shm "
-            "descriptors vs pickled columns on a ~1M-record store, "
-            "plus in-RAM vs spilled peak RSS"
+            "run the shard-transport benchmark instead: pack, ship "
+            "and drain pickled columns on a ~1M-record store, plus "
+            "in-RAM vs spilled peak RSS"
         ),
     )
     p_bench.add_argument(

@@ -145,7 +145,7 @@ def _transport_bench(store: ResultStore) -> dict:
     }
 
 
-# -- the zero-copy transport benchmark (``repro bench --transport``) --------
+# -- the shard-transport benchmark (``repro bench --transport``) ------------
 
 
 def _synthetic_store(
@@ -187,12 +187,8 @@ def _synthetic_store(
 
 
 def _ship(blob: bytes) -> bytes:
-    """Ship ``blob`` through a socketpair, 1 MiB chunks, and collect it.
-
-    Both transports pay this pipe — it models the pool's result fd — so
-    the comparison isolates what each mode *puts on* the pipe: the shm
-    path a tiny descriptor, the pickle path every column byte.
-    """
+    """Ship ``blob`` through a socketpair, 1 MiB chunks, and collect it
+    (a model of the pool's result pipe)."""
     import socket
     import threading
 
@@ -296,79 +292,35 @@ def _peak_rss_fresh(n_records: int, *, spill_bytes) -> int:
 def run_transport_bench(
     n_records: int = 1_000_000, repeats: int = 3, spill_mb: float = 1.0
 ) -> dict:
-    """The shard-transport benchmark: shm descriptors vs pickled columns.
+    """The shard-transport benchmark: one store's trip across the pool.
 
-    Round-trips one ~``n_records`` columnar store both ways — full
-    pickle shipped through a socketpair (what the pool's pipe carries
-    without shared memory) versus shm-packed columns where only the
-    block descriptor crosses — asserting byte-identical columns before
-    reporting numbers.  Worker-side *pack* time (overlapped across the
-    pool in production) and parent-side *drain* time (the merge
-    process's serial receive + materialize, the pool's bottleneck) are
-    reported separately; ``speedup`` compares drains.  A second section
-    builds the same store in-RAM and spill-backed and compares peak RSS.
+    Round-trips one ~``n_records`` columnar store the way the pool ships
+    a shard result — pickled, sent through a socketpair, unpickled — and
+    asserts byte-identical columns before reporting numbers.  Worker-side
+    *pack* time (overlapped across the pool in production) and
+    parent-side *drain* time (the merge process's serial receive +
+    materialize) are reported separately.  A second section builds the
+    same store in-RAM and spill-backed and compares peak RSS.
 
     Used by ``repro bench --transport`` and gated in CI by
     ``benchmarks/test_bench_transport.py``.
     """
-    from repro.parallel.transport import shm_available
-
     with span("bench.transport", records=n_records):
         store = _synthetic_store(n_records)
         reference = {
             name: np.asarray(col) for name, col in store.frame_columns().items()
         }
-
-        # Pack (worker side, overlaps across the pool) and drain (the
-        # merging parent's serial receive + materialize — the pool's
-        # bottleneck and the seconds the speedup gate compares) are
-        # timed separately.  ``speedup`` compares drains.
-        store.mark_transport(None)
-        t_pickle_pack, blob = _best_of(lambda: pickle.dumps(store), repeats)
-        t_pickle_drain = math.inf
+        t_pack, blob = _best_of(lambda: pickle.dumps(store), repeats)
+        t_drain = math.inf
         for _ in range(repeats):
             start = time.perf_counter()
-            via_pickle = pickle.loads(_ship(blob))
-            t_pickle_drain = min(t_pickle_drain, time.perf_counter() - start)
-        pickle_bytes = len(blob)
-
-        shm_section = None
-        speedup = None
-        if shm_available():
-            store.mark_transport("shm")
-            try:
-                t_shm_pack = math.inf
-                t_shm_drain = math.inf
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    blob = pickle.dumps(store)
-                    t_shm_pack = min(t_shm_pack, time.perf_counter() - start)
-                    # Each blob holds a live segment: drain it (the
-                    # attach unlinks), never leak it.
-                    start = time.perf_counter()
-                    via_shm = pickle.loads(_ship(blob))
-                    t_shm_drain = min(t_shm_drain, time.perf_counter() - start)
-            finally:
-                store.mark_transport(None)
-            stats = via_shm.transport_stats or {}
-            for name, col in via_shm.frame_columns().items():
-                assert np.array_equal(np.asarray(col), reference[name]), (
-                    f"shm transport diverged on column {name!r}"
-                )
-            speedup = t_pickle_drain / t_shm_drain
-            shm_section = {
-                "pack_seconds": t_shm_pack,
-                "drain_seconds": t_shm_drain,
-                "pipe_bytes": len(blob),
-                "shipped_bytes": stats.get("bytes", 0),
-                "copied_bytes": stats.get("copied_bytes", 0),
-                "blocks": stats.get("blocks", 0),
-            }
-        for name, col in via_pickle.frame_columns().items():
+            arrived = pickle.loads(_ship(blob))
+            t_drain = min(t_drain, time.perf_counter() - start)
+        for name, col in arrived.frame_columns().items():
             assert np.array_equal(np.asarray(col), reference[name]), (
-                f"pickle transport diverged on column {name!r}"
+                f"transport diverged on column {name!r}"
             )
-        del via_pickle, reference, store
+        del arrived, reference, store
 
         ram_peak_kb = _peak_rss_fresh(n_records, spill_bytes=None)
         spill_peak_kb = _peak_rss_fresh(
@@ -376,17 +328,12 @@ def run_transport_bench(
         )
 
         return {
-            "schema": 1,
+            "schema": 2,
             "records": n_records,
             "repeats": repeats,
-            "shm_available": shm_available(),
-            "pickle": {
-                "pack_seconds": t_pickle_pack,
-                "drain_seconds": t_pickle_drain,
-                "pipe_bytes": pickle_bytes,
-            },
-            "shm": shm_section,
-            "speedup": speedup,
+            "pack_seconds": t_pack,
+            "drain_seconds": t_drain,
+            "pipe_bytes": len(blob),
             "byte_identical": True,
             "spill": {
                 "threshold_mb": spill_mb,
@@ -399,38 +346,22 @@ def run_transport_bench(
 
 def render_transport_table(payload: dict) -> str:
     """The human-readable section ``repro bench --transport`` prints."""
-    p = payload["pickle"]
-    s = payload["shm"]
-    lines = [
+    sp = payload["spill"]
+    return "\n".join([
         f"transport: {payload['records']} records round-tripped "
         f"(best of {payload['repeats']}; drain = the merge process's "
         "serial receive + materialize)",
         "",
-        f"{'mode':<28}{'pack s':>10}{'drain s':>10}{'pipe bytes':>14}",
-        f"{'pickle (columns on pipe)':<28}"
-        f"{p['pack_seconds']:>10.3f}{p['drain_seconds']:>10.3f}{p['pipe_bytes']:>14,}",
-    ]
-    if s is not None:
-        lines += [
-            f"{'shm (descriptor on pipe)':<28}"
-            f"{s['pack_seconds']:>10.3f}{s['drain_seconds']:>10.3f}{s['pipe_bytes']:>14,}",
-            "",
-            f"drain speedup     : {payload['speedup']:.2f}x",
-            f"bytes shipped     : {s['shipped_bytes']:,} via {s['blocks']} block(s), "
-            f"{s['copied_bytes']} copied at merge",
-        ]
-    else:
-        lines += ["", "shared memory unavailable on this platform (pickle only)"]
-    sp = payload["spill"]
-    lines += [
-        f"columns byte-identical across transports",
+        f"{'pack s':>10}{'drain s':>10}{'pipe bytes':>14}",
+        f"{payload['pack_seconds']:>10.3f}{payload['drain_seconds']:>10.3f}"
+        f"{payload['pipe_bytes']:>14,}",
+        "columns byte-identical after the round trip",
         "",
         f"out-of-core build ({sp['threshold_mb']:g} MB spill threshold):",
         f"  in-RAM peak RSS : {sp['ram_peak_kb']:,} kB",
         f"  spilled peak RSS: {sp['spill_peak_kb']:,} kB "
         f"({sp['rss_ratio']:.2f}x of in-RAM)",
-    ]
-    return "\n".join(lines)
+    ])
 
 
 def run_bench(campaign: BenchCampaign | None = None) -> dict:

@@ -201,8 +201,9 @@ class CampaignSpec:
     grid: StageBudget = field(default_factory=lambda: StageBudget(replicas=3, margin=1.0))
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ConfigurationError("a campaign needs iterations >= 1")
+        from repro.core.study import check_selection
+
+        check_selection(self.env_ids, self.apps, self.sizes, self.iterations)
         if self.grid.replicas < self.smoke.replicas:
             raise ConfigurationError(
                 "grid.replicas must be >= smoke.replicas — the grid stage "

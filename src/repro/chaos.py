@@ -70,7 +70,7 @@ class FaultPlan:
     """Per-kind fault probabilities, keyed off one chaos seed.
 
     A pure value: it rides on :class:`~repro.parallel.shard.StudyShard`
-    like the ``trace``/``transport`` flags do and never participates in
+    like the ``trace`` flag does and never participates in
     cache keys or simulation — any plan yields byte-identical merged
     results to a fault-free run (that is the point).
     """

@@ -215,29 +215,15 @@ class _ColumnBuffer:
         self._n += n
         self._maybe_sync()
 
-    # -- pickling (shard transport) -----------------------------------------
-
-    def __getstate__(self):
-        # Ship exactly the live prefix; a view's pickle already copies
-        # only its own elements, and the receiver needs no spare
-        # capacity.  (Wrapped in a tuple: pickle skips __setstate__ for
-        # falsy states, and a bare ndarray has no stable truthiness.)
-        return (self.view(),)
-
-    def __setstate__(self, state):
-        (self._arr,) = state
-        self._n = len(self._arr)
-        self._spill = spill_limit_bytes()
-        self._mmap = None
-        self._synced = 0
-
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "_ColumnBuffer":
-        """A buffer over an existing array, zero-copy (shm attach)."""
+        """A buffer over an existing array, zero-copy: a column that
+        arrived from another process, or one rebuilt from the cell
+        labels.  Growth honors this process's spill threshold."""
         buf = cls.__new__(cls)
         buf._arr = arr
         buf._n = len(arr)
-        buf._spill = None
+        buf._spill = spill_limit_bytes()
         buf._mmap = None
         buf._synced = 0
         return buf
@@ -424,11 +410,6 @@ class ResultStore:
         #: lazily materialized row objects (a prefix cache; appends
         #: extend it on the next access, not eagerly)
         self._rows: list[RunRecord] = []
-        #: transport marking: ``"shm"`` makes the *next* pickle pack the
-        #: numeric columns into shared memory; stats record how the
-        #: store actually arrived on the attaching side
-        self._transport: str | None = None
-        self._transport_stats: dict[str, Any] | None = None
         if records:
             self.extend(records)
 
@@ -585,121 +566,75 @@ class ResultStore:
     #: fully derivable from the cell factorization
     _DERIVED_COLUMNS = ("env", "app", "scale")
 
-    def _shm_arrays(self) -> dict[str, np.ndarray]:
-        """The store's typed column views, keyed for a shm block.
-
-        *Every* typed column ships, derived string columns included:
-        unlike the pipe, block bytes cost one local memcpy, and carrying
-        the derived columns lets the receiving side skip the gather
-        that rebuilds them from the cell labels.  (The Python payload
-        columns still ship as O(1) pickled segments.)
-        """
-        arrays = {f"col:{name}": buf.view() for name, buf in self._cols.items()}
+    def _wire_columns(self) -> dict[str, np.ndarray]:
+        """The numeric columns a pickle ships, as live-prefix views:
+        every typed column but the derived ones, plus the ``fom`` None
+        mask and the cell labels."""
+        arrays = {
+            name: buf.view()
+            for name, buf in self._cols.items()
+            if name not in self._DERIVED_COLUMNS
+        }
         arrays["fom_none"] = self._fom_none.view()
         arrays["labels"] = self._labels.view()
         return arrays
 
+    @property
+    def wire_bytes(self) -> int:
+        """Column bytes one pickle of this store ships (what
+        :func:`repro.parallel.transport.attach_columns` counts as
+        ``transport.bytes`` on arrival)."""
+        return sum(arr.nbytes for arr in self._wire_columns().values())
+
     def __getstate__(self):
-        """Columnar transport: compacted buffers and payload segments.
+        """Columnar transport: column arrays and payload segments.
 
         Shard results cross the process boundary as this state — a
-        handful of arrays plus payload segments — never as a pickled
-        list of per-record objects.  The lazily materialized row cache
-        never ships, and neither do the env/app/scale columns (rebuilt
-        from the cell labels with three vectorized gathers).
-
-        When the store is marked for shm transport (see
-        :meth:`mark_transport`) the numeric columns move through one
-        shared-memory block instead and only its descriptor is pickled;
-        if the block can't be created the state degrades to the plain
-        pickle form below — the receiving side handles both.
+        handful of arrays (:mod:`repro.parallel.transport`) plus payload
+        segments — never as a pickled list of per-record objects.  The
+        lazily materialized row cache never ships, and neither do the
+        env/app/scale columns (rebuilt from the cell labels with three
+        vectorized gathers).
         """
-        state = {
-            "cols": {
-                name: buf
-                for name, buf in self._cols.items()
-                if name not in self._DERIVED_COLUMNS
-            },
-            "fom_none": self._fom_none,
+        from repro.parallel import transport
+
+        return {
+            "columns": transport.pack_columns(self._wire_columns()),
             "cells": sorted(self._cell_codes, key=self._cell_codes.get),
-            "labels": self._labels,
             "fom_units": self._fom_units,
             "failure_kind": self._failure_kind,
             "phases": self._phases,
             "extra": self._extra,
         }
-        if self._transport == "shm":
-            from repro.parallel import transport
-
-            descriptor = transport.pack_columns(self._shm_arrays())
-            if descriptor is not None:
-                del state["cols"], state["fom_none"], state["labels"]
-                state["shm"] = descriptor
-                state["col_order"] = list(self._cols)
-        return state
 
     def __setstate__(self, state):
-        if "shm" in state:
-            from repro.parallel import transport
+        from repro.parallel import transport
 
-            views = transport.attach_columns(state["shm"])
-            state["cols"] = {
-                name: _ColumnBuffer._wrap(views[f"col:{name}"])
-                for name in state["col_order"]
-            }
-            state["fom_none"] = _ColumnBuffer._wrap(views["fom_none"])
-            state["labels"] = _ColumnBuffer._wrap(views["labels"])
-            self._transport_stats = {
-                "mode": "shm",
-                "blocks": 1,
-                "bytes": state["shm"]["size"],
-                "copied_bytes": 0,
-            }
-        else:
-            self._transport_stats = None
-        self._transport = None
-        self._cols = state["cols"]
-        self._fom_none = state["fom_none"]
+        cols = {
+            name: _ColumnBuffer._wrap(arr)
+            for name, arr in transport.attach_columns(state["columns"]).items()
+        }
+        self._fom_none = cols.pop("fom_none")
+        self._labels = cols.pop("labels")
         cells = state["cells"]
         self._cell_codes = {key: code for code, key in enumerate(cells)}
-        self._labels = state["labels"]
-        if any(name not in self._cols for name in self._DERIVED_COLUMNS):
-            # Plain pickle transport derives env/app/scale from the cell
-            # labels (they never ship — see __getstate__); shm transport
-            # carries them in the block, so this gather is skipped.
-            labels = self._labels.view()
-            by_code = {
-                "env": np.array([c[0] for c in cells] or [""], dtype=f"U{_ENV_WIDTH}"),
-                "app": np.array([c[1] for c in cells] or [""], dtype=f"U{_APP_WIDTH}"),
-                "scale": np.array([c[2] for c in cells] or [0], dtype=np.int64),
-            }
-            for name in self._DERIVED_COLUMNS:
-                # The gather materializes a fresh array; wrap it as the
-                # column's buffer directly rather than copying it again.
-                self._cols[name] = _ColumnBuffer._wrap(by_code[name][labels])
+        labels = self._labels.view()
+        by_code = {
+            "env": np.array([c[0] for c in cells] or [""], dtype=f"U{_ENV_WIDTH}"),
+            "app": np.array([c[1] for c in cells] or [""], dtype=f"U{_APP_WIDTH}"),
+            "scale": np.array([c[2] for c in cells] or [0], dtype=np.int64),
+        }
+        for name in self._DERIVED_COLUMNS:
+            # The gather materializes a fresh array; wrap it as the
+            # column's buffer directly rather than copying it again.
+            cols[name] = _ColumnBuffer._wrap(by_code[name][labels])
         # Restore the schema's column order.
-        self._cols = {name: self._cols[name] for name, _, _ in _TYPED_COLUMNS}
+        self._cols = {name: cols[name] for name, _, _ in _TYPED_COLUMNS}
         self._fom_units = state["fom_units"]
         self._failure_kind = state["failure_kind"]
         self._phases = state["phases"]
         self._extra = state["extra"]
         self._rows = []
-
-    def mark_transport(self, mode: str | None) -> None:
-        """Choose how this store crosses the next process boundary.
-
-        ``"shm"`` packs the numeric columns into a shared-memory block
-        at pickle time (falling back to plain pickle if that fails);
-        ``None``/``"pickle"`` is the plain path.  The mark itself never
-        ships — an unpickled store is always unmarked.
-        """
-        self._transport = mode if mode == "shm" else None
-
-    @property
-    def transport_stats(self) -> dict[str, Any] | None:
-        """How this store arrived, if it crossed a process boundary via
-        shared memory (``None`` for pickle transport or local stores)."""
-        return getattr(self, "_transport_stats", None)
 
     def __len__(self) -> int:
         return len(self._fom_units)

@@ -54,6 +54,24 @@ if TYPE_CHECKING:  # repro.plan sits above this module in the import graph
     from repro.plan.executor import ExecutionOptions
 
 
+def check_selection(env_ids, apps, sizes, iterations: int) -> None:
+    """The one campaign-selection check (:class:`StudyConfig` and
+    :class:`~repro.ensemble.spec.EnsembleSpec`): every env id and app
+    registered, every size and the iteration count at least 1.  A
+    ``None`` selection means "all" and passes."""
+    for env_id in env_ids or ():
+        if env_id not in ENVIRONMENTS:
+            raise ConfigurationError(f"unknown environment {env_id!r}")
+    for app in apps or ():
+        if app not in APPS:
+            raise ConfigurationError(f"unknown app {app!r}")
+    for size in sizes or ():
+        if size < 1:
+            raise ConfigurationError(f"sizes must be at least 1 (got {size})")
+    if iterations < 1:
+        raise ConfigurationError(f"iterations must be at least 1 (got {iterations})")
+
+
 @dataclass
 class StudyConfig:
     """What to run."""
@@ -63,6 +81,9 @@ class StudyConfig:
     sizes: tuple[int, ...] | None = None  # None -> each env's study sizes
     iterations: int = 5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_selection(self.env_ids, self.apps, self.sizes, self.iterations)
 
     @classmethod
     def smoke(cls, seed: int = 0) -> "StudyConfig":
@@ -196,8 +217,6 @@ class StudyRunner:
                 kind = "k8s" if env.kind is EnvironmentKind.K8S else "vm"
                 ucx = AZURE_UCX_SETTINGS[kind]
             for app_name in self.config.apps:
-                if app_name not in APPS:
-                    raise ConfigurationError(f"unknown app {app_name!r}")
                 model = APPS[app_name]
                 if not model.supports(env.accelerator):
                     # Attempt anyway when the failure is a *build* failure

@@ -104,7 +104,7 @@ class EnsembleResult:
     reuse: ReuseStats | None = None
     #: how executed worlds' shard stores crossed back from the worker
     #: pool (:class:`~repro.parallel.merge.TransportStats`); world-cache
-    #: replays ship nothing, so a fully-warm run reports no blocks.
+    #: replays ship nothing, so a fully-warm run reports no stores.
     #: Deliberately absent from :meth:`to_json_dict` — transport is an
     #: execution property, not part of the dataset.
     transport: TransportStats | None = None

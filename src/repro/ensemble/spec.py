@@ -45,10 +45,11 @@ class EnsembleSpec:
     iterations: int = 2
 
     def __post_init__(self) -> None:
+        from repro.core.study import check_selection
+
         if self.n_replicas < 1:
             raise ConfigurationError("an ensemble needs n_replicas >= 1")
-        if self.iterations < 1:
-            raise ConfigurationError("an ensemble needs iterations >= 1")
+        check_selection(self.env_ids, self.apps, self.sizes, self.iterations)
         # Same grid invariants as a sweep (unique ids, 'baseline'
         # reserved) — validated by the one shared implementation.
         from repro.scenarios.presets import scenario_grid

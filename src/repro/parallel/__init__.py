@@ -8,10 +8,8 @@ deterministically (:mod:`~repro.parallel.merge`).  Seeds are derived
 per-cell from keyed streams, never from call order, so any worker count
 yields a byte-identical :class:`~repro.core.results.ResultStore`.
 
-Results cross the pool zero-copy when the platform allows: workers pack
-their column arrays into shared-memory blocks and ship only a small
-descriptor (:mod:`~repro.parallel.transport`), falling back to plain
-column pickling wherever ``/dev/shm`` isn't available.
+Results cross the pool as pickled column arrays, never as per-record
+objects (:mod:`~repro.parallel.transport`).
 
 Execution is fault-tolerant: per-shard futures retry transient failures
 with deterministic backoff under a :class:`~repro.parallel.pool.RetryPolicy`,
@@ -34,7 +32,6 @@ from repro.parallel.pool import (
     pmap,
 )
 from repro.parallel.shard import ShardResult, StudyShard, execute_shard, plan_shards
-from repro.parallel.transport import reap_segments, shm_available
 
 __all__ = [
     "FaultStats",
@@ -49,6 +46,4 @@ __all__ = [
     "merge_shard_results",
     "plan_shards",
     "pmap",
-    "reap_segments",
-    "shm_available",
 ]

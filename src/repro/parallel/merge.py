@@ -21,46 +21,27 @@ from repro.parallel.shard import ShardResult
 
 @dataclass
 class TransportStats:
-    """How shard result stores crossed back to the merging process."""
+    """How many shard result stores crossed back from pool workers."""
 
-    #: shared-memory blocks attached (one per shm-transported shard)
-    blocks: int = 0
-    #: column-payload bytes that crossed zero-copy through those blocks
+    #: stores that arrived from another process (inline results and
+    #: cache attaches never cross the pool)
+    stores: int = 0
+    #: column bytes those stores shipped (see
+    #: :mod:`repro.parallel.transport`)
     bytes: int = 0
-    #: column bytes *copied* at attach time — 0 by construction for shm
-    #: (the views alias the block); the acceptance gate asserts it
-    copied_bytes: int = 0
-    #: ``"inline"`` (never left this process), ``"shm"``, ``"pickle"``,
-    #: or ``"mixed"`` when shards disagree (e.g. shm with fallbacks)
-    mode: str = "inline"
 
     def note(self, result: ShardResult) -> None:
-        """Fold one shard result's transport evidence."""
-        stats = result.store.transport_stats
-        if stats is not None:
-            self.blocks += stats.get("blocks", 0)
-            self.bytes += stats.get("bytes", 0)
-            self.copied_bytes += stats.get("copied_bytes", 0)
-            mode = "shm"
-        elif result.worker_pid not in (-1, os.getpid()):
-            mode = "pickle"
-        else:
-            mode = "inline"
-        if self.mode == "inline":
-            self.mode = mode
-        elif mode != "inline" and mode != self.mode:
-            self.mode = "mixed"
+        """Count one shard result, if a worker process produced it."""
+        if result.worker_pid in (-1, os.getpid()):
+            return
+        self.stores += 1
+        self.bytes += result.store.wire_bytes
 
     def summary(self) -> str:
-        """One human line, e.g. ``shm, 12 blocks, 1.4 MB shipped``."""
-        if self.blocks == 0:
-            return self.mode
-        per_shard = self.bytes / self.blocks
+        """One human line, e.g. ``12 stores, 1.4 MB shipped (120.0 kB/store)``."""
         return (
-            f"{self.mode}, {self.blocks} blocks, "
-            f"{_fmt_bytes(self.bytes)} shipped "
-            f"({_fmt_bytes(per_shard)}/shard, "
-            f"{_fmt_bytes(self.copied_bytes)} copied at merge)"
+            f"{self.stores} stores, {_fmt_bytes(self.bytes)} shipped "
+            f"({_fmt_bytes(self.bytes / max(self.stores, 1))}/store)"
         )
 
 
@@ -86,7 +67,7 @@ class MergedStudy:
     #: why invalid entries were invalid: reason label → count, summed
     #: across shards (each shard caps its own histogram)
     cache_invalid_reasons: dict[str, int] = field(default_factory=dict)
-    #: how the shard stores reached this process (zero-copy accounting)
+    #: how many shard stores crossed back from pool workers
     transport: TransportStats = field(default_factory=TransportStats)
 
 

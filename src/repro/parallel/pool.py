@@ -15,13 +15,11 @@ carrying a :class:`RetryPolicy`:
 * **broken pool** — a killed worker breaks the whole
   :class:`~concurrent.futures.ProcessPoolExecutor`; the pool is rebuilt
   and every not-yet-delivered flight is requeued (completed futures
-  keep their results).  Dead workers' orphaned /dev/shm segments are
-  reaped (:func:`~repro.parallel.transport.reap_segments`).
+  keep their results).
 * **deadlines** — with ``policy.timeout`` set, a straggler past its
   per-shard deadline has its workers killed and the flight
   re-dispatched.
-* **degradation ladder** — shm→pickle transport fallback already exists
-  upstream; this layer adds workers→serial: exhausted pool retries get
+* **degradation ladder** — workers→serial: exhausted pool retries get
   one final inline attempt in the parent, and a pool that breaks more
   than ``policy.max_rebuilds`` times finishes the remainder serially.
 
@@ -287,22 +285,16 @@ class _ResilientMap:
         )
 
     def _teardown_pool(self) -> None:
-        """Kill the current pool's workers and reap their shm orphans."""
+        """Kill the current pool's workers."""
         pool, self.pool = self.pool, None
         if pool is None:
             return
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        pids = [p.pid for p in procs if p.pid is not None]
-        for p in procs:
+        for p in list((getattr(pool, "_processes", None) or {}).values()):
             try:
                 p.terminate()
             except (OSError, ValueError):
                 pass
         pool.shutdown(wait=True, cancel_futures=True)
-        if pids:
-            from repro.parallel.transport import reap_segments
-
-            reap_segments(pids)
 
     def _degrade(self) -> None:
         """Drop the remainder of the map down the workers→serial rung."""

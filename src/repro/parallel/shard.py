@@ -71,22 +71,15 @@ class StudyShard:
     #: label — it never participates in cache keys or simulation.
     world: int = 0
     #: record spans while executing and ship them back on the result
-    #: (:mod:`repro.telemetry`); a transport flag only — it never
+    #: (:mod:`repro.telemetry`); an execution flag only — it never
     #: participates in cache keys or simulation.
     trace: bool = False
-    #: how the result store crosses back to the parent: ``"pickle"``
-    #: (plain column pickle) or ``"shm"`` (one shared-memory block per
-    #: shard, descriptor-only pickle — :mod:`repro.parallel.transport`).
-    #: Like ``trace``, a transport flag only: it never participates in
-    #: cache keys or simulation, and any setting yields byte-identical
-    #: merged results.
-    transport: str = "pickle"
     #: 0-based retry attempt, stamped by the pool on re-dispatch; the
     #: chaos harness gates injection on it so retries converge.  Pure
     #: execution bookkeeping — never in cache keys or simulation.
     attempt: int = 0
     #: fault-injection plan (:class:`repro.chaos.FaultPlan`); ``None``
-    #: almost always.  Another transport-style flag: any plan the run
+    #: almost always.  Another execution flag: any plan the run
     #: survives yields byte-identical merged results.
     chaos: object | None = None
 
@@ -346,13 +339,10 @@ def execute_shard(shard: StudyShard) -> ShardResult:
                 result = _execute_shard_body(shard)
         result.trace = tracer.snapshot()
         result.worker_seconds = time.perf_counter() - t0
-        result.store.mark_transport(shard.transport)
         return result
     with span("shard.execute", env=shard.env_id, scale=shard.scale,
               world=shard.world):
-        result = _execute_shard_body(shard)
-    result.store.mark_transport(shard.transport)
-    return result
+        return _execute_shard_body(shard)
 
 
 def _execute_shard_body(shard: StudyShard) -> ShardResult:

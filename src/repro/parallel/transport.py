@@ -1,247 +1,39 @@
-"""Zero-copy shard transport over POSIX shared memory.
+"""The shard wire format: how a result store crosses the process pool.
 
-The process pool ships every :class:`~repro.core.results.ResultStore`
-back to the parent by pickling it — for a million-record shard that is
-tens of megabytes serialized byte-for-byte through a pipe, copied at
-least three times (worker serialize, kernel pipe, parent deserialize).
-But PR 4–5 made the store columnar: the payload is a handful of flat
-NumPy arrays.  This module packs those arrays into **one**
-``multiprocessing.shared_memory`` block per shard and sends only a small
-picklable *descriptor* (names, dtypes, shapes, byte offsets) across the
-pool; the parent attaches the block and wraps the columns as NumPy views
-— zero bytes of column data cross the pipe, zero bytes are copied at
-merge time.
+A pool worker returns its cell's :class:`~repro.core.results.ResultStore`
+by pickling it through the pool pipe.  The store's state is its numeric
+column arrays, its cell factorization and its Python payload segments
+(:meth:`~repro.core.results.ResultStore.__getstate__`).  The fixed-width
+``env``/``app``/``scale`` columns never ship: the receiving side rebuilds
+them from the cell labels.
 
-Descriptor format (the only thing pickled)::
-
-    {"name": "repro-shm-<pid>-<hex>",    # /dev/shm segment name
-     "size": <payload bytes>,             # sum of aligned column extents
-     "cols": [(key, dtype_str, shape, offset), ...]}
-
-Lifecycle — the part that has to be exactly right:
-
-* The **worker** creates the segment, copies its columns in, then
-  *unregisters* it from ``multiprocessing.resource_tracker`` and closes
-  its mapping.  Unregistering is deliberate: the tracker would otherwise
-  unlink the segment when the worker exits, racing the parent's attach.
-* The **parent** attaches, re-*registers* the name (balancing the
-  tracker's books so its shutdown audit stays silent) and immediately
-  **unlinks** the segment.  On Linux an unlinked-but-mapped segment
-  stays readable until the last mapping dies, so ``/dev/shm`` never
-  accumulates entries even if the parent later crashes.
-* The attached mapping itself is closed by a :mod:`weakref` finalizer on
-  the base array every column view hangs off — when the last view dies,
-  the segment's memory is returned.
-
-Failure ladder: if segment creation fails (no ``/dev/shm``, seccomp,
-exhausted space), :func:`pack_columns` returns ``None`` and the store
-falls back to the plain pickle path — the same sandbox-degradation story
-:func:`~repro.parallel.pool.pmap` has for process pools.
-
-One failure mode the lifecycle above cannot cover: a worker killed
-*after* creating a segment but *before* its descriptor reaches the
-parent (mid-``pack_columns``, or packed but undelivered when the pool
-breaks).  Nobody will ever attach those.  Segment names therefore embed
-the creating pid, and :func:`reap_segments` sweeps ``/dev/shm`` for the
-pids of a torn-down pool — safe precisely because delivery unlinks on
-arrival, so any dead worker's surviving segment is by construction
-undelivered, and its flight will re-pack into a fresh segment on retry.
+Every store that crosses the pool goes through both functions here:
+:func:`pack_columns` when the worker pickles it and
+:func:`attach_columns` when the parent unpickles it.  The attach side
+records a ``transport.attach`` span and counts the column bytes that
+arrived as ``transport.bytes``, so a trace shows what shipping cost.
 """
 
 from __future__ import annotations
-
-import os
-import secrets
-import weakref
-from typing import Any, Iterable
 
 import numpy as np
 
 from repro.telemetry.tracer import count, span
 
-#: every segment this module creates is named with this prefix, so leak
-#: checks (tests) and humans inspecting /dev/shm can attribute them.
-SHM_PREFIX = "repro-shm-"
 
-#: column starts are rounded up to this many bytes inside the block —
-#: cache-line alignment keeps the attached views SIMD-friendly.
-_ALIGN = 64
+def pack_columns(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The wire form of a store's numeric columns: the arrays themselves,
+    pickled by value.
 
-_available: bool | None = None
-
-
-def shm_available() -> bool:
-    """Probe (once) whether POSIX shared memory works in this process.
-
-    Sandboxes may mount no ``/dev/shm`` or deny ``shm_open``; the probe
-    creates and immediately unlinks a 16-byte segment to find out.
+    Each array is its column's live prefix, so pickling copies the
+    records and never the buffer's spare capacity.
     """
-    global _available
-    if _available is None:
-        try:
-            from multiprocessing import shared_memory
-
-            seg = shared_memory.SharedMemory(
-                name=f"{SHM_PREFIX}probe-{secrets.token_hex(4)}", create=True, size=16
-            )
-            seg.close()
-            seg.unlink()
-            _available = True
-        except (ImportError, OSError, PermissionError, ValueError):
-            _available = False
-    return _available
+    return arrays
 
 
-def _untrack(name: str) -> None:
-    """Drop *name* from this process's resource tracker, if registered."""
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(f"/{name}" if not name.startswith("/") else name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _track(name: str) -> None:
-    """Register *name* with this process's resource tracker."""
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.register(f"/{name}" if not name.startswith("/") else name, "shared_memory")
-    except Exception:
-        pass
-
-
-def pack_columns(arrays: dict[str, np.ndarray]) -> dict[str, Any] | None:
-    """Copy *arrays* into one fresh shared-memory block.
-
-    Returns the picklable descriptor, or ``None`` when shared memory is
-    unavailable (the caller falls back to pickling the arrays).  The
-    segment is left unregistered and closed in this process: the
-    attaching side owns its lifetime from here on.
-    """
-    layout: list[tuple[str, str, tuple[int, ...], int]] = []
-    total = 0
-    for key, arr in arrays.items():
-        offset = -(-total // _ALIGN) * _ALIGN
-        layout.append((key, arr.dtype.str, tuple(arr.shape), offset))
-        total = offset + arr.nbytes
-
-    try:
-        from multiprocessing import shared_memory
-
-        # The creating pid in the name is what makes orphans sweepable:
-        # reap_segments(dead_pids) can attribute every segment.
-        seg = shared_memory.SharedMemory(
-            name=f"{SHM_PREFIX}{os.getpid()}-{secrets.token_hex(8)}",
-            create=True,
-            size=max(total, 1),
-        )
-    except (ImportError, OSError, PermissionError, ValueError):
-        return None
-
-    try:
-        for (key, dtype, shape, offset), arr in zip(layout, arrays.values()):
-            dst = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf, offset=offset)
-            dst[...] = arr
-            del dst
-        descriptor = {"name": seg.name, "size": total, "cols": layout}
-    except BaseException:
-        _untrack(seg.name)
-        seg.close()
-        try:
-            seg.unlink()
-        except OSError:
-            pass
-        raise
-    _untrack(seg.name)
-    seg.close()
-    return descriptor
-
-
-def reap_segments(pids: Iterable[int]) -> int:
-    """Unlink /dev/shm segments created by the given (dead) pids.
-
-    Called by the resilient pool after tearing a broken pool down: a
-    killed worker can leave a packed-but-undelivered segment behind (see
-    module docstring), and those are the *only* segments a dead pid can
-    still own — delivered ones were unlinked on arrival.  Returns how
-    many segments were removed.
-    """
-    reaped = 0
-    shm_dir = "/dev/shm"
-    prefixes = tuple(f"{SHM_PREFIX}{pid}-" for pid in pids)
-    if not prefixes:
-        return 0
-    try:
-        entries = os.listdir(shm_dir)
-    except OSError:
-        return 0
-    for entry in entries:
-        if not entry.startswith(prefixes):
-            continue
-        try:
-            os.unlink(os.path.join(shm_dir, entry))
-            reaped += 1
-        except OSError:
-            continue
-    if reaped:
-        count("transport.reaped", reaped)
-    return reaped
-
-
-def _close_segment(seg: Any) -> None:
-    # Runs from a weakref finalizer once the last column view is gone.
-    try:
-        seg.close()
-    except BufferError:
-        # Weakref callbacks fire *before* the dying base array releases
-        # its buffer export, so close() can still see live pointers.
-        # Detach instead: close the fd, drop our references, and let the
-        # mmap unmap itself once the final view truly lets go — and the
-        # neutered object's __del__ stays silent.
-        import os
-
-        if getattr(seg, "_fd", -1) >= 0:
-            try:
-                os.close(seg._fd)
-            except OSError:
-                pass
-            seg._fd = -1
-        seg._mmap = None
-        seg._buf = None
-
-
-def attach_columns(descriptor: dict[str, Any]) -> dict[str, np.ndarray]:
-    """Attach a packed block and return its columns as zero-copy views.
-
-    Every returned array slices one shared base array over the segment's
-    buffer; the mapping is closed automatically when the last view (or
-    anything derived from it — ``absorb`` copies, so merged stores drop
-    the views) is garbage collected.  The segment is unlinked *here*,
-    immediately: from this moment it exists only as anonymous memory
-    held by live mappings.
-    """
-    from multiprocessing import shared_memory
-
-    with span("transport.attach", segment=descriptor["name"], bytes=descriptor["size"]):
-        seg = shared_memory.SharedMemory(name=descriptor["name"], create=False)
-        _track(seg.name)
-        try:
-            seg.unlink()
-        except OSError:
-            pass
-        base = np.frombuffer(seg.buf, dtype=np.uint8)
-        weakref.finalize(base, _close_segment, seg)
-        views: dict[str, np.ndarray] = {}
-        for key, dtype, shape, offset in descriptor["cols"]:
-            dt = np.dtype(dtype)
-            n = 1
-            for dim in shape:
-                n *= dim
-            flat = base[offset : offset + n * dt.itemsize].view(dt)
-            views[key] = flat.reshape(shape)
-    count("transport.blocks")
-    count("transport.bytes", descriptor["size"])
-    count("transport.copied_bytes", 0)
-    return views
+def attach_columns(packed: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The numeric columns of a store that arrived from another process,
+    counted as ``transport.bytes``."""
+    with span("transport.attach"):
+        count("transport.bytes", sum(arr.nbytes for arr in packed.values()))
+    return packed

@@ -8,8 +8,8 @@ what makes every front-end's output byte-identical across worker
 counts: the shards are pure functions, the pool preserves submission
 order, and the merge folds per world in shard-plan order.
 
-How a plan executes — worker count, cache, transport, retry ladder,
-fault injection, resume — is one frozen :class:`ExecutionOptions`
+How a plan executes — worker count, cache, retry ladder, fault
+injection, resume — is one frozen :class:`ExecutionOptions`
 value.  Every front-end (study, sweep, ensemble, campaign) takes it and
 passes it here unchanged; its ``__post_init__`` is the one place those
 execution rules are checked.
@@ -55,9 +55,6 @@ from repro.sim.cache import RunCache
 from repro.telemetry import count as telemetry_count
 from repro.telemetry import current_tracer, enabled, span
 
-#: how shard result stores may cross back from pool workers
-TRANSPORTS = ("auto", "shm", "pickle")
-
 
 def require_cache(mode: str, cache_dir: str | None) -> None:
     """The one "needs a cache" check: ``mode`` re-attaches cells from
@@ -74,9 +71,9 @@ def require_cache(mode: str, cache_dir: str | None) -> None:
 class ExecutionOptions:
     """How a plan executes — never what it computes.
 
-    No field changes a result byte: any worker count, transport, retry
-    ladder or surviving fault plan yields the same dataset, and the
-    cache only ever replays what the same coordinates would recompute.
+    No field changes a result byte: any worker count, retry ladder or
+    surviving fault plan yields the same dataset, and the cache only
+    ever replays what the same coordinates would recompute.
     """
 
     #: worker processes; 1 executes inline, in this process
@@ -84,10 +81,6 @@ class ExecutionOptions:
     #: content-addressed cache directory (run, cell and world entries
     #: plus the resume journal); ``None`` runs uncached
     cache_dir: str | None = None
-    #: how shard stores cross back from workers: ``"shm"`` packs
-    #: columns into shared-memory blocks, ``"pickle"`` ships them
-    #: through the pool pipe, ``"auto"`` probes and prefers shm
-    transport: str = "auto"
     #: the pool's fault-recovery ladder; ``None`` = :class:`RetryPolicy`
     #: defaults
     retry: RetryPolicy | None = None
@@ -102,11 +95,6 @@ class ExecutionOptions:
         if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be at least 1 (got {self.workers})"
-            )
-        if self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown transport {self.transport!r}: choose "
-                + ", ".join(repr(t) for t in TRANSPORTS)
             )
         if self.resume:
             require_cache("resume", self.cache_dir)
@@ -184,39 +172,22 @@ class PlanExecutor:
         first = counts[0][1] if counts else 0
         return max(first, self.options.workers * 4, 1)
 
-    def _transport_mode(self) -> str:
-        """The transport shards actually dispatch with.
-
-        ``auto`` resolves to shared memory when the pool will really
-        cross process boundaries and the platform supports it; inline
-        execution (``workers=1``) never pays the packing cost.
-        """
-        if self.options.workers == 1:
-            return "pickle"
-        if self.options.transport == "auto":
-            from repro.parallel.transport import shm_available
-
-            return "shm" if shm_available() else "pickle"
-        return self.options.transport
-
     def _dispatchable(self, shards: Sequence[StudyShard]) -> tuple[StudyShard, ...]:
-        """Shards as dispatched: trace- and transport-marked.
+        """Shards as dispatched: trace- and chaos-marked.
 
         The flags only tell :func:`~repro.parallel.shard.execute_shard`
-        to record spans (``trace``) and how to ship the result store
-        back (``transport``) — cache keys hash explicit shard fields,
-        so any marking keys (and computes) identically.
+        to record spans (``trace``) and which faults to inject
+        (``chaos``) — cache keys hash explicit shard fields, so any
+        marking keys (and computes) identically.
         """
         traced = enabled()
-        mode = self._transport_mode()
         chaos = self.options.chaos
-        if not traced and mode == "pickle" and chaos is None:
+        if not traced and chaos is None:
             return tuple(shards)
         return tuple(
             dataclasses.replace(
                 s,
                 trace=traced or s.trace,
-                transport=mode,
                 chaos=chaos if chaos is not None else s.chaos,
             )
             for s in shards

@@ -46,7 +46,7 @@ SPANS: dict[str, str] = {
     "pool.drain": "waiting on one in-flight chunk's results",
     "pool.retry": "backing off before re-dispatching a transiently failed shard",
     "pool.requeue": "rebuilding a dead pool and resubmitting undelivered flights",
-    "transport.attach": "attaching one shard's shared-memory block as column views",
+    "transport.attach": "receiving one shard store's column arrays from a worker",
     # the chaos harness
     "chaos.inject": "injecting one deterministic fault (kind=... attribute)",
     # per-cell execution (worker side)
@@ -78,11 +78,8 @@ COUNTERS: dict[str, str] = {
     "fault.serial_hops": "drops down the workers->serial degradation ladder",
     "fault.injected": "faults attributed to the chaos harness",
     "fault.resumed": "cells re-attached from the checkpoint journal",
-    # shared-memory transport
-    "transport.blocks": "shared-memory blocks attached by the parent",
-    "transport.bytes": "column bytes crossing via shared memory",
-    "transport.copied_bytes": "column bytes copied at attach time (zero-copy = 0)",
-    "transport.reaped": "orphaned /dev/shm segments swept after dead workers",
+    # shard transport
+    "transport.bytes": "column bytes shard stores shipped through the pool pipe",
     # the cache (levels: run / cell / world)
     "cache.invalid": "unusable cache entries degraded to re-simulation",
     "cache.run.hits": "run-level cache hits",

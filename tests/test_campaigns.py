@@ -131,6 +131,12 @@ def test_duplicate_cell_axes_rejected(field, values):
         CampaignSpec(**{field: values})
 
 
+def test_bad_cell_selection_rejected_when_built():
+    # The campaign slice gets the study's one selection check.
+    with pytest.raises(ConfigurationError, match="unknown environment 'bogus'"):
+        CampaignSpec(env_ids=("bogus",))
+
+
 def test_grid_must_not_be_shallower_than_smoke():
     with pytest.raises(ConfigurationError, match="grid.replicas"):
         CampaignSpec(smoke=StageBudget(replicas=3), grid=StageBudget(replicas=2))

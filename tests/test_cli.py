@@ -646,7 +646,6 @@ def test_study_resume_without_cache_is_a_clean_error(capsys):
         (["--workers", "0"], "workers must be at least 1 (got 0)"),
         (["--workers", "-2"], "workers must be at least 1 (got -2)"),
         (["--spill-mb", "-5"], "--spill-mb must be at least 0 (got -5)"),
-        (["--transport", "bogus"], "unknown transport 'bogus'"),
     ],
 )
 def test_study_out_of_range_execution_flags_are_clean_errors(flags, message, capsys):
@@ -656,6 +655,43 @@ def test_study_out_of_range_execution_flags_are_clean_errors(flags, message, cap
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert message in captured.err
+
+
+_SCENARIO_RUN = ["scenario", "run", "--scenario", "spot-everything"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["study", "--envs", "bogus"], "unknown environment 'bogus'"),
+        (["plan", "show", "--envs", "bogus"], "unknown environment 'bogus'"),
+        ([*_SCENARIO_RUN, "--envs", "bogus"], "unknown environment 'bogus'"),
+        (["ensemble", "run", "--envs", "bogus"], "unknown environment 'bogus'"),
+        (["study", "--apps", "bogus"], "unknown app 'bogus'"),
+        (["plan", "show", "--apps", "bogus"], "unknown app 'bogus'"),
+        ([*_SCENARIO_RUN, "--apps", "bogus"], "unknown app 'bogus'"),
+        (["ensemble", "run", "--apps", "bogus"], "unknown app 'bogus'"),
+        (["study", "--iterations", "0"], "iterations must be at least 1 (got 0)"),
+        (["study", "--iterations", "-1"], "iterations must be at least 1 (got -1)"),
+        (["study", "--sizes", "0"], "sizes must be at least 1 (got 0)"),
+        (["plan", "show", "--replicas", "0"], "an ensemble needs n_replicas >= 1"),
+        (["plan", "diff", "--replicas", "0"], "an ensemble needs n_replicas >= 1"),
+        (["experiment", "costs", "--iterations", "0"],
+         "iterations must be at least 1 (got 0)"),
+    ],
+)
+def test_bad_campaign_selection_is_rejected_before_any_work(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_transport_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["study", "--transport", "pickle"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --transport pickle" in capsys.readouterr().err
 
 
 def test_study_resume_replays_journaled_cells(tmp_path, capsys):

@@ -83,11 +83,9 @@ def test_azure_study_files_fault_incidents():
 def test_unknown_app_rejected():
     from repro.errors import ConfigurationError
 
-    config = StudyConfig(
-        env_ids=("cpu-eks-aws",), apps=("hpcg",), sizes=(32,), iterations=1
-    )
-    with pytest.raises(ConfigurationError):
-        StudyRunner(config).run()
+    # Rejected when the selection is built, before any work runs.
+    with pytest.raises(ConfigurationError, match="unknown app 'hpcg'"):
+        StudyConfig(env_ids=("cpu-eks-aws",), apps=("hpcg",), sizes=(32,), iterations=1)
 
 
 def test_full_study_config_shape():

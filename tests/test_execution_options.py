@@ -1,13 +1,14 @@
 """``ExecutionOptions``: one validated value for every front-end.
 
-How a plan executes (workers, cache, transport, retry ladder, chaos,
-resume) is one frozen value.  These tests pin that it is checked once,
-when it is built — so every front-end fails at construction, not deep
-inside ``run()`` — and that no front-end or CLI subcommand re-declares
-one of its knobs on its own.
+How a plan executes (workers, cache, retry ladder, chaos, resume) is
+one frozen value.  These tests pin that it is checked once, when it is
+built — so every front-end fails at construction, not deep inside
+``run()`` — and that no front-end or CLI subcommand re-declares one of
+its knobs on its own.
 """
 
 import argparse
+import dataclasses
 import inspect
 import re
 
@@ -23,11 +24,11 @@ from repro.plan import ExecutionOptions, PlanExecutor, compile_study
 from repro.scenarios import ScenarioSweep, scenario
 
 #: the execution knobs :class:`ExecutionOptions` owns
-OPTION_FIELDS = ("workers", "cache_dir", "transport", "retry", "chaos", "resume")
+OPTION_FIELDS = ("workers", "cache_dir", "retry", "chaos", "resume")
 
 #: the CLI destinations of the shared execution flags
 EXECUTION_DESTS = frozenset({
-    "workers", "cache", "transport", "spill_mb",
+    "workers", "cache", "spill_mb",
     "max_retries", "shard_timeout", "resume", "chaos",
 })
 
@@ -60,7 +61,8 @@ _CONSTRUCT = {
 def test_defaults_are_serial_uncached_and_exported_from_the_root():
     options = ExecutionOptions()
     assert RootExecutionOptions is ExecutionOptions
-    assert (options.workers, options.cache_dir, options.transport) == (1, None, "auto")
+    assert tuple(f.name for f in dataclasses.fields(options)) == OPTION_FIELDS
+    assert (options.workers, options.cache_dir) == (1, None)
     assert (options.retry, options.chaos, options.resume) == (None, None, False)
     with pytest.raises(AttributeError):
         options.workers = 4  # frozen: one value, passed on unchanged
@@ -71,7 +73,6 @@ def test_defaults_are_serial_uncached_and_exported_from_the_root():
     [
         ({"workers": 0}, "workers must be at least 1 (got 0)"),
         ({"workers": -2}, "workers must be at least 1 (got -2)"),
-        ({"transport": "bogus"}, "unknown transport 'bogus'"),
         ({"resume": True}, "resume needs a cache directory"),
     ],
 )
@@ -82,7 +83,7 @@ def test_out_of_range_options_are_rejected_when_built(bad, message):
 
 @pytest.mark.parametrize("front_end", sorted(_CONSTRUCT))
 @pytest.mark.parametrize(
-    "bad", [{"workers": 0}, {"transport": "bogus"}, {"resume": True}]
+    "bad", [{"workers": 0}, {"workers": -2}, {"resume": True}]
 )
 def test_every_front_end_raises_when_constructed(front_end, bad):
     """The check runs as the options are built, so a bad value fails the
@@ -93,7 +94,7 @@ def test_every_front_end_raises_when_constructed(front_end, bad):
 
 @pytest.mark.parametrize("front_end", sorted(_CONSTRUCT))
 def test_every_front_end_keeps_the_options_value_it_was_given(front_end, tmp_path):
-    options = ExecutionOptions(workers=2, cache_dir=str(tmp_path), transport="pickle")
+    options = ExecutionOptions(workers=2, cache_dir=str(tmp_path))
     assert _CONSTRUCT[front_end](options).options is options
 
 

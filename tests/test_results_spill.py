@@ -5,7 +5,6 @@ from __future__ import annotations
 import pickle
 
 import numpy as np
-import pytest
 
 from repro.core.results import (
     SPILL_ENV,
@@ -69,18 +68,6 @@ def test_threshold_boundary():
 def test_spilled_store_pickle_round_trip():
     store = _filled(spill_bytes=0)
     loaded = pickle.loads(pickle.dumps(store))
-    assert loaded.to_csv() == store.to_csv()
-
-
-def test_spilled_store_shm_transport_round_trip():
-    from repro.parallel.transport import shm_available
-
-    if not shm_available():
-        pytest.skip("POSIX shared memory unavailable")
-    store = _filled(spill_bytes=0)
-    store.mark_transport("shm")
-    loaded = pickle.loads(pickle.dumps(store))
-    assert loaded.transport_stats is not None
     assert loaded.to_csv() == store.to_csv()
 
 

@@ -488,6 +488,5 @@ def test_counter_registry_follows_convention():
         "fault.serial_hops",
         "fault.injected",
         "fault.resumed",
-        "transport.reaped",
     ):
         assert expected in COUNTERS, expected

@@ -1,284 +1,188 @@
-"""Zero-copy shard transport: pack/attach, fallback, identity, leaks."""
+"""The shard wire format: how a result store crosses the process pool.
+
+Every store a pool worker returns is pickled: its numeric column arrays
+pass through ``pack_columns`` in the worker and ``attach_columns`` in
+the parent, and the env/app/scale columns are rebuilt from the cell
+labels on arrival (:mod:`repro.parallel.transport`).
+"""
 
 from __future__ import annotations
 
-import gc
-import os
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.__main__ import main
+from repro.apps.registry import APPS
 from repro.core.results import ResultStore
 from repro.core.study import StudyConfig, StudyRunner
-from repro.errors import ShardExecutionError
-from repro.parallel.pool import pmap
-from repro.parallel.transport import (
-    SHM_PREFIX,
-    attach_columns,
-    pack_columns,
-    reap_segments,
-    shm_available,
-)
+from repro.envs.registry import ENVIRONMENTS
+from repro.parallel.transport import attach_columns, pack_columns
 from repro.plan import ExecutionOptions
-from repro.sim.execution import ExecutionEngine
+from repro.sim.run_result import STATE_CODE, RunRecord, RunState
+from repro.telemetry import Tracer, use_tracer
 
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable"
-)
-
-DEV_SHM = "/dev/shm"
-
-
-def _shm_segments() -> set[str]:
-    try:
-        return {n for n in os.listdir(DEV_SHM) if n.startswith(SHM_PREFIX)}
-    except OSError:
-        return set()
-
-
-@pytest.fixture(autouse=True)
-def _no_segment_leaks():
-    """Every test in this module must leave /dev/shm as it found it."""
-    before = _shm_segments()
-    yield
-    gc.collect()
-    leaked = _shm_segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-
-def _sample_store(n: int = 64) -> ResultStore:
-    engine = ExecutionEngine(seed=0)
-    from repro.envs.registry import ENVIRONMENTS
-
-    store = ResultStore()
-    engine.run_block(
-        ENVIRONMENTS["cpu-eks-aws"], "lammps", 32, iterations=n, store=store
-    )
-    return store
-
-
-# -- pack/attach ------------------------------------------------------------
+#: bytes one record ships: seven numeric typed columns (i8 nodes, i8
+#: iteration, i1 state, f8 fom/wall/hookup/cost), the bool ``fom`` None
+#: mask and the i8 cell label; env, app and scale never ship
+WIRE_BYTES_PER_RECORD = 8 + 8 + 1 + 4 * 8 + 1 + 8
 
 
 def test_pack_attach_round_trip():
     arrays = {
         "a": np.arange(10, dtype=np.int64),
         "b": np.linspace(0.0, 1.0, 7),
-        "c": np.array(["x", "yy", "zzz"], dtype="U4"),
+        "c": np.array([True, False]),
         "empty": np.array([], dtype=np.float64),
     }
-    descriptor = pack_columns(arrays)
-    assert descriptor is not None
-    assert descriptor["name"].startswith(SHM_PREFIX)
-    views = attach_columns(descriptor)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        arrived = attach_columns(pickle.loads(pickle.dumps(pack_columns(arrays))))
+    assert list(arrived) == list(arrays)
     for key, arr in arrays.items():
-        assert np.array_equal(views[key], arr)
-        assert views[key].dtype == arr.dtype
-    # The attach already unlinked the segment: nothing left on /dev/shm.
-    assert descriptor["name"] not in _shm_segments()
+        assert arrived[key].dtype == arr.dtype
+        assert np.array_equal(arrived[key], arr)
+    assert tracer.names == ["transport.attach"]
+    assert tracer.counters["transport.bytes"] == sum(a.nbytes for a in arrays.values())
 
 
-def test_attached_views_alias_one_block():
-    arrays = {"a": np.arange(4, dtype=np.int64), "b": np.zeros(3)}
-    views = attach_columns(pack_columns(arrays))
-    assert views["a"].base is not None
-    assert views["b"].base is not None
+# -- one property for the one wire format ------------------------------------
+
+_CELLS = st.tuples(
+    st.sampled_from(sorted(ENVIRONMENTS)),
+    st.sampled_from(sorted(APPS)),
+    st.sampled_from([1, 32, 256]),
+)
+_FLOATS = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
-def test_column_offsets_are_cache_aligned():
-    descriptor = pack_columns(
-        {"a": np.zeros(3, dtype=np.int8), "b": np.zeros(5, dtype=np.float64)}
+@st.composite
+def _records(draw) -> RunRecord:
+    env_id, app, scale = draw(_CELLS)
+    return RunRecord(
+        env_id=env_id,
+        app=app,
+        scale=scale,
+        nodes=scale,
+        iteration=draw(st.integers(0, 9)),
+        state=draw(st.sampled_from(list(RunState))),
+        fom=draw(st.none() | _FLOATS),
+        fom_units=draw(st.sampled_from(["u", "GFLOP/s"])),
+        wall_seconds=draw(_FLOATS),
+        hookup_seconds=draw(_FLOATS),
+        cost_usd=draw(_FLOATS),
+        phases={"solve": draw(_FLOATS)},
+        failure_kind=draw(st.none() | st.just("timeout")),
+        extra=draw(st.sampled_from([{}, {"atoms": 5}])),
     )
-    try:
-        for _, _, _, offset in descriptor["cols"]:
-            assert offset % 64 == 0
-    finally:
-        attach_columns(descriptor)  # consume (attach unlinks)
 
 
-# -- store pickling ---------------------------------------------------------
+@st.composite
+def _blocks(draw) -> dict:
+    """``append_block`` arguments, payloads in every shape it accepts."""
+    env_id, app, scale = draw(_CELLS)
+    n = draw(st.integers(0, 6))
 
+    def column():
+        return np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float)
 
-def test_store_shm_state_matches_plain_pickle():
-    store = _sample_store()
-    plain = pickle.loads(pickle.dumps(store))
-    store.mark_transport("shm")
-    via_shm = pickle.loads(pickle.dumps(store))
-    assert via_shm.to_csv() == plain.to_csv() == store.to_csv()
-    assert via_shm.transport_stats is not None
-    assert via_shm.transport_stats["mode"] == "shm"
-    assert via_shm.transport_stats["copied_bytes"] == 0
-    assert plain.transport_stats is None
-
-
-def test_shm_descriptor_is_small():
-    store = _sample_store(256)
-    plain_blob = pickle.dumps(store)
-    store.mark_transport("shm")
-    shm_blob = pickle.dumps(store)
-    pickle.loads(shm_blob)  # consume the segment
-    assert len(shm_blob) < len(plain_blob) / 2
-
-
-def test_mark_never_ships():
-    store = _sample_store(8)
-    store.mark_transport("shm")
-    loaded = pickle.loads(pickle.dumps(store))
-    # An unpickled store is always unmarked: re-pickling it is plain.
-    assert pickle.loads(pickle.dumps(loaded)).transport_stats is None
-
-
-def test_pack_failure_falls_back_to_plain_pickle(monkeypatch):
-    import repro.parallel.transport as transport
-
-    monkeypatch.setattr(transport, "pack_columns", lambda arrays: None)
-    store = _sample_store(8)
-    store.mark_transport("shm")
-    loaded = pickle.loads(pickle.dumps(store))
-    assert loaded.transport_stats is None
-    assert loaded.to_csv() == store.to_csv()
-
-
-def test_absorb_copies_out_of_the_block():
-    store = _sample_store(32)
-    store.mark_transport("shm")
-    arrived = pickle.loads(pickle.dumps(store))
-    merged = ResultStore()
-    merged.absorb(arrived)
-    del arrived
-    gc.collect()
-    # The merged store owns its buffers — the block is long gone.
-    assert merged.to_csv() == store.to_csv()
-
-
-# -- through the real pool --------------------------------------------------
-
-
-def _study_csv(workers: int, transport: str) -> str:
-    runner = StudyRunner(
-        StudyConfig.smoke(),
-        ExecutionOptions(workers=workers, transport=transport),
+    fom_none = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    fom = column()
+    fom[fom_none] = np.nan
+    states = draw(st.lists(st.sampled_from(list(RunState)), min_size=n, max_size=n))
+    phases = draw(st.sampled_from(["const", "leaves", "nested", "rows"]))
+    return dict(
+        env_id=env_id,
+        app=app,
+        scale=scale,
+        nodes=scale,
+        iteration=np.arange(n, dtype=np.int64),
+        state=np.array([STATE_CODE[s] for s in states], dtype=np.int8),
+        fom=fom,
+        fom_none=fom_none,
+        wall_seconds=column(),
+        hookup_seconds=column(),
+        cost_usd=column(),
+        fom_units="u",
+        failure_kind=draw(st.sampled_from([None, "timeout", ["oom"] * n])),
+        # Per-iteration arrays as dict leaves are what the engine ships.
+        phases={
+            "const": {"solve": 1.0},
+            "leaves": {"solve": column(), "setup": 2.0},
+            "nested": {"ranks": {"solve": column()}},
+            "rows": [{"solve": float(i)} for i in range(n)],
+        }[phases],
+        extra=draw(st.sampled_from([{}, {"atoms": np.arange(n)}])),
     )
-    return runner.run().store.to_csv()
 
 
-def test_study_byte_identical_across_transports():
-    reference = _study_csv(1, "pickle")
-    assert _study_csv(4, "pickle") == reference
-    assert _study_csv(4, "shm") == reference
-
-
-def test_study_reports_shm_transport():
-    runner = StudyRunner(
-        StudyConfig.smoke(),
-        ExecutionOptions(workers=2, transport="shm"),
-    )
-    report = runner.run()
-    assert report.transport is not None
-    assert report.transport.mode == "shm"
-    assert report.transport.blocks > 0
-    assert report.transport.bytes > 0
-    assert report.transport.copied_bytes == 0
-
-
-def test_study_inline_run_reports_inline():
-    runner = StudyRunner(
-        StudyConfig.smoke(),
-        ExecutionOptions(workers=1, transport="shm"),
-    )
-    report = runner.run()
-    # workers=1 never crosses a process boundary: no packing happens.
-    assert report.transport is not None
-    assert report.transport.mode == "inline"
-    assert report.transport.blocks == 0
-
-
-def _build_marked_store(n: int) -> ResultStore:
-    if n < 0:
-        raise RuntimeError("boom")
-    store = ResultStore()
-    engine = ExecutionEngine(seed=0)
-    from repro.envs.registry import ENVIRONMENTS
-
-    engine.run_block(
-        ENVIRONMENTS["cpu-eks-aws"], "lammps", 32, iterations=8, store=store
-    )
-    store.mark_transport("shm")
+@st.composite
+def _stores(draw) -> ResultStore:
+    """Random interleavings of ``add`` and ``append_block``, in RAM or
+    spilled to unlinked temp files; possibly empty."""
+    store = ResultStore(spill_bytes=draw(st.sampled_from([None, 0])))
+    ops = st.one_of(_records().map(lambda r: ("add", r)), _blocks().map(lambda b: ("block", b)))
+    for kind, arg in draw(st.lists(ops, max_size=6)):
+        if kind == "add":
+            store.add(arg)
+        else:
+            store.append_block(**arg)
     return store
 
 
-def test_no_orphans_after_failing_worker():
-    """A worker raising mid-batch must not strand /dev/shm segments.
-
-    Successful items' stores are packed in the workers; the pool's
-    teardown waits for in-flight futures, every delivered result is
-    unpickled (attached + unlinked) before the error propagates.  The
-    fatal error surfaces as the typed wrapper, original cause chained.
-    """
-    with pytest.raises(ShardExecutionError, match="boom"):
-        pmap(_build_marked_store, [4, 8, -1, 16], workers=2)
-    # the autouse fixture asserts nothing leaked
-
-
-# -- kill-during-pack (the retry path re-packs into a fresh segment) --------
-
-
-import dataclasses as _dc
-import signal
-
-
-@_dc.dataclass(frozen=True)
-class _KillItem:
-    """A mapped value the pool stamps retry attempts onto."""
-
-    value: int
-    attempt: int = 0
+@settings(max_examples=80, deadline=None)
+@given(store=_stores())
+def test_pickled_store_reproduces_every_surface(store):
+    tracer = Tracer()
+    with use_tracer(tracer):
+        arrived = pickle.loads(pickle.dumps(store))
+    assert arrived.to_csv() == store.to_csv()
+    assert arrived.records == store.records
+    sent, got = store.frame_columns(), arrived.frame_columns()
+    assert list(got) == list(sent)
+    for name, column in sent.items():
+        assert got[name].dtype == column.dtype
+        assert np.array_equal(got[name], column, equal_nan=column.dtype.kind == "f")
+    cells, labels = store.cell_index()
+    got_cells, got_labels = arrived.cell_index()
+    assert got_cells == cells
+    assert np.array_equal(got_labels, labels)
+    shipped = tracer.counters["transport.bytes"]
+    assert shipped == len(store) * WIRE_BYTES_PER_RECORD == arrived.wire_bytes
 
 
-def _pack_then_maybe_die(item: _KillItem) -> ResultStore:
-    if item.value < 0 and item.attempt == 0:
-        # Model a worker killed mid-pack: the segment exists (named with
-        # this worker's pid) but its descriptor never reaches the parent.
-        pack_columns({"orphan": np.arange(512, dtype=np.int64)})
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _build_marked_store(8)
+# -- what crossed the pool ---------------------------------------------------
 
 
-def test_kill_during_pack_reaps_orphan_and_repacks():
-    """A worker killed mid-pack strands a segment nobody will attach.
-
-    The pool's rebuild must reap the dead worker's segment, and the
-    requeued flight must re-pack into a *fresh* segment — delivering a
-    result identical to an undisturbed run (the leak fixture holds the
-    /dev/shm invariant).
-    """
-    expected = _build_marked_store(8).to_csv()
-    results = pmap(
-        _pack_then_maybe_die,
-        [_KillItem(1), _KillItem(-1), _KillItem(2)],
-        workers=2,
-    )
-    assert [pickle.loads(pickle.dumps(r)).to_csv() for r in results] == [expected] * 3
+def test_study_reports_pool_transport():
+    config = StudyConfig.smoke()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        report = StudyRunner(config, ExecutionOptions(workers=2)).run()
+    # Every shard's store came back from a worker, through attach_columns.
+    assert report.transport.stores == len(StudyRunner(config).compile().shards)
+    assert report.transport.bytes == report.datasets * WIRE_BYTES_PER_RECORD
+    assert tracer.counters["transport.bytes"] == report.transport.bytes
 
 
-def test_reap_segments_sweeps_only_dead_pids():
-    from multiprocessing import shared_memory
+def test_study_inline_run_reports_inline():
+    report = StudyRunner(StudyConfig.smoke(), ExecutionOptions(workers=1)).run()
+    # workers=1 never crosses a process boundary: nothing ships.
+    assert (report.transport.stores, report.transport.bytes) == (0, 0)
 
-    from repro.parallel.transport import _untrack
 
-    dead = shared_memory.SharedMemory(
-        name=f"{SHM_PREFIX}999999-deadbeef", create=True, size=16
-    )
-    _untrack(dead.name)
-    dead.close()
-    live = shared_memory.SharedMemory(
-        name=f"{SHM_PREFIX}{os.getpid()}-cafe", create=True, size=16
-    )
-    try:
-        assert reap_segments([999999]) == 1
-        assert f"{SHM_PREFIX}999999-deadbeef" not in _shm_segments()
-        assert f"{SHM_PREFIX}{os.getpid()}-cafe" in _shm_segments()
-    finally:
-        live.close()
-        live.unlink()
+@pytest.mark.parametrize("workers, line", [
+    ("1", None),
+    ("2", "shard transport   : 2 stores, 464 B shipped (232 B/store)\n"),
+])
+def test_transport_line_prints_only_when_stores_shipped(workers, line, capsys):
+    argv = ["study", "--envs", "cpu-eks-aws,cpu-onprem-a", "--apps",
+            "amg2023,lammps", "--sizes", "32", "--iterations", "2"]
+    assert main([*argv, "--workers", workers]) == 0
+    err = capsys.readouterr().err
+    assert ("shard transport" in err) == (line is not None)
+    if line is not None:
+        assert line in err
