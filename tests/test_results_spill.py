@@ -14,6 +14,7 @@ from repro.core.results import (
 )
 from repro.envs.registry import ENVIRONMENTS
 from repro.sim.execution import ExecutionEngine
+from repro.telemetry import Tracer, use_tracer
 
 
 def _filled(spill_bytes, iterations: int = 200) -> ResultStore:
@@ -68,6 +69,19 @@ def test_threshold_boundary():
 def test_spilled_store_pickle_round_trip():
     store = _filled(spill_bytes=0)
     loaded = pickle.loads(pickle.dumps(store))
+    assert loaded.to_csv() == store.to_csv()
+
+
+def test_spilled_store_transport_round_trip():
+    """A spilled store crosses the pool with its file-backed columns
+    shipped by value; the arrival holds them in RAM."""
+    store = _filled(spill_bytes=0)
+    assert _spilled_columns(store)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        loaded = pickle.loads(pickle.dumps(store))
+    assert tracer.counters["transport.bytes"] == store.wire_bytes > 0
+    assert not _spilled_columns(loaded)
     assert loaded.to_csv() == store.to_csv()
 
 

@@ -22,6 +22,7 @@ from repro.core.study import StudyConfig, StudyRunner
 from repro.envs.registry import ENVIRONMENTS
 from repro.parallel.transport import attach_columns, pack_columns
 from repro.plan import ExecutionOptions
+from repro.sim.execution import ExecutionEngine
 from repro.sim.run_result import STATE_CODE, RunRecord, RunState
 from repro.telemetry import Tracer, use_tracer
 
@@ -152,6 +153,19 @@ def test_pickled_store_reproduces_every_surface(store):
     assert np.array_equal(got_labels, labels)
     shipped = tracer.counters["transport.bytes"]
     assert shipped == len(store) * WIRE_BYTES_PER_RECORD == arrived.wire_bytes
+
+
+def test_store_pickled_state_is_stable_across_trips():
+    """An engine-made store, phases and extras included, re-pickles on
+    arrival to exactly the state it was sent as."""
+    store = ResultStore()
+    ExecutionEngine(seed=0).run_block(
+        ENVIRONMENTS["cpu-eks-aws"], "lammps", 32, iterations=64, store=store
+    )
+    blob = pickle.dumps(store)
+    arrived = pickle.loads(blob)
+    assert arrived.to_csv() == store.to_csv()
+    assert pickle.dumps(arrived) == blob
 
 
 # -- what crossed the pool ---------------------------------------------------
