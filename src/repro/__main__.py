@@ -318,8 +318,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     except (ConfigurationError, ValueError) as exc:
         return _usage_error(exc)
     with _TraceSession(args) as session:
-        # No runner outlives run(): its registry holds the pushed dataset
-        # artifact, which the exports below would otherwise sit beside.
         report = StudyRunner(config, options).run()
     print(f"datasets          : {report.datasets}")
     print(f"clusters created  : {report.clusters_created}")
@@ -337,7 +335,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
     _print_faults(report.faults)
     _write_exports(
         args,
-        csv_text=report.store.to_csv,
+        # The CSV the run already rendered for its artifact push.
+        csv_text=lambda: report.dataset_csv.decode("utf-8"),
         json_text=lambda: json.dumps(report.to_json_dict(), indent=2, sort_keys=True),
         csv_label="dataset CSV",
         json_label="dataset JSON",

@@ -19,13 +19,17 @@ seed design — a list of dataclasses converted to columns at every fold
 * CSV/artifact export walks the columns directly;
 * legacy callers that want row objects (queries, iteration,
   ``store.records``) get :class:`RunRecord` instances materialized
-  lazily and cached — built once, only when actually asked for.
+  lazily and cached — built once, only when actually asked for;
+* the run cache stores a store as bytes through :meth:`to_bytes` and
+  :meth:`from_bytes` — the same columns and payload segments, never
+  per-record rows.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import mmap
 import os
 import tempfile
@@ -41,6 +45,7 @@ from repro.sim.run_result import (
     STATE_ORDER,
     RunRecord,
     RunState,
+    jsonable,
 )
 
 
@@ -367,6 +372,169 @@ class _PayloadColumn:
         self._segments, self._starts, self._n = state
 
 
+# -- the columnar byte codec ---------------------------------------------------
+#
+# An entry is one JSON header line, zero padding to the next multiple of
+# _ALIGN, then the body: raw column bytes, each column starting on an
+# _ALIGN boundary.  The header's "layout" lists every array in the body
+# as [name, dtype, count, offset] (offset from the body's start); its
+# "segments" hold the payload columns as [kind, n, payload] lists, and a
+# dict template's array leaves sit in the layout, named by the template's
+# [path, layout name] pairs.
+
+#: every column of an entry's body starts on this byte boundary
+_ALIGN = 8
+
+#: the payload columns a store keeps as Python data
+_PAYLOADS = ("fom_units", "failure_kind", "phases", "extra")
+
+#: dtype kinds an array leaf may have: numbers and booleans, never objects
+_LEAF_KINDS = "biuf"
+
+
+def _leaf_arrays(template: dict) -> Iterator[np.ndarray]:
+    for value in template.values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, dict):
+            yield from _leaf_arrays(value)
+
+
+def _encode_template(template: dict, path: list, leaves: list, place) -> dict:
+    """``template`` in its JSON form, each array leaf placed in the body
+    and replaced by ``None``; ``leaves`` collects ``[path, name]``."""
+    out = {}
+    for key, value in template.items():
+        key = str(key)  # the key ``jsonable`` would write
+        if isinstance(value, np.ndarray):
+            leaves.append([[*path, key], place(value)])
+            out[key] = None
+        elif isinstance(value, dict):
+            out[key] = _encode_template(value, [*path, key], leaves, place)
+        else:
+            out[key] = jsonable(value)
+    return out
+
+
+def _encode_segments(column: _PayloadColumn, place) -> list:
+    segments = []
+    for kind, n, payload in column._segments:
+        if kind != _PayloadColumn._COLS:
+            segments.append([kind, n, jsonable(payload)])
+        elif all(
+            leaf.ndim == 1 and len(leaf) >= n and leaf.dtype.kind in _LEAF_KINDS
+            for leaf in _leaf_arrays(payload)
+        ):
+            leaves: list = []
+            template = _encode_template(
+                payload, [], leaves, lambda leaf: place(leaf[:n])
+            )
+            segments.append([kind, n, template, leaves])
+        else:
+            # Leaves the body cannot carry: store the rows themselves.
+            rows = [_materialize_slot(payload, i) for i in range(n)]
+            segments.append([_PayloadColumn._ITEMS, n, jsonable(rows)])
+    return segments
+
+
+def _set_leaf(template: dict, path, leaf: np.ndarray) -> None:
+    """Put ``leaf`` where ``path`` names a ``None`` placeholder."""
+    if not isinstance(path, list) or not path or not all(isinstance(k, str) for k in path):
+        raise ValueError(f"bad leaf path {path!r}")
+    node = template
+    for key in path[:-1]:
+        node = node.get(key)
+        if not isinstance(node, dict):
+            raise ValueError(f"leaf path {path!r} leaves the template")
+    if node.get(path[-1], 0) is not None:
+        raise ValueError(f"leaf path {path!r} names no placeholder")
+    node[path[-1]] = leaf
+
+
+def _decode_segments(raw, n_total: int, arrays: dict, used: set) -> _PayloadColumn:
+    if not isinstance(raw, list):
+        raise ValueError("segments are not a list")
+    column = _PayloadColumn()
+    for segment in raw:
+        if not isinstance(segment, list) or len(segment) not in (3, 4):
+            raise ValueError(f"bad segment {segment!r}")
+        kind, n, payload = segment[:3]
+        if type(kind) is not int or type(n) is not int or n <= 0:
+            raise ValueError(f"bad segment kind or length {kind!r}, {n!r}")
+        if len(segment) == 4 and kind == _PayloadColumn._COLS and isinstance(payload, dict):
+            if not isinstance(segment[3], list):
+                raise ValueError("segment leaves are not a list")
+            for leaf in segment[3]:
+                path, name = leaf
+                if name not in arrays or name in used:
+                    raise ValueError(f"leaf {name!r} is not in the layout")
+                used.add(name)
+                array = arrays[name]
+                if array.dtype.kind not in _LEAF_KINDS or len(array) != n:
+                    raise ValueError(f"leaf {name!r} is not {n} numbers")
+                _set_leaf(payload, path, array)
+        elif len(segment) == 4 or kind not in (_PayloadColumn._ITEMS, _PayloadColumn._CONST):
+            raise ValueError(f"bad segment kind {kind!r}")
+        elif kind == _PayloadColumn._ITEMS and not (
+            isinstance(payload, list) and len(payload) == n
+        ):
+            raise ValueError(f"an item segment does not hold {n} items")
+        column._push(kind, n, payload)
+    if len(column) != n_total:
+        raise ValueError(f"segments hold {len(column)} records, not {n_total}")
+    return column
+
+
+def _split_entry(data) -> tuple[dict, memoryview]:
+    """(header, body) of an entry; ``ValueError`` when there is none."""
+    end = data.find(b"\n")
+    if end < 0:
+        raise ValueError("no header line")
+    header = json.loads(bytes(data[:end]))
+    if not isinstance(header, dict):
+        raise ValueError("the header is not an object")
+    start = -(-(end + 1) // _ALIGN) * _ALIGN
+    return header, memoryview(data)[start:]
+
+
+def _body_arrays(layout, body: memoryview) -> dict[str, np.ndarray]:
+    """Every array the layout names, as a read-only view of ``body``."""
+    if not isinstance(layout, list):
+        raise ValueError("the layout is not a list")
+    arrays: dict[str, np.ndarray] = {}
+    for entry in layout:
+        name, dtype, count, offset = entry
+        if not isinstance(name, str) or name in arrays or not isinstance(dtype, str):
+            raise ValueError(f"bad layout entry {entry!r}")
+        dtype = np.dtype(dtype)
+        if type(count) is not int or type(offset) is not int or count < 0:
+            raise ValueError(f"bad layout entry {entry!r}")
+        if offset < 0 or offset % _ALIGN or offset + count * dtype.itemsize > len(body):
+            raise ValueError(f"column {name!r} lies outside the body")
+        if dtype.hasobject:
+            raise ValueError(f"column {name!r} has object dtype {dtype}")
+        arrays[name] = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+    return arrays
+
+
+def _checked_cells(raw) -> list[tuple[str, str, int]]:
+    if not isinstance(raw, list):
+        raise ValueError("the cells are not a list")
+    cells = []
+    for cell in raw:
+        env_id, app, scale = cell
+        if not (
+            isinstance(env_id, str) and len(env_id) <= _ENV_WIDTH
+            and isinstance(app, str) and len(app) <= _APP_WIDTH
+            and type(scale) is int
+        ):
+            raise ValueError(f"bad cell {cell!r}")
+        cells.append((env_id, app, scale))
+    if len(set(cells)) != len(cells):
+        raise ValueError("the cells repeat")
+    return cells
+
+
 #: (column name, dtype, value extractor) for every typed buffer
 _TYPED_COLUMNS: tuple[tuple[str, str, Callable[[RunRecord], Any]], ...] = (
     ("env", f"U{_ENV_WIDTH}", lambda r: r.env_id),
@@ -600,23 +768,34 @@ class ResultStore:
 
         return {
             "columns": transport.pack_columns(self._wire_columns()),
-            "cells": sorted(self._cell_codes, key=self._cell_codes.get),
-            "fom_units": self._fom_units,
-            "failure_kind": self._failure_kind,
-            "phases": self._phases,
-            "extra": self._extra,
+            "cells": self._cells(),
+            **{name: getattr(self, f"_{name}") for name in _PAYLOADS},
         }
 
     def __setstate__(self, state):
         from repro.parallel import transport
 
-        cols = {
-            name: _ColumnBuffer._wrap(arr)
-            for name, arr in transport.attach_columns(state["columns"]).items()
-        }
+        self._restore(
+            transport.attach_columns(state["columns"]),
+            state["cells"],
+            {name: state[name] for name in _PAYLOADS},
+        )
+
+    def _cells(self) -> list[tuple[str, str, int]]:
+        """The cell factorization, in first-seen code order."""
+        return sorted(self._cell_codes, key=self._cell_codes.get)
+
+    def _restore(
+        self,
+        columns: dict[str, np.ndarray],
+        cells: list[tuple[str, str, int]],
+        payloads: dict[str, _PayloadColumn],
+    ) -> None:
+        """Become the store these wire columns, cells and payload columns
+        describe — the one rebuild a pickle and a cache entry share."""
+        cols = {name: _ColumnBuffer._wrap(arr) for name, arr in columns.items()}
         self._fom_none = cols.pop("fom_none")
         self._labels = cols.pop("labels")
-        cells = state["cells"]
         self._cell_codes = {key: code for code, key in enumerate(cells)}
         labels = self._labels.view()
         by_code = {
@@ -630,11 +809,116 @@ class ResultStore:
             cols[name] = _ColumnBuffer._wrap(by_code[name][labels])
         # Restore the schema's column order.
         self._cols = {name: cols[name] for name, _, _ in _TYPED_COLUMNS}
-        self._fom_units = state["fom_units"]
-        self._failure_kind = state["failure_kind"]
-        self._phases = state["phases"]
-        self._extra = state["extra"]
+        for name in _PAYLOADS:
+            setattr(self, f"_{name}", payloads[name])
         self._rows = []
+
+    # -- the columnar byte codec (cache entries) -----------------------------
+
+    def to_bytes(self, *, kind: str, v: int, blob: bytes = b"", **fields) -> bytes:
+        """This store as one columnar cache entry.
+
+        A JSON header line — ``kind``, ``v``, the caller's ``fields``,
+        the cells, the layout and the payload segments — then the wire
+        columns and every array leaf of a payload template as raw bytes,
+        each on an 8-byte boundary, and last the caller's opaque
+        ``blob``.  Payload values are stored as :func:`jsonable` makes
+        them: a tuple comes back as a list.  Nothing is pickled.
+        """
+        chunks: list = []
+        layout: list[list] = []
+        size = 0
+
+        def place(array: np.ndarray, name: str | None = None) -> str:
+            nonlocal size
+            array = np.ascontiguousarray(array)
+            name = name or f"leaf{len(layout)}"
+            offset = -(-size // _ALIGN) * _ALIGN
+            chunks.append(bytes(offset - size))
+            chunks.append(array.data)
+            layout.append([name, array.dtype.str, len(array), offset])
+            size = offset + array.nbytes
+            return name
+
+        for name, array in self._wire_columns().items():
+            place(array, name)
+        segments = {
+            name: _encode_segments(getattr(self, f"_{name}"), place) for name in _PAYLOADS
+        }
+        place(np.frombuffer(blob, dtype=np.uint8), "blob")
+        header = {
+            "kind": kind,
+            "v": v,
+            **fields,
+            "cells": self._cells(),
+            "layout": layout,
+            "segments": segments,
+        }
+        head = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
+        return b"".join([head, bytes(-len(head) % _ALIGN), *chunks])
+
+    @classmethod
+    def from_bytes(cls, data: bytes, *, kind: str, v: int) -> tuple["ResultStore", dict, bytes]:
+        """``(store, header, blob)`` back from :meth:`to_bytes` output.
+
+        The columns are read-only views of ``data``.  Every check that
+        fails raises ``ValueError`` naming the reason: a header ``v``
+        other than ``v`` is ``"version skew"``, anything else — another
+        ``kind``, a dtype other than the store schema's (so never an
+        object), a count or offset past the body, a cell label out of
+        range, payload segments that do not add up — is a malformed
+        entry.
+        """
+        try:
+            header, body = _split_entry(data)
+        except ValueError as exc:
+            raise ValueError(f"malformed {kind} entry: {exc}") from None
+        version = header.get("v")
+        if type(version) is int and version != v:
+            raise ValueError(f"version skew: entry v{version}, code v{v}")
+        try:
+            store, blob = cls._from_header(header, body, kind, v)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed {kind} entry: {exc}") from None
+        return store, header, blob
+
+    @classmethod
+    def _from_header(cls, header: dict, body: memoryview, kind: str, v: int):
+        if header["kind"] != kind or header["v"] != v:
+            raise ValueError(f"{header['kind']!r} v{header['v']!r}, not {kind!r} v{v}")
+        arrays = _body_arrays(header["layout"], body)
+        schema = {
+            name: np.dtype(dtype)
+            for name, dtype, _ in _TYPED_COLUMNS
+            if name not in cls._DERIVED_COLUMNS
+        }
+        schema.update(fom_none=np.dtype("?"), labels=np.dtype("i8"))
+        wire = {}
+        for name, dtype in schema.items():
+            array = arrays.get(name)
+            if array is None or array.dtype != dtype:
+                raise ValueError(f"column {name!r} is missing or not {dtype}")
+            wire[name] = array
+        n = len(wire["labels"])
+        short = [name for name, array in wire.items() if len(array) != n]
+        if short:
+            raise ValueError(f"columns {short} do not hold {n} records")
+        cells = _checked_cells(header["cells"])
+        for name, bound in (("labels", len(cells)), ("state", len(STATE_ORDER))):
+            codes = wire[name]
+            if n and (codes.min() < 0 or codes.max() >= bound):
+                raise ValueError(f"a {name} code is outside 0..{bound - 1}")
+        blob = arrays.get("blob")
+        if blob is None or blob.dtype != np.uint8:
+            raise ValueError("the blob is missing")
+        segments = header["segments"]
+        used = set(schema) | {"blob"}
+        payloads = {
+            name: _decode_segments(segments[name], n, arrays, used) for name in _PAYLOADS
+        }
+        store = cls.__new__(cls)
+        store._restore(wire, cells, payloads)
+        return store, blob.tobytes()
 
     def __len__(self) -> int:
         return len(self._fom_units)
@@ -656,26 +940,35 @@ class ResultStore:
         if len(self._rows) < n:
             cols = {name: buf.view() for name, buf in self._cols.items()}
             fom_none = self._fom_none.view()
-            for i in range(len(self._rows), n):
-                self._rows.append(
-                    RunRecord(
-                        env_id=str(cols["env"][i]),
-                        app=str(cols["app"][i]),
-                        scale=int(cols["scale"][i]),
-                        nodes=int(cols["nodes"][i]),
-                        iteration=int(cols["iteration"][i]),
-                        state=STATE_ORDER[cols["state"][i]],
-                        fom=None if fom_none[i] else float(cols["fom"][i]),
-                        fom_units=self._fom_units[i],
-                        wall_seconds=float(cols["wall_seconds"][i]),
-                        hookup_seconds=float(cols["hookup_seconds"][i]),
-                        cost_usd=float(cols["cost_usd"][i]),
-                        phases=self._phases[i],
-                        failure_kind=self._failure_kind[i],
-                        extra=self._extra[i],
-                    )
-                )
+            self._rows.extend(
+                self._row(cols, fom_none, i) for i in range(len(self._rows), n)
+            )
         return self._rows
+
+    def row(self, i: int) -> RunRecord:
+        """Record ``i`` alone, without materializing the rows before it."""
+        if i < len(self._rows):
+            return self._rows[i]
+        cols = {name: buf.view() for name, buf in self._cols.items()}
+        return self._row(cols, self._fom_none.view(), i)
+
+    def _row(self, cols: dict[str, np.ndarray], fom_none: np.ndarray, i: int) -> RunRecord:
+        return RunRecord(
+            env_id=str(cols["env"][i]),
+            app=str(cols["app"][i]),
+            scale=int(cols["scale"][i]),
+            nodes=int(cols["nodes"][i]),
+            iteration=int(cols["iteration"][i]),
+            state=STATE_ORDER[cols["state"][i]],
+            fom=None if fom_none[i] else float(cols["fom"][i]),
+            fom_units=self._fom_units[i],
+            wall_seconds=float(cols["wall_seconds"][i]),
+            hookup_seconds=float(cols["hookup_seconds"][i]),
+            cost_usd=float(cols["cost_usd"][i]),
+            phases=self._phases[i],
+            failure_kind=self._failure_kind[i],
+            extra=self._extra[i],
+        )
 
     # -- queries ------------------------------------------------------------
 

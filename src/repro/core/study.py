@@ -133,6 +133,9 @@ class StudyReport:
     #: rebuilds, resumed cells); ``None`` when nothing happened —
     #: faults never change the dataset, only this accounting
     faults: FaultStats | None = None
+    #: the dataset CSV as pushed to the registry, rendered once for the
+    #: push and ``--output`` alike (``None`` when nothing was pushed)
+    dataset_csv: bytes | None = None
 
     @property
     def datasets(self) -> int:
@@ -287,4 +290,5 @@ class StudyRunner:
                 cache_invalid_reasons=merged.cache_invalid_reasons,
                 transport=merged.transport,
                 faults=executor.faults,
+                dataset_csv=payload,
             )

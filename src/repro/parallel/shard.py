@@ -45,7 +45,7 @@ from repro.core.results import ResultStore
 from repro.scenarios.apply import overlay_provider
 from repro.scenarios.spec import Scenario, active, footprint_digest
 from repro.scheduler.queueing import OnPremQueueModel
-from repro.sim.cache import RunCache, decode_record, encode_record, shard_key
+from repro.sim.cache import RunCache, shard_key
 from repro.sim.execution import ExecutionEngine, HookupCutoff
 from repro.sim.run_result import RunRecord
 from repro.telemetry import Tracer, current_tracer, span, use_tracer
@@ -243,28 +243,30 @@ def _shard_cache_key(shard: StudyShard, engine: ExecutionEngine) -> str:
 def attach_shard(shard: StudyShard, cache: RunCache) -> ShardResult | None:
     """A shard's cached result, or ``None`` when it must execute.
 
-    The incremental reuse path: probe the cell-level summary under
+    The incremental reuse path: probe the cell entry under
     :func:`shard_summary_key` and rebuild the :class:`ShardResult`
     without provisioning, simulation, or a worker round-trip.  A
     malformed entry flows through :meth:`RunCache.note_invalid` (the
     caller surfaces the counter) and returns ``None`` — reuse degrades
     to re-execution, never to silence.
     """
-    cell_key = shard_summary_key(shard)
-    cached = cache.get_json(cell_key)
+    return _cached_shard(shard, cache, shard_summary_key(shard))
+
+
+def _cached_shard(shard: StudyShard, cache: RunCache, cell_key: str) -> ShardResult | None:
+    cached = cache.get_columns(cell_key, kind="cell")
     if cached is None:
         return None
     try:
-        result = _decode_shard(shard, cached)
+        return _decode_shard(shard, *cached)
     except (KeyError, TypeError, ValueError) as exc:
         cache.note_invalid(cell_key, f"study-cell entry malformed: {exc}")
         return None
-    return result
 
 
 def _encode_shard(result: ShardResult) -> dict:
+    """The header fields a cell entry adds to the shard's columns."""
     return {
-        "records": [encode_record(r) for r in result.records],
         "incidents": [
             {
                 "env_ids": list(i.env_ids),
@@ -280,8 +282,7 @@ def _encode_shard(result: ShardResult) -> dict:
     }
 
 
-def _decode_shard(shard: StudyShard, data: dict) -> ShardResult:
-    store = ResultStore(decode_record(r) for r in data["records"])
+def _decode_shard(shard: StudyShard, store: ResultStore, header: dict) -> ShardResult:
     incidents = [
         Incident(
             env_ids=tuple(i["env_ids"]),
@@ -290,7 +291,7 @@ def _decode_shard(shard: StudyShard, data: dict) -> ShardResult:
             description=i["description"],
             source=i["source"],
         )
-        for i in data["incidents"]
+        for i in header["incidents"]
     ]
     return ShardResult(
         index=shard.index,
@@ -299,8 +300,8 @@ def _decode_shard(shard: StudyShard, data: dict) -> ShardResult:
         world=shard.world,
         store=store,
         incidents=incidents,
-        spend_by_cloud=dict(data["spend_by_cloud"]),
-        clusters_created=int(data["clusters_created"]),
+        spend_by_cloud=dict(header["spend_by_cloud"]),
+        clusters_created=int(header["clusters_created"]),
         cache_hits=len(store),
     )
 
@@ -351,14 +352,10 @@ def _execute_shard_body(shard: StudyShard) -> ShardResult:
     cache = RunCache(shard.cache_dir) if shard.cache_dir else None
     engine = ExecutionEngine(seed=shard.seed, cache=cache, scenario=scn)
     if cache is not None:
-        cell_key = _shard_cache_key(shard, engine)
-        cached = cache.get_json(cell_key)
+        # A corrupt or stale cell entry warns once and re-executes.
+        cached = _cached_shard(shard, cache, _shard_cache_key(shard, engine))
         if cached is not None:
-            try:
-                return _decode_shard(shard, cached)
-            except (KeyError, TypeError, ValueError) as exc:
-                # Corrupt or stale cell entry: warn once and re-execute.
-                cache.note_invalid(cell_key, f"study-cell entry malformed: {exc}")
+            return cached
         # The cell-level lookup must not leak into the run-level stats
         # (the invalid counter keeps accumulating — it is the trace).
         cache.hits = 0
@@ -565,7 +562,7 @@ def _finish_shard(
     result.cache_invalid = cache.invalid
     result.cache_invalid_reasons = dict(cache.invalid_reasons)
     cell_key = _shard_cache_key(shard, engine)
-    cache.put_json(cell_key, _encode_shard(result))
+    cache.put_columns(cell_key, result.store, kind="cell", **_encode_shard(result))
     if shard.chaos is not None:
         from repro.chaos import corrupt_after_store
 

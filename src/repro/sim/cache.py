@@ -8,43 +8,55 @@ under a content hash of exactly that key and replayed on the next
 request — re-renders and repeated experiments then skip simulation
 entirely.
 
-The cache is a plain directory of JSON files fanned out by hash prefix,
-so large campaigns don't produce a single huge directory: run records
-go one file per record, or one *batch envelope* per (environment, size)
-cell (:meth:`RunCache.batched`), next to cell- and world-level
-summaries.  Keys incorporate :data:`CACHE_VERSION`; bump it whenever the
-record schema or the simulation semantics change so stale entries miss
-instead of resurfacing.  Corrupt or unreadable entries are treated as
-misses — the cache is an accelerator, never a source of truth.
+The cache is a plain directory of entry files fanned out by hash prefix
+(``<key[:2]>/<key>.json``), so large campaigns don't produce a single
+huge directory.  A study cell leaves two *columnar* entries: its run
+envelope (:meth:`RunCache.batched`, every run of one (environment,
+size) cell) and its cell entry (:meth:`RunCache.put_columns`).  Both are
+:meth:`ResultStore.to_bytes <repro.core.results.ResultStore.to_bytes>`
+output — one JSON header line, then the store's columns as raw bytes —
+so a cold cached study writes each record once per level as column
+bytes, with no per-record row or JSON.  World summaries, and run records
+written outside an envelope, stay JSON documents.  Corrupt or unreadable
+entries are treated as misses — the cache is an accelerator, never a
+source of truth.
 
-A cold cached study encodes every record twice (once into its run
-envelope, once into its cell entry), so the per-record path is kept to
-the cost of building the JSON dict: :func:`encode_record` reads the
-fields directly, :func:`_jsonable` passes exact JSON-native values
-straight through, and miss probes open plain string paths.
+Version skew has one rule.  Keys incorporate :data:`CACHE_VERSION`, so
+after a bump the code never addresses an entry an older version wrote:
+the run misses (no hit, nothing invalid), re-simulates, and leaves the
+old files untouched; a resume journal of the old version names only old
+keys, so it attaches nothing.  An entry found under a current key whose
+header names another version is counted invalid under the label
+``version skew`` (the message names both versions) and re-simulated.
 
-Records round-trip through JSON, which canonicalizes container types:
-a tuple in ``RunRecord.extra`` or ``phases`` (e.g. AMG's process
-topology) comes back as a list, and non-JSON values come back as their
-``str()``.  Every field the dataset CSV exports is preserved exactly
-(floats round-trip bit-for-bit), so cached and fresh campaigns produce
-identical artifacts — but code comparing whole records or relying on
-``extra`` value *types* should not mix cached and fresh records.
+Payload values (``phases``, ``extra``, ``failure_kind``) are stored in
+the canonical form :func:`~repro.sim.run_result.jsonable` gives them:
+a tuple (e.g. AMG's process topology) comes back as a list, and non-JSON
+values come back as their ``str()``.  Every field the dataset CSV
+exports is preserved exactly (floats round-trip bit for bit), so cached
+and fresh campaigns produce identical artifacts — but code comparing
+whole records or relying on ``extra`` value *types* should not mix
+cached and fresh records.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import logging
 import os
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.sim.run_result import RunRecord, RunState
+from repro.sim.run_result import jsonable as _jsonable
 from repro.telemetry import count as telemetry_count
+
+if TYPE_CHECKING:
+    from repro.core.results import ResultStore
 
 logger = logging.getLogger(__name__)
 
@@ -62,33 +74,13 @@ INVALID_REASON_CAP = 8
 #: like the baseline cell, which is what incremental plan execution
 #: (:mod:`repro.plan.diff`) reuses.  World-level keys keep the full
 #: scenario digest (a world aggregates every cell).
-CACHE_VERSION = 3
+#: v4: cell entries and run envelopes are columnar
+#: (:meth:`~repro.core.results.ResultStore.to_bytes`), not JSON records.
+CACHE_VERSION = 4
 
-
-def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars (and other oddballs) into JSON-native types.
-
-    Exact JSON-native types take the fast paths on ``type(value)``;
-    subclasses, numpy scalars and everything else fall through to the
-    ``isinstance`` chain below, so the result never depends on which
-    path a value took.
-    """
-    kind = type(value)
-    if kind is str or kind is float or kind is int or kind is bool or value is None:
-        return value
-    if kind is dict:
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if kind is list or kind is tuple:
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return str(value)
+#: bytes of one run key in a run envelope's key blob (``run_key`` is
+#: this many bytes of BLAKE2b, as hex)
+_KEY_BYTES = 16
 
 
 def run_key(
@@ -298,8 +290,9 @@ def encode_record(record: RunRecord) -> dict[str, Any]:
     which deep-copies every value only for :func:`_jsonable` to walk the
     copy again: ``state`` is its enum value and every other field goes
     through :func:`_jsonable` once.  The keys are :class:`RunRecord`'s
-    fields in declaration order, so the JSON bytes (and every cache
-    entry) match the ``asdict`` encoding.  A dataclass nested in
+    fields in declaration order, so the JSON bytes (a run entry written
+    outside an envelope, ``study --json``) match the ``asdict``
+    encoding.  A dataclass nested in
     ``phases`` or ``extra`` is encoded as its ``str()`` like any other
     non-JSON value; no app puts one there.
     """
@@ -328,27 +321,72 @@ def decode_record(data: dict[str, Any]) -> RunRecord:
     return RunRecord(**fields)
 
 
-class _CacheBatch:
-    """One open batch envelope: a read overlay plus buffered writes.
+def _decode_envelope(data: bytes) -> tuple["ResultStore", list[str]]:
+    """(records, run keys) of a run envelope; ``ValueError`` if malformed."""
+    # Deferred: repro.core imports this module.
+    from repro.core.results import ResultStore
 
-    The envelope is a single JSON file holding ``{run_key: encoded
-    record}`` for a whole cell — one read primes the overlay, every
-    buffered :meth:`RunCache.put` lands in ``pending``, and closing the
-    batch merges overlay + pending back into **one** atomic write (and
-    one digest pass) instead of a file per run.
+    store, _, blob = ResultStore.from_bytes(data, kind="batch", v=CACHE_VERSION)
+    if len(blob) != _KEY_BYTES * len(store):
+        raise ValueError(
+            f"malformed batch entry: {len(blob)} key bytes for {len(store)} records"
+        )
+    hexed = blob.hex()
+    step = 2 * _KEY_BYTES
+    return store, [hexed[i : i + step] for i in range(0, len(hexed), step)]
+
+
+class _CacheBatch:
+    """One open run envelope: the records read at entry plus buffered
+    writes.
+
+    The envelope is one columnar entry holding a whole cell's runs, and
+    a blob of their run keys: one read primes the overlay, every
+    buffered :meth:`RunCache.put` or :meth:`RunCache.put_block` appends
+    to ``pending``, and closing the batch writes the union back in
+    **one** atomic write.
     """
 
-    __slots__ = ("group_key", "level", "overlay", "pending")
+    __slots__ = (
+        "group_key", "level", "overlay", "index", "dirs",
+        "pending", "pending_keys", "pending_index",
+    )
 
-    def __init__(self, group_key: str, level: str, overlay: dict[str, Any]):
+    def __init__(
+        self,
+        group_key: str,
+        level: str,
+        overlay: "ResultStore | None",
+        keys: list[str],
+        dirs: frozenset[str] | None,
+    ):
+        from repro.core.results import ResultStore
+
         self.group_key = group_key
         self.level = level
+        #: the envelope read at entry (``None`` when there was none)
         self.overlay = overlay
-        self.pending: dict[str, Any] = {}
+        #: run key -> overlay row (a repeated key resolves to its last row)
+        self.index = {key: i for i, key in enumerate(keys)}
+        #: the fan-out directories that existed at entry (``None`` when
+        #: the root could not be listed): a key whose directory is not
+        #: here had no file of its own then
+        self.dirs = dirs
+        self.pending = ResultStore()
+        self.pending_keys: list[str] = []
+        self.pending_index: dict[str, int] = {}
 
-    def lookup(self, key: str) -> Any | None:
-        data = self.pending.get(key)
-        return data if data is not None else self.overlay.get(key)
+    def lookup(self, key: str) -> RunRecord | None:
+        i = self.pending_index.get(key)
+        if i is not None:
+            return self.pending.row(i)
+        i = self.index.get(key)
+        return None if i is None else self.overlay.row(i)
+
+    def add_keys(self, keys: Iterable[str]) -> None:
+        for key in keys:
+            self.pending_index[key] = len(self.pending_keys)
+            self.pending_keys.append(key)
 
 
 class RunCache:
@@ -360,13 +398,11 @@ class RunCache:
     torn entry and concurrent writers of one key leave exactly one of
     their payloads (the last rename wins).
 
-    Run envelopes (:meth:`batched`) can lose updates, though: their key
+    Run envelopes (:meth:`batched`) lose no update: their key
     (:func:`batch_key`) ignores the app roster and the iteration count,
-    so two writers of one cell with different app rosters (or iteration
-    counts) each write back the envelope they read plus only their own
-    entries, and the last writer drops the other's.  That costs re-simulating the dropped
-    runs on a later probe, never wrong data — entries are keyed by full
-    :func:`run_key`.  The fix is an open item (ROADMAP.md, item 2).
+    so writers of one cell with different rosters share one envelope,
+    and each writes back the union of what is on disk and what it
+    added, under an exclusive lock (see :meth:`batched`).
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -377,9 +413,10 @@ class RunCache:
         self._root = os.fspath(self.root)
         self.hits = 0
         self.misses = 0
-        #: entries that *existed* but could not be used (corrupt JSON,
-        #: schema mismatch, malformed payload); each one degrades the
-        #: cache to re-simulation, so each one leaves a warning trace
+        #: entries that *existed* but could not be used (corrupt bytes,
+        #: version skew, schema mismatch, malformed payload); each one
+        #: degrades the cache to re-simulation, so each one leaves a
+        #: warning trace
         self.invalid = 0
         #: why entries were invalid: reason label → count, capped at
         #: :data:`INVALID_REASON_CAP` distinct labels (overflow folds
@@ -421,10 +458,24 @@ class RunCache:
         )
 
     def path(self, key: str) -> Path:
+        """The file of ``key``'s entry, JSON or columnar alike."""
         return Path(self._file(key))
 
     def _file(self, key: str) -> str:
         return os.path.join(self._root, key[:2], key + ".json")
+
+    def _miss(self, level: str, key: str | None = None, reason: str | None = None) -> None:
+        """Count a miss; with a ``reason``, the entry existed but was unusable."""
+        self.misses += 1
+        telemetry_count(f"cache.{level}.misses")
+        if reason is not None:
+            self.note_invalid(key, reason)
+
+    def _hit(self, level: str, nbytes: int) -> None:
+        self.hits += 1
+        self.hit_bytes += nbytes
+        telemetry_count(f"cache.{level}.hits")
+        telemetry_count(f"cache.{level}.hit_bytes", nbytes)
 
     def get_json(self, key: str, *, level: str = "cell") -> Any | None:
         """The raw JSON payload for ``key``, or ``None`` on a miss.
@@ -441,20 +492,12 @@ class RunCache:
                 text = fh.read()
             data = json.loads(text)
         except FileNotFoundError:
-            self.misses += 1
-            telemetry_count(f"cache.{level}.misses")
-            return None
+            return self._miss(level)
         except (OSError, ValueError) as exc:
             # The entry exists but cannot be read or parsed: a miss,
             # and a degradation worth a trace.
-            self.misses += 1
-            telemetry_count(f"cache.{level}.misses")
-            self.note_invalid(key, f"unreadable or corrupt JSON: {exc}")
-            return None
-        self.hits += 1
-        self.hit_bytes += len(text)
-        telemetry_count(f"cache.{level}.hits")
-        telemetry_count(f"cache.{level}.hit_bytes", len(text))
+            return self._miss(level, key, f"unreadable or corrupt JSON: {exc}")
+        self._hit(level, len(text))
         return data
 
     def put_json(self, key: str, data: Any, *, level: str = "cell") -> None:
@@ -462,11 +505,45 @@ class RunCache:
         self._write(key, data, level)
 
     def _write(self, key: str, data: Any, level: str) -> None:
-        text = json.dumps(data, separators=(",", ":"))
-        self._atomic_write(key, text.encode("utf-8"))
-        self.put_bytes += len(text)
+        self._store(key, json.dumps(data, separators=(",", ":")).encode("utf-8"), level)
+
+    def get_columns(
+        self, key: str, *, kind: str, level: str = "cell"
+    ) -> "tuple[ResultStore, dict] | None":
+        """``(store, header)`` of ``key``'s columnar entry, or ``None``.
+
+        The entry must be ``kind`` at :data:`CACHE_VERSION`; anything
+        else that exists there — unreadable bytes, another version, a
+        malformed layout — is a miss that :meth:`note_invalid` records.
+        ``level`` labels the telemetry counters, as in :meth:`get_json`.
+        """
+        from repro.core.results import ResultStore
+
+        try:
+            with open(self._file(key), "rb") as fh:
+                data = fh.read()
+            store, header, _ = ResultStore.from_bytes(data, kind=kind, v=CACHE_VERSION)
+        except FileNotFoundError:
+            return self._miss(level)
+        except OSError as exc:
+            return self._miss(level, key, f"unreadable entry: {exc}")
+        except ValueError as exc:
+            return self._miss(level, key, str(exc))
+        self._hit(level, len(data))
+        return store, header
+
+    def put_columns(
+        self, key: str, store: "ResultStore", *, kind: str, level: str = "cell", **fields
+    ) -> None:
+        """Store ``store`` as a columnar ``kind`` entry under ``key``,
+        with ``fields`` in its header (atomic, last-writer-wins)."""
+        self._store(key, store.to_bytes(kind=kind, v=CACHE_VERSION, **fields), level)
+
+    def _store(self, key: str, payload: bytes, level: str) -> None:
+        self._atomic_write(key, payload)
+        self.put_bytes += len(payload)
         telemetry_count(f"cache.{level}.puts")
-        telemetry_count(f"cache.{level}.put_bytes", len(text))
+        telemetry_count(f"cache.{level}.put_bytes", len(payload))
 
     def poison(self, key: str) -> None:
         """Overwrite ``key``'s entry with undecodable bytes.
@@ -505,30 +582,34 @@ class RunCache:
 
         On entry the envelope stored under ``group_key`` (if any) is
         read **once** and becomes a lookup overlay for every
-        :meth:`get` inside the scope; every :meth:`put` is buffered; on
-        exit (including via an exception) the merged entries are written
-        back in **one** atomic file write.  Per-record ``hits``/
-        ``misses`` keep counting at consumption time, so an engine
-        running inside a batch reports stats probe-for-probe identical
-        to a bare one — only the file I/O collapses, tracked separately
-        by the ``batch_*`` counters.
+        :meth:`get` inside the scope (a key it lacks falls through to
+        the key's own file, if its fan-out directory existed at entry,
+        so a cold probe costs no file system call); every :meth:`put` and
+        :meth:`put_block` is buffered; on exit (including via an
+        exception) the buffered records are written back in **one**
+        atomic file write.  Per-record ``hits``/``misses`` keep counting
+        at consumption time, so an engine running inside a batch reports
+        stats probe-for-probe identical to a bare one — only the file
+        I/O collapses, tracked separately by the ``batch_*`` counters.
 
         Reentrant per level: a nested ``batched`` reuses the open batch
         (the outer ``group_key`` wins) so helper layers can wrap
-        defensively.  Entries are self-describing ``{run_key: payload}``
-        maps and the write is last-writer-wins: concurrent writers of a
-        cell with the *same* app roster and iteration count write
-        identical envelopes, but a writer with a different roster (or
-        iteration count) drops the entries the other added since it read
-        the envelope.  Those
-        runs re-simulate on a later probe; no entry is ever wrong (see
-        the class docstring).
+        defensively.  The write loses no update: under an exclusive
+        ``flock`` on a hidden per-envelope lock file, it re-reads the
+        envelope and writes the union of what is on disk and what this
+        scope buffered, the buffered record winning for a key both
+        hold.  Concurrent writers of one cell with different app rosters
+        or iteration counts therefore keep each other's runs.
         """
         outer = self._batches.get(level)
         if outer is not None:
             yield outer
             return
-        batch = _CacheBatch(group_key, level, self._read_envelope(group_key, level))
+        try:
+            dirs = frozenset(os.listdir(self._root))
+        except OSError:
+            dirs = None
+        batch = _CacheBatch(group_key, level, *self._read_envelope(group_key, level), dirs)
         self._batches[level] = batch
         try:
             yield batch
@@ -536,46 +617,66 @@ class RunCache:
             del self._batches[level]
             self._flush_envelope(batch)
 
-    def _read_envelope(self, group_key: str, level: str) -> dict[str, Any]:
+    def _read_envelope(
+        self, group_key: str, level: str
+    ) -> "tuple[ResultStore | None, list[str]]":
         try:
-            with open(self._file(group_key), "r", encoding="utf-8") as fh:
-                text = fh.read()
-            data = json.loads(text)
+            with open(self._file(group_key), "rb") as fh:
+                data = fh.read()
+            store, keys = _decode_envelope(data)
         except FileNotFoundError:
+            store, keys = None, []
+        except OSError as exc:
+            store, keys = None, []
+            self.note_invalid(group_key, f"unreadable entry: {exc}")
+        except ValueError as exc:
+            store, keys = None, []
+            self.note_invalid(group_key, str(exc))
+        if store is None:
             self.batch_misses += 1
             telemetry_count(f"cache.{level}.batch_misses")
-            return {}
-        except (OSError, ValueError) as exc:
-            self.batch_misses += 1
-            telemetry_count(f"cache.{level}.batch_misses")
-            self.note_invalid(group_key, f"unreadable or corrupt JSON: {exc}")
-            return {}
-        entries = data.get("entries") if isinstance(data, dict) else None
-        if not isinstance(entries, dict) or data.get("kind") != "batch":
-            self.batch_misses += 1
-            telemetry_count(f"cache.{level}.batch_misses")
-            self.note_invalid(group_key, "batch envelope malformed")
-            return {}
+            return store, keys
         self.batch_hits += 1
-        self.hit_bytes += len(text)
+        self.hit_bytes += len(data)
         telemetry_count(f"cache.{level}.batch_hits")
-        telemetry_count(f"cache.{level}.batch_hit_bytes", len(text))
-        return entries
+        telemetry_count(f"cache.{level}.batch_hit_bytes", len(data))
+        return store, keys
 
     def _flush_envelope(self, batch: _CacheBatch) -> None:
-        if not batch.pending:
+        from repro.core.results import ResultStore
+
+        if not batch.pending_keys:
             return
-        envelope = {
-            "kind": "batch",
-            "v": CACHE_VERSION,
-            "entries": {**batch.overlay, **batch.pending},
-        }
-        text = json.dumps(envelope, separators=(",", ":"))
-        self._atomic_write(batch.group_key, text.encode("utf-8"))
-        self.put_bytes += len(text)
+        path = self._file(batch.group_key)
+        directory, name = os.path.split(path)
+        os.makedirs(directory, exist_ok=True)
+        with open(os.path.join(directory, f".{name}.lock"), "ab") as lock:
+            # Held until the file closes: a second writer re-reads only
+            # after this one's union is in place.
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
+            try:
+                with open(path, "rb") as fh:
+                    disk, disk_keys = _decode_envelope(fh.read())
+            except (OSError, ValueError):
+                # Nothing usable on disk (the entry probe counted any
+                # invalid envelope): this scope's records are the union.
+                disk, disk_keys = ResultStore(), []
+            kept = [i for i, key in enumerate(disk_keys) if key not in batch.pending_index]
+            if len(kept) < len(disk_keys):
+                # The buffered record wins for a key both sides hold.
+                disk = ResultStore(disk.row(i) for i in kept)
+            merged = ResultStore.merge([disk, batch.pending]) if kept else batch.pending
+            keys = [disk_keys[i] for i in kept] + batch.pending_keys
+            data = merged.to_bytes(
+                kind="batch",
+                v=CACHE_VERSION,
+                blob=b"".join(bytes.fromhex(key) for key in keys),
+            )
+            self._atomic_write(batch.group_key, data)
+        self.put_bytes += len(data)
         self.batch_puts += 1
         telemetry_count(f"cache.{batch.level}.batch_puts")
-        telemetry_count(f"cache.{batch.level}.batch_put_bytes", len(text))
+        telemetry_count(f"cache.{batch.level}.batch_put_bytes", len(data))
 
     def get_many(
         self, keys: Iterable[str], *, group_key: str | None = None, level: str = "run"
@@ -594,7 +695,7 @@ class RunCache:
     def put_many(
         self, entries: Mapping[str, RunRecord], *, group_key: str, level: str = "run"
     ) -> None:
-        """Store many records in one envelope write (one digest pass)."""
+        """Store many records in one envelope write."""
         with self.batched(group_key, level=level):
             for key, record in entries.items():
                 self.put(key, record)
@@ -605,21 +706,15 @@ class RunCache:
         """The cached record for ``key``, or ``None`` on a miss."""
         batch = self._batches.get("run")
         if batch is not None:
-            data = batch.lookup(key)
-            if data is not None:
+            record = batch.lookup(key)
+            if record is not None:
                 # The envelope's bytes were counted once at batch entry;
                 # per-record accounting here is hits/misses only.
                 self.hits += 1
                 telemetry_count("cache.run.hits")
-                try:
-                    return decode_record(data)
-                except (ValueError, TypeError, KeyError) as exc:
-                    self.hits -= 1
-                    self.misses += 1
-                    telemetry_count("cache.run.hits", -1)
-                    telemetry_count("cache.run.misses")
-                    self.note_invalid(key, f"record schema mismatch: {exc}")
-                    return None
+                return record
+            if batch.dirs is not None and key[:2] not in batch.dirs:
+                return self._miss("run")
             # fall through: a key the envelope doesn't know may still
             # exist as an individual file (unbatched writer)
         # _read, not get_json: tests stub the public JSON probes
@@ -641,17 +736,41 @@ class RunCache:
     def put(self, key: str, record: RunRecord) -> None:
         """Store ``record`` under ``key`` (atomic, last-writer-wins).
 
-        Inside a :meth:`batched` scope the write is buffered into the
+        Inside a :meth:`batched` scope the record is appended to the
         open envelope instead of touching its own file.
         """
         batch = self._batches.get("run")
         if batch is not None:
-            batch.pending[key] = encode_record(record)
+            batch.pending.add(record)
+            batch.add_keys((key,))
             telemetry_count("cache.run.puts")
             return
         self._write(key, encode_record(record), level="run")
 
+    def put_block(self, keys: list[str], **block) -> None:
+        """Store one simulated block: ``block`` holds
+        :meth:`~repro.core.results.ResultStore.append_block`'s arguments
+        and ``keys[i]`` names its record ``i``.
+
+        Inside a :meth:`batched` scope the block is appended to the open
+        envelope as columns; outside one, each record goes to its own
+        file as :meth:`put` writes it.
+        """
+        batch = self._batches.get("run")
+        if batch is None:
+            from repro.core.results import ResultStore
+
+            rows = ResultStore()
+            rows.append_block(**block)
+            for key, record in zip(keys, rows.records):
+                self.put(key, record)
+            return
+        batch.pending.append_block(**block)
+        batch.add_keys(keys)
+        telemetry_count("cache.run.puts", len(keys))
+
     def __len__(self) -> int:
+        """Entries on disk: JSON and columnar ones share one file rule."""
         return sum(1 for _ in self.root.glob("*/*.json"))
 
     def stats(self) -> dict[str, Any]:

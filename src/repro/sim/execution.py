@@ -21,6 +21,7 @@ Engines are deterministic given (seed, env, app, scale, iteration).
 from __future__ import annotations
 
 import contextlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -66,7 +67,7 @@ class HookupCutoff:
     §3.3's single-iteration rule — AKS CPU at size 256 ran once because
     hookup took 8.82 minutes — as a *value* rather than a closure, so
     the block path can apply it vectorized (:meth:`stop_index`) while
-    the cached path calls it per materialized record.
+    a cached group that mixes hits and misses calls it per record.
     """
 
     env_id: str
@@ -687,9 +688,10 @@ class ExecutionEngine:
         )
 
     def _column_records(self, group: ResolvedGroup, cols: _BlockColumns) -> list[RunRecord]:
-        """Materialize a column block into per-run records (the cache
-        and generic-stop paths need row objects; the fast path never
-        calls this)."""
+        """Materialize a column block into per-run records (a cached
+        group that mixes hits and misses, and a ``stop`` without
+        ``stop_index``, need row objects; the fast path never calls
+        this)."""
         from repro.core.results import payload_slot
 
         env_id = group.env.env_id
@@ -740,10 +742,13 @@ class ExecutionEngine:
         byte-identical to per-iteration :meth:`run` calls that end at
         the first record ``stop`` accepts.
 
-        With a cache configured, rows materialize for the per-record
-        cache protocol (probe order, puts, and hit/miss stats match the
-        scalar path exactly); a :class:`HookupCutoff` ``stop`` applies
-        vectorized, any other callable sees materialized rows in order.
+        With a cache configured, every iteration still probes the
+        per-record cache protocol (probe order, puts, and hit/miss stats
+        match the scalar path exactly): a group whose probes all miss
+        lands as columns, as here, and rows materialize only for a group
+        that mixes hits and misses.  A :class:`HookupCutoff` ``stop``
+        applies vectorized, any other callable sees materialized rows in
+        order.
         """
         model = app_lookup(app) if isinstance(app, str) else app
 
@@ -769,39 +774,50 @@ class ExecutionEngine:
 
             group = self.resolve_group(env, model, scale, options=options)
             cols = self._simulate_columns(group, np.arange(iterations, dtype=np.int64))
-            if stop is not None:
-                stop_index = getattr(stop, "stop_index", None)
-                if stop_index is not None:
-                    k = stop_index(env.env_id, scale, cols.hookup)
-                else:
-                    k = next(
-                        (j for j, r in enumerate(self._column_records(group, cols)) if stop(r)),
-                        None,
-                    )
-                if k is not None:
-                    cols = cols.truncate(k + 1)
-            store.append_block(
-                env_id=env.env_id,
-                app=model.name,
-                scale=group.scale,
-                nodes=group.nodes,
-                iteration=cols.iteration,
-                state=cols.state,
-                fom=cols.fom,
-                fom_none=cols.fom_none,
-                wall_seconds=cols.wall,
-                hookup_seconds=cols.hookup,
-                cost_usd=cols.cost,
-                fom_units=model.fom_units,
-                failure_kind=cols.failure_kind,
-                phases=cols.phases,
-                extra=cols.extra,
+            cols = self._apply_stop(group, cols, stop)
+            store.append_block(**self._block_args(group, cols))
+            return BlockOutcome(count=len(cols.iteration), total_seconds=_block_total(cols))
+
+    def _apply_stop(
+        self,
+        group: ResolvedGroup,
+        cols: _BlockColumns,
+        stop: Callable[[RunRecord], bool] | None,
+    ) -> _BlockColumns:
+        """``cols`` up to and including the first record ``stop`` accepts."""
+        if stop is None:
+            return cols
+        stop_index = getattr(stop, "stop_index", None)
+        if stop_index is not None:
+            k = stop_index(group.env.env_id, group.scale, cols.hookup)
+        else:
+            k = next(
+                (j for j, r in enumerate(self._column_records(group, cols)) if stop(r)),
+                None,
             )
-            total = 0.0
-            for j in range(len(cols.iteration)):
-                # Accumulate in record order, like the per-record shard clock.
-                total = total + (cols.wall[j] + cols.hookup[j])
-            return BlockOutcome(count=len(cols.iteration), total_seconds=float(total))
+        return cols if k is None else cols.truncate(k + 1)
+
+    @staticmethod
+    def _block_args(group: ResolvedGroup, cols: _BlockColumns) -> dict[str, Any]:
+        """:meth:`~repro.core.results.ResultStore.append_block`'s
+        arguments for one column block of ``group``."""
+        return dict(
+            env_id=group.env.env_id,
+            app=group.model.name,
+            scale=group.scale,
+            nodes=group.nodes,
+            iteration=cols.iteration,
+            state=cols.state,
+            fom=cols.fom,
+            fom_none=cols.fom_none,
+            wall_seconds=cols.wall,
+            hookup_seconds=cols.hookup,
+            cost_usd=cols.cost,
+            fom_units=group.model.fom_units,
+            failure_kind=cols.failure_kind,
+            phases=cols.phases,
+            extra=cols.extra,
+        )
 
     def _run_block_cached(
         self,
@@ -817,9 +833,12 @@ class ExecutionEngine:
 
         Keys are digested once per group (:func:`run_key_block`), all
         iterations probe up front, only the missing ones simulate (as
-        one sub-block), and — when a ``stop`` truncates the batch — the
-        cache's hit/miss counters are re-aligned to the executed prefix
-        so the stats match the scalar path probe for probe.
+        one sub-block, which reaches the run envelope as one block), and
+        — when a ``stop`` truncates the batch — the cache's hit/miss
+        counters are re-aligned to the executed prefix so the stats
+        match the scalar path probe for probe.  A group whose probes all
+        miss lands in ``store`` as columns, like the uncached path; rows
+        materialize only for a group that mixes hits and misses.
         """
         keys = run_key_block(
             seed=self.seed,
@@ -837,45 +856,54 @@ class ExecutionEngine:
         probe_invalid: list[int] = []
         probe_reasons: list[dict[str, int] | None] = []
         with span("engine.cache_probe", env=env.env_id, app=model.name, probes=len(keys)):
+            reasons = dict(self.cache.invalid_reasons)
             for key in keys:
                 before = self.cache.invalid
-                before_reasons = dict(self.cache.invalid_reasons)
                 probes.append(self.cache.get(key))
                 delta = self.cache.invalid - before
                 probe_invalid.append(delta)
+                if not delta:
+                    probe_reasons.append(None)
+                    continue
                 # Remember which reason bins this probe touched, so a
                 # stop-truncated batch can unwind them with the counters.
-                probe_reasons.append(
-                    None if not delta else {
-                        label: count - before_reasons.get(label, 0)
-                        for label, count in self.cache.invalid_reasons.items()
-                        if count != before_reasons.get(label, 0)
-                    }
-                )
-        records: list[RunRecord | None] = list(probes)
+                probe_reasons.append({
+                    label: count - reasons.get(label, 0)
+                    for label, count in self.cache.invalid_reasons.items()
+                    if count != reasons.get(label, 0)
+                })
+                reasons = dict(self.cache.invalid_reasons)
         missing = [i for i, record in enumerate(probes) if record is None]
-        simulated: list[RunRecord] = []
+        records: list[RunRecord | None] | None = None
         if missing:
             group = self.resolve_group(env, model, scale, options=options)
             cols = self._simulate_columns(group, np.asarray(missing, dtype=np.int64))
-            simulated = self._column_records(group, cols)
-            for i, record in zip(missing, simulated):
-                records[i] = record
-        prefix = len(records)
-        if stop is not None:
-            prefix = next(
-                (j + 1 for j, r in enumerate(records) if stop(r)), len(records)
-            )
+        if missing and len(missing) == len(probes):
+            cols = self._apply_stop(group, cols, stop)
+            prefix = simulated = len(cols.iteration)
+        else:
+            records = list(probes)
+            if missing:
+                for i, record in zip(missing, self._column_records(group, cols)):
+                    records[i] = record
+            prefix = len(records)
+            if stop is not None:
+                prefix = next(
+                    (j + 1 for j, r in enumerate(records) if stop(r)), len(records)
+                )
+            simulated = bisect_left(missing, prefix)
         with span("engine.cache_put", env=env.env_id, app=model.name):
-            for i, record in zip(missing, simulated):
-                if i < prefix:
-                    self.cache.put(keys[i], record)
-        if prefix < len(records):
+            if simulated:
+                put = cols if simulated == len(cols.iteration) else cols.truncate(simulated)
+                self.cache.put_block(
+                    [keys[i] for i in missing[:simulated]], **self._block_args(group, put)
+                )
+        if prefix < len(probes):
             # The scalar path never probes past the stop; re-align all
             # three counters (a corrupt entry past the stop must not
             # surface as an invalid-entry degradation it never caused).
             over_hits = sum(1 for r in probes[prefix:] if r is not None)
-            over_misses = (len(records) - prefix) - over_hits
+            over_misses = (len(probes) - prefix) - over_hits
             self.cache.hits -= over_hits
             self.cache.misses -= over_misses
             self.cache.invalid -= sum(probe_invalid[prefix:])
@@ -890,9 +918,21 @@ class ExecutionEngine:
                         self.cache.invalid_reasons[label] = remaining
                     else:
                         self.cache.invalid_reasons.pop(label, None)
+        if records is None:
+            store.append_block(**self._block_args(group, cols))
+            return BlockOutcome(count=prefix, total_seconds=_block_total(cols))
         kept = records[:prefix]
         store.extend(kept)
         total = 0.0
         for record in kept:
             total = total + record.total_seconds
         return BlockOutcome(count=len(kept), total_seconds=total)
+
+
+def _block_total(cols: _BlockColumns) -> float:
+    """Wall plus hookup seconds of a block, accumulated in record order
+    like the per-record shard clock."""
+    total = 0.0
+    for j in range(len(cols.iteration)):
+        total = total + (cols.wall[j] + cols.hookup[j])
+    return float(total)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,6 +28,35 @@ STATE_CODE: dict[RunState, int] = {state: code for code, state in enumerate(STAT
 #: distinct cells, so columnar appends refuse them instead
 ENV_ID_WIDTH = 32
 APP_NAME_WIDTH = 24
+
+
+def jsonable(value: Any) -> Any:
+    """Coerce numpy scalars (and other oddballs) into JSON-native types.
+
+    The one canonical form of a record's Python payloads (``phases``,
+    ``extra``, ``failure_kind``) wherever they are stored: dict keys
+    become ``str(key)``, tuples become lists, numpy scalars their
+    ``item()``, anything else its ``str()``.  Exact JSON-native types
+    take the fast paths on ``type(value)``; subclasses, numpy scalars
+    and everything else fall through to the ``isinstance`` chain below,
+    so the result never depends on which path a value took.
+    """
+    kind = type(value)
+    if kind is str or kind is float or kind is int or kind is bool or value is None:
+        return value
+    if kind is dict:
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [jsonable(v) for v in value]
+    if isinstance(value, Mapping):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if hasattr(value, "item"):  # numpy scalar
+        return value.item()
+    return str(value)
 
 
 @dataclass(frozen=True)

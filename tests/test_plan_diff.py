@@ -370,7 +370,7 @@ def test_malformed_cell_entries_surface_and_reexecute(tmp_path, corruption):
     path = RunCache(cache_dir).path(shard_summary_key(aws_shard))
     assert path.exists(), "the baseline run must have written the cell summary"
     if corruption == "truncated":
-        path.write_text(path.read_text()[:40])  # a torn write
+        path.write_bytes(path.read_bytes()[:40])  # a torn write
     else:
         path.write_text(json.dumps({"nope": 1}))  # valid JSON, wrong schema
     executor = PlanExecutor(variant, baseline=base_plan)
@@ -391,7 +391,7 @@ def test_sweep_surfaces_invalid_cell_entries_in_its_reuse_counter(
     Re-executing a corrupt cell rewrites it, so plain on-disk corruption
     heals before the attach probe ever sees it; this simulates the
     *persistent* flavor (bad sector, torn write racing the reader) by
-    making every read of one cell key return a truncated payload.
+    making every probe of one cell key return a truncated header.
     """
     cache_dir = str(tmp_path / "cache")
     scn = Scenario(
@@ -402,15 +402,16 @@ def test_sweep_surfaces_invalid_cell_entries_in_its_reuse_counter(
     aws_key = shard_summary_key(
         next(s for s in variant.shards if s.env_id == CLOUD_ENVS["aws"])
     )
-    real_get = RunCache.get_json
+    real_get = RunCache.get_columns
 
-    def tearing_get(self, key):
-        data = real_get(self, key)
-        if key == aws_key and data is not None:
-            return {"records": None}  # truncated-then-"repaired" shape
-        return data
+    def tearing_get(self, key, **kwargs):
+        found = real_get(self, key, **kwargs)
+        if key == aws_key and found is not None:
+            store, _ = found
+            return store, {"incidents": None}  # truncated-then-"repaired" shape
+        return found
 
-    monkeypatch.setattr(RunCache, "get_json", tearing_get)
+    monkeypatch.setattr(RunCache, "get_columns", tearing_get)
     result = ScenarioSweep(
         _config(),
         [scn],

@@ -2,8 +2,11 @@
 
 import collections
 import dataclasses
+import functools
 import hashlib
 import json
+import multiprocessing
+import shutil
 import sys
 import threading
 from typing import Mapping
@@ -13,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.parallel.shard as shard_module
+import repro.sim.cache as cache_module
 from repro.__main__ import main
+from repro.apps.registry import APPS
+from repro.core.results import ResultStore
 from repro.core.study import StudyConfig, StudyRunner
 from repro.envs.registry import ENVIRONMENTS
+from repro.parallel.shard import shard_summary_key
 from repro.plan import ExecutionOptions
 from repro.sim.cache import (
     RunCache,
@@ -128,10 +134,12 @@ def _reference_encode(record):
     return _reference_jsonable(data)
 
 
+def _reference_bytes(record):
+    return json.dumps(_reference_encode(record), separators=(",", ":"))
+
+
 def _encodings_agree(record):
-    return json.dumps(encode_record(record), separators=(",", ":")) == json.dumps(
-        _reference_encode(record), separators=(",", ":")
-    )
+    return json.dumps(encode_record(record), separators=(",", ":")) == _reference_bytes(record)
 
 
 #: values with a deterministic ``str()`` and no ``item()``: the encoder
@@ -412,6 +420,273 @@ def test_cached_study_writes_envelopes_not_per_run_files(tmp_path):
     assert report.datasets > len(_cache_files(tmp_path))
 
 
+# ------------------------------------------------- columnar entries: faults
+
+#: the cell-entry key the fault tests write under
+KEY = "cd" * 16
+
+
+@functools.lru_cache(maxsize=None)
+def _mixed_store() -> ResultStore:
+    """A store with every payload shape: array leaves (osu), a tuple
+    constant (amg2023) and per-record rows (single-node on AKS)."""
+    store = ResultStore()
+    engine = ExecutionEngine(seed=0)
+    for app in ("osu", "amg2023", "single-node"):
+        engine.run_block(ENVIRONMENTS["cpu-aks-az"], app, 32, iterations=3, store=store)
+    return store
+
+
+def _cell_entry() -> bytes:
+    return _mixed_store().to_bytes(
+        kind="cell", v=cache_module.CACHE_VERSION, incidents=[]
+    )
+
+
+def _edit_entry(data: bytes, edit) -> bytes:
+    """``data`` after ``edit(header, body)``, re-padded so the body stays
+    8-byte aligned."""
+    end = data.index(b"\n")
+    header = json.loads(data[:end])
+    body = bytearray(data[-(-(end + 1) // 8) * 8 :])
+    edit(header, body)
+    head = json.dumps(header).encode("utf-8") + b"\n"
+    return head + bytes(-len(head) % 8) + bytes(body)
+
+
+def _layout(header, name):
+    return next(entry for entry in header["layout"] if entry[0] == name)
+
+
+def _first_leaf(header):
+    return next(entry for entry in header["layout"] if entry[0].startswith("leaf"))
+
+
+def _set(entry, index, value):
+    entry[index] = value
+
+
+def _label_99(header, body):
+    _, _, _, offset = _layout(header, "labels")
+    body[offset : offset + 8] = np.int64(99).tobytes()
+
+
+#: fault -> (entry bytes -> corrupted bytes)
+_FAULTS = {
+    "truncated header": lambda data: data[:40],
+    "truncated body": lambda data: data[:-9],
+    "object dtype": lambda data: _edit_entry(data, lambda h, b: _set(_first_leaf(h), 1, "|O")),
+    "schema dtype": lambda data: _edit_entry(data, lambda h, b: _set(_layout(h, "fom"), 1, "<f4")),
+    "count past the end": lambda data: _edit_entry(
+        data, lambda h, b: _set(_layout(h, "wall_seconds"), 2, 10**6)
+    ),
+    "offset past the end": lambda data: _edit_entry(
+        data, lambda h, b: _set(_layout(h, "cost_usd"), 3, len(b) + 8)
+    ),
+    "label out of range": lambda data: _edit_entry(data, _label_99),
+    "segment total": lambda data: _edit_entry(
+        data, lambda h, b: _set(h["segments"]["extra"][0], 1, h["segments"]["extra"][0][1] + 1)
+    ),
+    "swapped kind": lambda data: _edit_entry(data, lambda h, b: h.update(kind="batch")),
+    "version skew": lambda data: _edit_entry(data, lambda h, b: h.update(v=3)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_malformed_cell_entry_is_a_counted_miss(tmp_path, fault):
+    RunCache(tmp_path).path(KEY).parent.mkdir()
+    RunCache(tmp_path).path(KEY).write_bytes(_FAULTS[fault](_cell_entry()))
+    cache = RunCache(tmp_path)
+    assert cache.get_columns(KEY, kind="cell") is None
+    assert (cache.hits, cache.misses, cache.invalid) == (0, 1, 1)
+    label = "version skew" if fault == "version skew" else "malformed cell entry"
+    assert cache.invalid_reasons == {label: 1}
+
+
+def test_version_skew_names_both_versions(tmp_path, caplog):
+    cache = RunCache(tmp_path)
+    cache.put_columns(KEY, _mixed_store(), kind="cell", incidents=[])
+    path = cache.path(KEY)
+    path.write_bytes(_FAULTS["version skew"](path.read_bytes()))
+    with caplog.at_level("WARNING", logger="repro.sim.cache"):
+        assert RunCache(tmp_path).get_columns(KEY, kind="cell") is None
+    assert f"version skew: entry v3, code v{cache_module.CACHE_VERSION}" in caplog.text
+
+
+def test_well_formed_cell_entry_round_trips(tmp_path):
+    RunCache(tmp_path).put_columns(KEY, _mixed_store(), kind="cell", incidents=[])
+    cache = RunCache(tmp_path)
+    store, header = cache.get_columns(KEY, kind="cell")
+    assert store.to_csv() == _mixed_store().to_csv()
+    assert header["incidents"] == []
+    assert (cache.hits, cache.invalid, len(cache)) == (1, 0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_entries_decode_or_raise_value_error(data):
+    entry = bytearray(_cell_entry())
+    for at, value in data.draw(
+        st.lists(st.tuples(st.integers(0, len(entry) - 1), st.integers(0, 255)), max_size=4)
+    ):
+        entry[at] = value
+    cut = data.draw(st.integers(0, len(entry)))
+    try:
+        store, _, _ = ResultStore.from_bytes(
+            bytes(entry[:cut]), kind="cell", v=cache_module.CACHE_VERSION
+        )
+    except ValueError:
+        return
+    # Whatever decodes is a usable store.
+    store.to_csv()
+    assert len(store.records) == len(store)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dtype=st.text(max_size=8))
+def test_any_layout_dtype_decodes_or_raises_value_error(dtype):
+    entry = _edit_entry(_cell_entry(), lambda h, b: _set(_first_leaf(h), 1, dtype))
+    try:
+        ResultStore.from_bytes(entry, kind="cell", v=cache_module.CACHE_VERSION)
+    except ValueError:
+        pass
+
+
+def test_run_envelope_with_a_short_key_blob_is_a_counted_miss(tmp_path):
+    from repro.sim.cache import batch_key
+
+    records = _records(2)
+    group = batch_key(seed=0, env_id=ENV.env_id, scale=32)
+    RunCache(tmp_path).put_many(records, group_key=group)
+    path = RunCache(tmp_path).path(group)
+    path.write_bytes(
+        _edit_entry(path.read_bytes(), lambda h, b: _set(_layout(h, "blob"), 2, 16))
+    )
+    fresh = RunCache(tmp_path)
+    assert fresh.get_many(records.keys(), group_key=group) == [None, None]
+    assert fresh.invalid_reasons == {"malformed batch entry": 1}
+
+
+def test_study_with_a_version_skewed_cell_entry_reexecutes_it(tmp_path):
+    config = StudyConfig.smoke(seed=1)
+    options = ExecutionOptions(cache_dir=str(tmp_path))
+    cold = StudyRunner(config, options).run()
+    shard = StudyRunner(config).compile().shards[0]
+    path = RunCache(tmp_path).path(shard_summary_key(shard))
+    path.write_bytes(_FAULTS["version skew"](path.read_bytes()))
+    warm = StudyRunner(config, options).run()
+    assert warm.cache_invalid_reasons == {"version skew": 1}
+    assert warm.store.to_csv() == cold.store.to_csv()
+
+
+# -------------------------------------------- version skew: another version
+
+_SKEW_ARGV = [
+    "study", "--envs", "cpu-onprem-a,cpu-eks-aws", "--apps", "amg2023,osu",
+    "--sizes", "32", "--iterations", "3",
+]
+
+
+def test_a_cache_written_under_another_version_is_missed_untouched(
+    tmp_path, monkeypatch, capsys
+):
+    cache = tmp_path / "cache"
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "CACHE_VERSION", 3)
+        assert main([*_SKEW_ARGV, "--cache", str(cache), "--output", str(tmp_path / "v3.csv")]) == 0
+    entries = {path: path.read_bytes() for path in cache.glob("*/*")}
+    journal = (cache / "journal.jsonl").read_text()
+    capsys.readouterr()
+    assert main([*_SKEW_ARGV, "--cache", str(cache), "--output", str(tmp_path / "v4.csv")]) == 0
+    assert "run cache         : 0 hits, 12 misses\n" in capsys.readouterr().out
+    assert (tmp_path / "v4.csv").read_bytes() == (tmp_path / "v3.csv").read_bytes()
+    assert len(entries) == 6  # two cells: envelope, cell entry, lock file
+    assert all(path.read_bytes() == data for path, data in entries.items())
+    assert (cache / "journal.jsonl").read_text().startswith(journal)
+
+
+def test_resume_against_another_versions_journal_attaches_nothing(tmp_path, monkeypatch):
+    config = StudyConfig(
+        env_ids=("cpu-onprem-a", "cpu-eks-aws"), apps=("amg2023", "osu"),
+        sizes=(32,), iterations=3,
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "CACHE_VERSION", 3)
+        old = StudyRunner(config, ExecutionOptions(cache_dir=str(tmp_path))).run()
+    assert (tmp_path / "journal.jsonl").read_text().count("\n") == 2
+    resumed = StudyRunner(
+        config, ExecutionOptions(cache_dir=str(tmp_path), resume=True)
+    ).run()
+    assert resumed.faults.resumed == 0
+    assert (resumed.cache_hits, resumed.cache_misses) == (0, resumed.datasets)
+    assert resumed.store.to_csv() == old.store.to_csv()
+
+
+# ------------------------------------------------ run envelopes: no lost update
+
+
+def _run_roster(cache: RunCache, apps) -> ExecutionEngine:
+    env = ENVIRONMENTS["cpu-onprem-a"]
+    engine = ExecutionEngine(seed=0, cache=cache)
+    with engine.cache_scope(env, 32):
+        for app in apps:
+            engine.run_block(env, app, 32, iterations=3, store=ResultStore())
+    return engine
+
+
+def test_envelope_writers_with_different_rosters_keep_both(tmp_path):
+    env = ENVIRONMENTS["cpu-onprem-a"]
+    first, second = (ExecutionEngine(seed=0, cache=RunCache(tmp_path)) for _ in range(2))
+    # Both open the (absent) envelope before either flushes; the inner
+    # scope flushes first, then the outer one writes the union.
+    with first.cache_scope(env, 32), second.cache_scope(env, 32):
+        first.run_block(env, "amg2023", 32, iterations=3, store=ResultStore())
+        second.run_block(env, "lammps", 32, iterations=3, store=ResultStore())
+    rerun = _run_roster(RunCache(tmp_path), ("amg2023", "lammps"))
+    assert (rerun.cache.hits, rerun.cache.misses) == (6, 0)
+
+
+def _write_roster(root: str, app: str, barrier) -> None:
+    """One writer process: open the cell's envelope, put ``app``'s runs,
+    and flush only once the other writer has opened it too."""
+    env = ENVIRONMENTS["cpu-onprem-a"]
+    engine = ExecutionEngine(seed=0, cache=RunCache(root))
+    with engine.cache_scope(env, 32):
+        engine.run_block(env, app, 32, iterations=3, store=ResultStore())
+        barrier.wait(timeout=60)
+
+
+def test_envelope_writer_processes_with_different_rosters_keep_both(tmp_path):
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(2)
+    writers = [
+        context.Process(target=_write_roster, args=(str(tmp_path), app, barrier))
+        for app in ("amg2023", "lammps")
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=120)
+    assert not any(writer.is_alive() for writer in writers)
+    assert [writer.exitcode for writer in writers] == [0, 0]
+    rerun = _run_roster(RunCache(tmp_path), ("amg2023", "lammps"))
+    assert (rerun.cache.hits, rerun.cache.misses) == (6, 0)
+
+
+def test_roster_growth_hits_the_old_apps_runs_in_the_envelope(tmp_path):
+    def config(*apps):
+        return StudyConfig(env_ids=("cpu-onprem-a",), apps=apps, sizes=(32,), iterations=3)
+
+    options = ExecutionOptions(cache_dir=str(tmp_path))
+    StudyRunner(config("amg2023"), options).run()
+    grown = StudyRunner(config("amg2023", "lammps"), options).run()
+    # A new cell key (the roster changed), so the runs came from the
+    # envelope, the one run-level entry there is.
+    assert (grown.cache_hits, grown.cache_misses) == (3, 3)
+    assert len(RunCache(tmp_path)) == 3
+    assert grown.store.to_csv() == StudyRunner(config("amg2023", "lammps")).run().store.to_csv()
+
+
 # ---------------------------------------------------------- golden anchors
 
 #: the seven deployable environments that are not Kubernetes (VMs and
@@ -436,11 +711,12 @@ GOLDEN_STUDY_CSV_SHA256 = {
 }
 
 #: (entry count, :func:`_entries_sha256`) of the cache directory that
-#: run leaves behind: one run envelope and one cell entry per cell.  A
-#: change to the bytes the cache writes (key, order, value) moves these.
+#: run leaves behind: one run envelope and one cell entry per cell, both
+#: columnar at ``CACHE_VERSION`` 4.  A change to the bytes the cache
+#: writes (key, order, value, layout) moves these.
 GOLDEN_CACHE_ENTRIES = {
-    0: (56, "6cee246f8949ea612f5a16c84abba110bb8951fc954dc21440a68a4a01fae5d7"),
-    3: (56, "406bada8b05fac7c2f5e0a9c512427ff9ac4f83244dfbf27a9665b0a82e709cb"),
+    0: (56, "83580d2e1c987f6f2c4b74d75b7b3c7b859ea7920ae480dea30917013877048f"),
+    3: (56, "3a14e6a90a936b3459b6a6df25347e0482354a495fc90cf98397472dc69450ec"),
 }
 
 
@@ -459,12 +735,20 @@ def _entries_sha256(root):
     return len(paths), digest.hexdigest()
 
 
+def _counting(calls, name, fn):
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return spy
+
+
 @pytest.fixture(scope="module", params=sorted(GOLDEN_STUDY_CSV_SHA256))
 def golden_study(request, tmp_path_factory):
-    """The cached study CLI run at one golden seed.
+    """The cached study CLI run at one golden seed, into an empty cache.
 
-    ``(seed, directory, records)``: ``records`` are the run records the
-    cell entries encoded, every record of the study once.
+    ``(seed, directory, calls)``: ``calls`` counts the run's
+    ``encode_record`` and ``ExecutionEngine._column_records`` calls.
     """
     seed = request.param
     out = tmp_path_factory.mktemp(f"golden-study-{seed}")
@@ -474,16 +758,22 @@ def golden_study(request, tmp_path_factory):
         "--cache", str(out / "cache"), "--output", str(out / "study.csv"),
         "--seed", str(seed),
     ]
-    records = []
-
-    def spy(record):
-        records.append(record)
-        return encode_record(record)
-
+    calls = collections.Counter()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shard_module, "encode_record", spy)
+        patch.setattr(cache_module, "encode_record", _counting(calls, "encode_record", encode_record))
+        patch.setattr(
+            ExecutionEngine,
+            "_column_records",
+            _counting(calls, "_column_records", ExecutionEngine._column_records),
+        )
         assert main(argv) == 0
-    return seed, out, records
+    return seed, out, calls
+
+
+def _golden_config(seed):
+    return StudyConfig(
+        env_ids=GOLDEN_ENVS, apps=tuple(APPS), iterations=GOLDEN_ITERATIONS, seed=seed
+    )
 
 
 def test_cached_study_csv_matches_golden_digest(golden_study):
@@ -498,6 +788,40 @@ def test_cached_study_entries_match_golden_digest(golden_study):
 
 
 def test_cached_study_records_encode_like_the_asdict_reference(golden_study):
-    _, _, records = golden_study
-    assert len(records) == 28 * 11 * GOLDEN_ITERATIONS
-    assert all(_encodings_agree(record) for record in records)
+    """Every cell entry of the golden run decodes to the records an
+    uncached run makes, as the ``asdict`` reference encodes them."""
+    seed, out, _ = golden_study
+    config = _golden_config(seed)
+    cache = RunCache(out / "cache")
+    decoded = []
+    for shard in StudyRunner(config).compile().shards:
+        store, _ = cache.get_columns(shard_summary_key(shard), kind="cell")
+        decoded.extend(store.records)
+    fresh = StudyRunner(config).run().store.records
+    assert len(decoded) == len(fresh) == 28 * 11 * GOLDEN_ITERATIONS
+    assert all(
+        _reference_bytes(cached) == _reference_bytes(record)
+        for cached, record in zip(decoded, fresh)
+    )
+
+
+def test_cold_cached_study_writes_each_record_once_as_columns(golden_study):
+    _, _, calls = golden_study
+    assert calls["encode_record"] == 0
+    assert calls["_column_records"] == 0
+
+
+def test_warm_cached_study_hits_every_run(golden_study, tmp_path, capsys):
+    seed, out, _ = golden_study
+    cache = tmp_path / "cache"
+    shutil.copytree(out / "cache", cache)
+    argv = [
+        "study", "--envs", ",".join(GOLDEN_ENVS),
+        "--iterations", str(GOLDEN_ITERATIONS),
+        "--cache", str(cache), "--output", str(tmp_path / "study.csv"),
+        "--seed", str(seed),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "run cache         : 12320 hits, 0 misses\n" in capsys.readouterr().out
+    assert (tmp_path / "study.csv").read_bytes() == (out / "study.csv").read_bytes()

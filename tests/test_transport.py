@@ -3,11 +3,14 @@
 Every store a pool worker returns is pickled: its numeric column arrays
 pass through ``pack_columns`` in the worker and ``attach_columns`` in
 the parent, and the env/app/scale columns are rebuilt from the cell
-labels on arrival (:mod:`repro.parallel.transport`).
+labels on arrival (:mod:`repro.parallel.transport`).  The run cache's
+columnar entries (``ResultStore.to_bytes``) are the same columns and
+payload segments as bytes, and must reproduce the same surfaces.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -22,6 +25,7 @@ from repro.core.study import StudyConfig, StudyRunner
 from repro.envs.registry import ENVIRONMENTS
 from repro.parallel.transport import attach_columns, pack_columns
 from repro.plan import ExecutionOptions
+from repro.sim.cache import decode_record, encode_record
 from repro.sim.execution import ExecutionEngine
 from repro.sim.run_result import STATE_CODE, RunRecord, RunState
 from repro.telemetry import Tracer, use_tracer
@@ -77,7 +81,7 @@ def _records(draw) -> RunRecord:
         cost_usd=draw(_FLOATS),
         phases={"solve": draw(_FLOATS)},
         failure_kind=draw(st.none() | st.just("timeout")),
-        extra=draw(st.sampled_from([{}, {"atoms": 5}])),
+        extra=draw(st.sampled_from([{}, {"atoms": 5}, {"topology": (8, 4, 2)}])),
     )
 
 
@@ -134,14 +138,9 @@ def _stores(draw) -> ResultStore:
     return store
 
 
-@settings(max_examples=80, deadline=None)
-@given(store=_stores())
-def test_pickled_store_reproduces_every_surface(store):
-    tracer = Tracer()
-    with use_tracer(tracer):
-        arrived = pickle.loads(pickle.dumps(store))
+def _assert_same_columns(arrived: ResultStore, store: ResultStore) -> None:
+    """CSV, frame columns and cell index all match ``store``'s."""
     assert arrived.to_csv() == store.to_csv()
-    assert arrived.records == store.records
     sent, got = store.frame_columns(), arrived.frame_columns()
     assert list(got) == list(sent)
     for name, column in sent.items():
@@ -151,8 +150,32 @@ def test_pickled_store_reproduces_every_surface(store):
     got_cells, got_labels = arrived.cell_index()
     assert got_cells == cells
     assert np.array_equal(got_labels, labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(store=_stores())
+def test_pickled_store_reproduces_every_surface(store):
+    tracer = Tracer()
+    with use_tracer(tracer):
+        arrived = pickle.loads(pickle.dumps(store))
+    _assert_same_columns(arrived, store)
+    assert arrived.records == store.records
     shipped = tracer.counters["transport.bytes"]
     assert shipped == len(store) * WIRE_BYTES_PER_RECORD == arrived.wire_bytes
+
+
+@settings(max_examples=80, deadline=None)
+@given(store=_stores(), blob=st.binary(max_size=48))
+def test_columnar_entry_reproduces_every_surface(store, blob):
+    data = store.to_bytes(kind="cell", v=1, blob=blob, note={"n": len(store)})
+    arrived, header, got_blob = ResultStore.from_bytes(data, kind="cell", v=1)
+    _assert_same_columns(arrived, store)
+    # Payloads come back as JSON made them: a tuple as a list.
+    assert arrived.records == [
+        decode_record(json.loads(json.dumps(encode_record(r)))) for r in store.records
+    ]
+    assert got_blob == blob
+    assert header["note"] == {"n": len(store)}
 
 
 def test_store_pickled_state_is_stable_across_trips():
