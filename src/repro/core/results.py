@@ -485,12 +485,12 @@ def _decode_segments(raw, n_total: int, arrays: dict, used: set) -> _PayloadColu
     return column
 
 
-def _split_entry(data) -> tuple[dict, memoryview]:
+def _split_entry(data: bytes) -> tuple[dict, memoryview]:
     """(header, body) of an entry; ``ValueError`` when there is none."""
     end = data.find(b"\n")
     if end < 0:
         raise ValueError("no header line")
-    header = json.loads(bytes(data[:end]))
+    header = json.loads(data[:end])
     if not isinstance(header, dict):
         raise ValueError("the header is not an object")
     start = -(-(end + 1) // _ALIGN) * _ALIGN
@@ -865,9 +865,9 @@ class ResultStore:
         fails raises ``ValueError`` naming the reason: a header ``v``
         other than ``v`` is ``"version skew"``, anything else — another
         ``kind``, a dtype other than the store schema's (so never an
-        object), a count or offset past the body, a cell label out of
-        range, payload segments that do not add up — is a malformed
-        entry.
+        object), a count or offset past the body, a cell label or state
+        code out of range, payload segments that do not add up — is a
+        malformed entry.
         """
         try:
             header, body = _split_entry(data)

@@ -254,6 +254,8 @@ def attach_shard(shard: StudyShard, cache: RunCache) -> ShardResult | None:
 
 
 def _cached_shard(shard: StudyShard, cache: RunCache, cell_key: str) -> ShardResult | None:
+    """The shard's result from its cell entry, or ``None`` on a miss or a
+    malformed entry (which :meth:`RunCache.note_invalid` counts)."""
     cached = cache.get_columns(cell_key, kind="cell")
     if cached is None:
         return None

@@ -464,12 +464,9 @@ class RunCache:
     def _file(self, key: str) -> str:
         return os.path.join(self._root, key[:2], key + ".json")
 
-    def _miss(self, level: str, key: str | None = None, reason: str | None = None) -> None:
-        """Count a miss; with a ``reason``, the entry existed but was unusable."""
+    def _miss(self, level: str) -> None:
         self.misses += 1
         telemetry_count(f"cache.{level}.misses")
-        if reason is not None:
-            self.note_invalid(key, reason)
 
     def _hit(self, level: str, nbytes: int) -> None:
         self.hits += 1
@@ -496,7 +493,8 @@ class RunCache:
         except (OSError, ValueError) as exc:
             # The entry exists but cannot be read or parsed: a miss,
             # and a degradation worth a trace.
-            return self._miss(level, key, f"unreadable or corrupt JSON: {exc}")
+            self.note_invalid(key, f"unreadable or corrupt JSON: {exc}")
+            return self._miss(level)
         self._hit(level, len(text))
         return data
 
@@ -519,18 +517,29 @@ class RunCache:
         """
         from repro.core.results import ResultStore
 
+        loaded = self._load(
+            key, lambda data: ResultStore.from_bytes(data, kind=kind, v=CACHE_VERSION)
+        )
+        if loaded is None:
+            return self._miss(level)
+        (store, header, _), nbytes = loaded
+        self._hit(level, nbytes)
+        return store, header
+
+    def _load(self, key: str, decode):
+        """``(decode(data), len(data))`` for ``key``'s columnar entry, or
+        ``None`` when there is none or it is unusable (then noted)."""
         try:
             with open(self._file(key), "rb") as fh:
                 data = fh.read()
-            store, header, _ = ResultStore.from_bytes(data, kind=kind, v=CACHE_VERSION)
+            return decode(data), len(data)
         except FileNotFoundError:
-            return self._miss(level)
+            return None
         except OSError as exc:
-            return self._miss(level, key, f"unreadable entry: {exc}")
+            self.note_invalid(key, f"unreadable entry: {exc}")
         except ValueError as exc:
-            return self._miss(level, key, str(exc))
-        self._hit(level, len(data))
-        return store, header
+            self.note_invalid(key, str(exc))
+        return None
 
     def put_columns(
         self, key: str, store: "ResultStore", *, kind: str, level: str = "cell", **fields
@@ -620,26 +629,16 @@ class RunCache:
     def _read_envelope(
         self, group_key: str, level: str
     ) -> "tuple[ResultStore | None, list[str]]":
-        try:
-            with open(self._file(group_key), "rb") as fh:
-                data = fh.read()
-            store, keys = _decode_envelope(data)
-        except FileNotFoundError:
-            store, keys = None, []
-        except OSError as exc:
-            store, keys = None, []
-            self.note_invalid(group_key, f"unreadable entry: {exc}")
-        except ValueError as exc:
-            store, keys = None, []
-            self.note_invalid(group_key, str(exc))
-        if store is None:
+        loaded = self._load(group_key, _decode_envelope)
+        if loaded is None:
             self.batch_misses += 1
             telemetry_count(f"cache.{level}.batch_misses")
-            return store, keys
+            return None, []
+        (store, keys), nbytes = loaded
         self.batch_hits += 1
-        self.hit_bytes += len(data)
+        self.hit_bytes += nbytes
         telemetry_count(f"cache.{level}.batch_hits")
-        telemetry_count(f"cache.{level}.batch_hit_bytes", len(data))
+        telemetry_count(f"cache.{level}.batch_hit_bytes", nbytes)
         return store, keys
 
     def _flush_envelope(self, batch: _CacheBatch) -> None:
@@ -660,7 +659,7 @@ class RunCache:
             except (OSError, ValueError):
                 # Nothing usable on disk (the entry probe counted any
                 # invalid envelope): this scope's records are the union.
-                disk, disk_keys = ResultStore(), []
+                disk, disk_keys = None, []
             kept = [i for i, key in enumerate(disk_keys) if key not in batch.pending_index]
             if len(kept) < len(disk_keys):
                 # The buffered record wins for a key both sides hold.

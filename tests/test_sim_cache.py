@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import fcntl
 import functools
 import hashlib
 import json
@@ -646,6 +647,27 @@ def test_envelope_writers_with_different_rosters_keep_both(tmp_path):
     assert (rerun.cache.hits, rerun.cache.misses) == (6, 0)
 
 
+def test_envelope_flush_replaces_only_the_runs_it_buffered(tmp_path):
+    env = ENVIRONMENTS["cpu-onprem-a"]
+    wide, narrow = (ExecutionEngine(seed=0, cache=RunCache(tmp_path)) for _ in range(2))
+    # The inner (wide) scope flushes first; the narrow one then re-reads
+    # amg2023 and lammps, replaces amg2023 with its own runs, keeps lammps.
+    with narrow.cache_scope(env, 32), wide.cache_scope(env, 32):
+        for app in ("amg2023", "lammps"):
+            wide.run_block(env, app, 32, iterations=3, store=ResultStore())
+        narrow.run_block(env, "amg2023", 32, iterations=3, store=ResultStore())
+    store = ResultStore()
+    rerun = ExecutionEngine(seed=0, cache=RunCache(tmp_path))
+    with rerun.cache_scope(env, 32):
+        for app in ("amg2023", "lammps"):
+            rerun.run_block(env, app, 32, iterations=3, store=store)
+    assert (rerun.cache.hits, rerun.cache.misses) == (6, 0)
+    fresh = ResultStore()
+    for app in ("amg2023", "lammps"):
+        ExecutionEngine(seed=0).run_block(env, app, 32, iterations=3, store=fresh)
+    assert store.to_csv() == fresh.to_csv()
+
+
 def _write_roster(root: str, app: str, barrier) -> None:
     """One writer process: open the cell's envelope, put ``app``'s runs,
     and flush only once the other writer has opened it too."""
@@ -654,6 +676,51 @@ def _write_roster(root: str, app: str, barrier) -> None:
     with engine.cache_scope(env, 32):
         engine.run_block(env, app, 32, iterations=3, store=ResultStore())
         barrier.wait(timeout=60)
+
+
+def test_envelope_flush_waits_for_the_envelope_lock(tmp_path):
+    from repro.sim.cache import batch_key
+
+    group = batch_key(seed=0, env_id=ENV.env_id, scale=32)
+    path = RunCache(tmp_path).path(group)
+    path.parent.mkdir()
+    writer = threading.Thread(
+        target=RunCache(tmp_path).put_many, args=(_records(2),), kwargs={"group_key": group}
+    )
+    with open(path.parent / f".{path.name}.lock", "ab") as lock:
+        fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
+        writer.start()
+        writer.join(timeout=0.5)
+        assert writer.is_alive() and not path.exists()
+    writer.join(timeout=30)
+    assert not writer.is_alive() and path.exists()
+
+
+def test_envelope_writer_threads_keep_every_roster(tmp_path):
+    apps = ("amg2023", "lammps", "minife", "kripke")
+    barrier = threading.Barrier(len(apps))
+    errors = []
+
+    def write(app):
+        try:
+            _write_roster(str(tmp_path), app, barrier)
+        except Exception as exc:  # the thread's boundary: report it below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(app,)) for app in apps]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the flushes as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    rerun = _run_roster(RunCache(tmp_path), apps)
+    assert (rerun.cache.hits, rerun.cache.misses) == (12, 0)
 
 
 def test_envelope_writer_processes_with_different_rosters_keep_both(tmp_path):
@@ -760,7 +827,9 @@ def golden_study(request, tmp_path_factory):
     ]
     calls = collections.Counter()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cache_module, "encode_record", _counting(calls, "encode_record", encode_record))
+        patch.setattr(
+            cache_module, "encode_record", _counting(calls, "encode_record", encode_record)
+        )
         patch.setattr(
             ExecutionEngine,
             "_column_records",

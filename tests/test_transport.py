@@ -120,7 +120,10 @@ def _blocks(draw) -> dict:
             "nested": {"ranks": {"solve": column()}},
             "rows": [{"solve": float(i)} for i in range(n)],
         }[phases],
-        extra=draw(st.sampled_from([{}, {"atoms": np.arange(n)}])),
+        # String leaves are ones a cache entry stores as rows.
+        extra=draw(
+            st.sampled_from([{}, {"atoms": np.arange(n)}, {"tags": np.array(["x"] * n)}])
+        ),
     )
 
 
