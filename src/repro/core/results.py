@@ -834,7 +834,8 @@ class ResultStore:
             array = np.ascontiguousarray(array)
             name = name or f"leaf{len(layout)}"
             offset = -(-size // _ALIGN) * _ALIGN
-            chunks.append(bytes(offset - size))
+            if offset > size:
+                chunks.append(bytes(offset - size))
             chunks.append(array.data)
             layout.append([name, array.dtype.str, len(array), offset])
             size = offset + array.nbytes

@@ -383,10 +383,10 @@ class _CacheBatch:
         i = self.index.get(key)
         return None if i is None else self.overlay.row(i)
 
-    def add_keys(self, keys: Iterable[str]) -> None:
-        for key in keys:
-            self.pending_index[key] = len(self.pending_keys)
-            self.pending_keys.append(key)
+    def add_keys(self, keys: list[str]) -> None:
+        start = len(self.pending_keys)
+        self.pending_index.update(zip(keys, range(start, start + len(keys))))
+        self.pending_keys.extend(keys)
 
 
 class RunCache:
@@ -669,7 +669,7 @@ class RunCache:
             data = merged.to_bytes(
                 kind="batch",
                 v=CACHE_VERSION,
-                blob=b"".join(bytes.fromhex(key) for key in keys),
+                blob=bytes.fromhex("".join(keys)),
             )
             self._atomic_write(batch.group_key, data)
         self.put_bytes += len(data)
@@ -741,7 +741,7 @@ class RunCache:
         batch = self._batches.get("run")
         if batch is not None:
             batch.pending.add(record)
-            batch.add_keys((key,))
+            batch.add_keys([key])
             telemetry_count("cache.run.puts")
             return
         self._write(key, encode_record(record), level="run")

@@ -852,27 +852,22 @@ class ExecutionEngine:
             },
             scenario=footprint_digest(self.scenario, env.cloud),
         )
+        cache = self.cache
         probes: list[RunRecord | None] = []
-        probe_invalid: list[int] = []
-        probe_reasons: list[dict[str, int] | None] = []
+        #: probe index -> (invalid entries it met, reason bins it touched),
+        #: so a stop-truncated batch can unwind them with the counters
+        invalid_at: dict[int, tuple[int, dict[str, int]]] = {}
         with span("engine.cache_probe", env=env.env_id, app=model.name, probes=len(keys)):
-            reasons = dict(self.cache.invalid_reasons)
+            invalid, reasons = cache.invalid, dict(cache.invalid_reasons)
             for key in keys:
-                before = self.cache.invalid
-                probes.append(self.cache.get(key))
-                delta = self.cache.invalid - before
-                probe_invalid.append(delta)
-                if not delta:
-                    probe_reasons.append(None)
-                    continue
-                # Remember which reason bins this probe touched, so a
-                # stop-truncated batch can unwind them with the counters.
-                probe_reasons.append({
-                    label: count - reasons.get(label, 0)
-                    for label, count in self.cache.invalid_reasons.items()
-                    if count != reasons.get(label, 0)
-                })
-                reasons = dict(self.cache.invalid_reasons)
+                probes.append(cache.get(key))
+                if cache.invalid != invalid:
+                    invalid_at[len(probes) - 1] = (cache.invalid - invalid, {
+                        label: count - reasons.get(label, 0)
+                        for label, count in cache.invalid_reasons.items()
+                        if count != reasons.get(label, 0)
+                    })
+                    invalid, reasons = cache.invalid, dict(cache.invalid_reasons)
         missing = [i for i, record in enumerate(probes) if record is None]
         records: list[RunRecord | None] | None = None
         if missing:
@@ -895,7 +890,7 @@ class ExecutionEngine:
         with span("engine.cache_put", env=env.env_id, app=model.name):
             if simulated:
                 put = cols if simulated == len(cols.iteration) else cols.truncate(simulated)
-                self.cache.put_block(
+                cache.put_block(
                     [keys[i] for i in missing[:simulated]], **self._block_args(group, put)
                 )
         if prefix < len(probes):
@@ -904,20 +899,22 @@ class ExecutionEngine:
             # surface as an invalid-entry degradation it never caused).
             over_hits = sum(1 for r in probes[prefix:] if r is not None)
             over_misses = (len(probes) - prefix) - over_hits
-            self.cache.hits -= over_hits
-            self.cache.misses -= over_misses
-            self.cache.invalid -= sum(probe_invalid[prefix:])
+            over = [met for i, met in invalid_at.items() if i >= prefix]
+            over_invalid = sum(count for count, _ in over)
+            cache.hits -= over_hits
+            cache.misses -= over_misses
+            cache.invalid -= over_invalid
             telemetry_count("cache.run.hits", -over_hits)
             telemetry_count("cache.run.misses", -over_misses)
-            telemetry_count("cache.invalid", -sum(probe_invalid[prefix:]))
+            telemetry_count("cache.invalid", -over_invalid)
             # The reason histogram unwinds with the invalid counter.
-            for deltas in probe_reasons[prefix:]:
-                for label, count in (deltas or {}).items():
-                    remaining = self.cache.invalid_reasons.get(label, 0) - count
+            for _, deltas in over:
+                for label, count in deltas.items():
+                    remaining = cache.invalid_reasons.get(label, 0) - count
                     if remaining > 0:
-                        self.cache.invalid_reasons[label] = remaining
+                        cache.invalid_reasons[label] = remaining
                     else:
-                        self.cache.invalid_reasons.pop(label, None)
+                        cache.invalid_reasons.pop(label, None)
         if records is None:
             store.append_block(**self._block_args(group, cols))
             return BlockOutcome(count=prefix, total_seconds=_block_total(cols))
