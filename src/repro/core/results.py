@@ -32,6 +32,7 @@ import io
 import json
 import mmap
 import os
+import re
 import tempfile
 from bisect import bisect_right
 from typing import Any, Callable, Iterable, Iterator
@@ -391,6 +392,11 @@ _PAYLOADS = ("fom_units", "failure_kind", "phases", "extra")
 #: dtype kinds an array leaf may have: numbers and booleans, never objects
 _LEAF_KINDS = "biuf"
 
+#: the only dtype strings a layout may name: such a kind in numpy's
+#: ``dtype.str`` form; anything else (an object dtype among them) is
+#: refused before numpy parses it
+_LAYOUT_DTYPE = re.compile(r"[<>|=][biuf][1-9][0-9]?")
+
 
 def _leaf_arrays(template: dict) -> Iterator[np.ndarray]:
     for value in template.values():
@@ -469,10 +475,9 @@ def _decode_segments(raw, n_total: int, arrays: dict, used: set) -> _PayloadColu
                 if name not in arrays or name in used:
                     raise ValueError(f"leaf {name!r} is not in the layout")
                 used.add(name)
-                array = arrays[name]
-                if array.dtype.kind not in _LEAF_KINDS or len(array) != n:
-                    raise ValueError(f"leaf {name!r} is not {n} numbers")
-                _set_leaf(payload, path, array)
+                if len(arrays[name]) != n:
+                    raise ValueError(f"leaf {name!r} does not hold {n} values")
+                _set_leaf(payload, path, arrays[name])
         elif len(segment) == 4 or kind not in (_PayloadColumn._ITEMS, _PayloadColumn._CONST):
             raise ValueError(f"bad segment kind {kind!r}")
         elif kind == _PayloadColumn._ITEMS and not (
@@ -504,15 +509,15 @@ def _body_arrays(layout, body: memoryview) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for entry in layout:
         name, dtype, count, offset = entry
-        if not isinstance(name, str) or name in arrays or not isinstance(dtype, str):
+        if not isinstance(name, str) or name in arrays:
             raise ValueError(f"bad layout entry {entry!r}")
+        if not isinstance(dtype, str) or not _LAYOUT_DTYPE.fullmatch(dtype):
+            raise ValueError(f"column {name!r} has dtype {dtype!r}")
         dtype = np.dtype(dtype)
         if type(count) is not int or type(offset) is not int or count < 0:
             raise ValueError(f"bad layout entry {entry!r}")
         if offset < 0 or offset % _ALIGN or offset + count * dtype.itemsize > len(body):
             raise ValueError(f"column {name!r} lies outside the body")
-        if dtype.hasobject:
-            raise ValueError(f"column {name!r} has object dtype {dtype}")
         arrays[name] = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
     return arrays
 
@@ -526,7 +531,7 @@ def _checked_cells(raw) -> list[tuple[str, str, int]]:
         if not (
             isinstance(env_id, str) and len(env_id) <= _ENV_WIDTH
             and isinstance(app, str) and len(app) <= _APP_WIDTH
-            and type(scale) is int
+            and type(scale) is int and -(2**63) <= scale < 2**63
         ):
             raise ValueError(f"bad cell {cell!r}")
         cells.append((env_id, app, scale))

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cloud.providers import get_provider
-from repro.core.incidents import Incident, incident_from_fault
+from repro.core.incidents import CATEGORIES, Incident, incident_from_fault
 from repro.envs.environment import Environment, EnvironmentKind
 from repro.envs.registry import ENVIRONMENTS
 from repro.errors import ProvisioningError, QuotaError
@@ -284,26 +284,44 @@ def _encode_shard(result: ShardResult) -> dict:
     }
 
 
+def _decode_incident(data: dict) -> Incident:
+    incident = Incident(
+        env_ids=tuple(data["env_ids"]),
+        category=data["category"],
+        effort_minutes=data["effort_minutes"],
+        description=data["description"],
+        source=data["source"],
+    )
+    texts = (*incident.env_ids, incident.description, incident.source)
+    if (
+        incident.category not in CATEGORIES
+        or type(incident.effort_minutes) not in (int, float)
+        or not all(isinstance(text, str) for text in texts)
+    ):
+        raise ValueError(f"bad incident {data!r}")
+    return incident
+
+
 def _decode_shard(shard: StudyShard, store: ResultStore, header: dict) -> ShardResult:
-    incidents = [
-        Incident(
-            env_ids=tuple(i["env_ids"]),
-            category=i["category"],
-            effort_minutes=i["effort_minutes"],
-            description=i["description"],
-            source=i["source"],
-        )
-        for i in header["incidents"]
-    ]
+    """A cell entry's store and header as the shard's result; every header
+    field is checked, so a malformed one raises ``ValueError``,
+    ``TypeError`` or ``KeyError`` here rather than failing later."""
+    clusters = header["clusters_created"]
+    spend = dict(header["spend_by_cloud"])
+    if type(clusters) is not int or not all(
+        isinstance(cloud, str) and type(dollars) in (int, float)
+        for cloud, dollars in spend.items()
+    ):
+        raise ValueError(f"clusters_created {clusters!r}, spend_by_cloud {spend!r}")
     return ShardResult(
         index=shard.index,
         env_id=shard.env_id,
         scale=shard.scale,
         world=shard.world,
         store=store,
-        incidents=incidents,
-        spend_by_cloud=dict(header["spend_by_cloud"]),
-        clusters_created=int(header["clusters_created"]),
+        incidents=[_decode_incident(i) for i in header["incidents"]],
+        spend_by_cloud=spend,
+        clusters_created=clusters,
         cache_hits=len(store),
     )
 

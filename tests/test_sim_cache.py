@@ -485,6 +485,9 @@ _FAULTS = {
         data, lambda h, b: _set(_layout(h, "cost_usd"), 3, len(b) + 8)
     ),
     "label out of range": lambda data: _edit_entry(data, _label_99),
+    "scale past int64": lambda data: _edit_entry(
+        data, lambda h, b: _set(h["cells"][0], 2, 2**70)
+    ),
     "segment total": lambda data: _edit_entry(
         data, lambda h, b: _set(h["segments"]["extra"][0], 1, h["segments"]["extra"][0][1] + 1)
     ),
@@ -568,15 +571,19 @@ def test_run_envelope_with_a_short_key_blob_is_a_counted_miss(tmp_path):
     assert fresh.invalid_reasons == {"malformed batch entry": 1}
 
 
-def test_study_with_a_version_skewed_cell_entry_reexecutes_it(tmp_path):
+@pytest.mark.parametrize("edit, label", [
+    (lambda h, b: h.update(v=3), "version skew"),
+    (lambda h, b: h.update(clusters_created=float("inf")), "study-cell entry malformed"),
+])
+def test_study_reexecutes_a_cell_entry_it_cannot_use(tmp_path, edit, label):
     config = StudyConfig.smoke(seed=1)
     options = ExecutionOptions(cache_dir=str(tmp_path))
     cold = StudyRunner(config, options).run()
     shard = StudyRunner(config).compile().shards[0]
     path = RunCache(tmp_path).path(shard_summary_key(shard))
-    path.write_bytes(_FAULTS["version skew"](path.read_bytes()))
+    path.write_bytes(_edit_entry(path.read_bytes(), edit))
     warm = StudyRunner(config, options).run()
-    assert warm.cache_invalid_reasons == {"version skew": 1}
+    assert warm.cache_invalid_reasons == {label: 1}
     assert warm.store.to_csv() == cold.store.to_csv()
 
 
