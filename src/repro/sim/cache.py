@@ -505,15 +505,13 @@ class RunCache:
     def _write(self, key: str, data: Any, level: str) -> None:
         self._store(key, json.dumps(data, separators=(",", ":")).encode("utf-8"), level)
 
-    def get_columns(
-        self, key: str, *, kind: str, level: str = "cell"
-    ) -> "tuple[ResultStore, dict] | None":
+    def get_columns(self, key: str, *, kind: str) -> "tuple[ResultStore, dict] | None":
         """``(store, header)`` of ``key``'s columnar entry, or ``None``.
 
         The entry must be ``kind`` at :data:`CACHE_VERSION`; anything
         else that exists there — unreadable bytes, another version, a
         malformed layout — is a miss that :meth:`note_invalid` records.
-        ``level`` labels the telemetry counters, as in :meth:`get_json`.
+        Counted at cell level, like a cell probe of :meth:`get_json`.
         """
         from repro.core.results import ResultStore
 
@@ -521,9 +519,9 @@ class RunCache:
             key, lambda data: ResultStore.from_bytes(data, kind=kind, v=CACHE_VERSION)
         )
         if loaded is None:
-            return self._miss(level)
+            return self._miss("cell")
         (store, header, _), nbytes = loaded
-        self._hit(level, nbytes)
+        self._hit("cell", nbytes)
         return store, header
 
     def _load(self, key: str, decode):
@@ -541,12 +539,11 @@ class RunCache:
             self.note_invalid(key, str(exc))
         return None
 
-    def put_columns(
-        self, key: str, store: "ResultStore", *, kind: str, level: str = "cell", **fields
-    ) -> None:
+    def put_columns(self, key: str, store: "ResultStore", *, kind: str, **fields) -> None:
         """Store ``store`` as a columnar ``kind`` entry under ``key``,
-        with ``fields`` in its header (atomic, last-writer-wins)."""
-        self._store(key, store.to_bytes(kind=kind, v=CACHE_VERSION, **fields), level)
+        with ``fields`` in its header (atomic, last-writer-wins; counted
+        at cell level)."""
+        self._store(key, store.to_bytes(kind=kind, v=CACHE_VERSION, **fields), "cell")
 
     def _store(self, key: str, payload: bytes, level: str) -> None:
         self._atomic_write(key, payload)

@@ -854,8 +854,8 @@ class ExecutionEngine:
         )
         cache = self.cache
         probes: list[RunRecord | None] = []
-        #: probe index -> (invalid entries it met, reason bins it touched),
-        #: so a stop-truncated batch can unwind them with the counters
+        # probe index -> (invalid entries it met, reason bins it touched),
+        # so a stop-truncated batch can unwind them with the counters
         invalid_at: dict[int, tuple[int, dict[str, int]]] = {}
         with span("engine.cache_probe", env=env.env_id, app=model.name, probes=len(keys)):
             invalid, reasons = cache.invalid, dict(cache.invalid_reasons)
