@@ -28,6 +28,16 @@ GOLDEN_INCREMENTAL_ENSEMBLE_SHA256 = {
     3: "f337ca5773024066f1dccff7cf9f45b67ac96092724d2ed695af5d868f23952d",
 }
 
+#: (entries, sha256) of the world-summary cache entries ``repro ensemble
+#: run --replicas 8 --workers 2 --seed S --cache DIR`` writes, hashed in
+#: fold order as each key, a newline, then the entry's bytes.  The
+#: summaries fold every cell of a world; the distribution tables are
+#: rendered from them, so a fold that moves a float moves these.
+GOLDEN_WORLD_ENTRIES = {
+    0: (8, "8a21f194f10ab708ca9573f4bdbad5ffa1dfe170bb60538ab36970f32130df37"),
+    3: (8, "94db939224fe00277b1ac61cc2d0c32dfa3985de9bfe08f9a468d2e2f82c634a"),
+}
+
 _INCREMENTAL_ARGV = [
     "ensemble", "run", "--replicas", "4",
     "--scenario", "azure-price-spike", "--scenario", "spot-everything",
@@ -239,6 +249,27 @@ def test_default_ensemble_matches_golden_digest(seed, capsys):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_ENSEMBLE_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_WORLD_ENTRIES))
+def test_default_ensemble_world_entries_match_golden_digest(seed, tmp_path, capsys):
+    from repro.sim.cache import RunCache
+
+    cache_dir = tmp_path / "cache"
+    argv = ["ensemble", "run", "--replicas", "8", "--workers", "2",
+            "--seed", str(seed), "--cache", str(cache_dir)]
+    assert main(argv) == 0
+    spec = EnsembleSpec(n_replicas=8, base_seed=seed)
+    assert f"spec digest       : {spec.digest()}" in capsys.readouterr().out
+    runner = EnsembleRunner(spec, ExecutionOptions(cache_dir=str(cache_dir)))
+    cache = RunCache(cache_dir)
+    digest = hashlib.sha256()
+    worlds = runner.compile().worlds
+    for world in worlds:
+        key = runner._world_key(world)
+        digest.update(key.encode("utf-8") + b"\n")
+        digest.update(cache.path(key).read_bytes())
+    assert (len(worlds), digest.hexdigest()) == GOLDEN_WORLD_ENTRIES[seed]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
