@@ -470,10 +470,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
               f"{_fmt_cache_line(result.world_cache_hits, result.world_cache_misses, result.world_cache_invalid, result.world_cache_invalid_reasons)}")
     if result.reuse is not None:
         print(f"cell reuse        : {_fmt_reuse_line(result.reuse)}")
-    if result.transport is not None and result.transport.stores:
-        # Diagnostics on stderr: stdout stays byte-identical across
-        # worker counts.
-        print(f"shard transport   : {result.transport.summary()}", file=sys.stderr)
     _print_faults(result.faults)
     _write_exports(
         args,
@@ -793,11 +789,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.cache:
         print(f"world cache       : "
               f"{_fmt_cache_line(result.smoke.world_cache_hits + result.grid.world_cache_hits, result.smoke.world_cache_misses + result.grid.world_cache_misses, result.smoke.world_cache_invalid + result.grid.world_cache_invalid)}")
-    for label, stage_result in (("smoke transport", result.smoke),
-                                ("grid transport", result.grid)):
-        if stage_result.transport is not None and stage_result.transport.stores:
-            # Diagnostics on stderr, like the study/ensemble lines.
-            print(f"{label:18s}: {stage_result.transport.summary()}", file=sys.stderr)
     from repro.parallel.pool import FaultStats as _FaultStats
 
     campaign_faults = _FaultStats()

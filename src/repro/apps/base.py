@@ -81,7 +81,10 @@ class RunContext:
     ranks: int
     node_model: NodeModel
     fabric: Fabric  # effective fabric after topology degradation
-    rng: np.random.Generator
+    #: the iteration's keyed stream; ``None`` in a block context
+    #: (:meth:`AppModel.simulate_block` draws from its ``block``), so a
+    #: block physics that reads it fails instead of drawing silently
+    rng: np.random.Generator | None = None
     iteration: int = 0
     #: app-specific options (e.g. AMG process topology "-P 8 4 2")
     options: dict[str, Any] = field(default_factory=dict)
@@ -211,12 +214,13 @@ class AppModel(abc.ABC):
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
         """Columnar outcome for a whole group of iterations at once.
 
-        ``ctx`` is the group's shared context (its ``rng``/``iteration``
-        are ignored here — per-iteration randomness comes from
-        ``block``, a :class:`~repro.rng.StreamBlock` whose stream ``j``
-        is iteration ``block.iterations[j]``'s keyed stream).  Must be
-        bit-identical to :meth:`simulate` replayed per iteration through
-        the block's streams.
+        ``ctx`` is the group's shared context: it has no generator
+        (``ctx.rng`` is ``None``) and its ``iteration`` is meaningless —
+        per-iteration randomness comes from ``block``, a
+        :class:`~repro.rng.StreamBlock` whose stream ``j`` is iteration
+        ``block.iterations[j]``'s keyed stream.  Must be bit-identical
+        to :meth:`simulate` replayed per iteration through the block's
+        streams.
         """
 
     # -- helpers ----------------------------------------------------------------

@@ -20,8 +20,8 @@ seed study's own point values.
 * :mod:`~repro.ensemble.runner` — :class:`EnsembleRunner`, a thin
   front-end over the shared execution planner (:mod:`repro.plan`): the
   grid compiles to one :class:`~repro.plan.ir.RunPlan`, worlds stream
-  through the :class:`~repro.plan.executor.PlanExecutor`, each world
-  folds on arrival, and per-world summaries are cached
+  through the :class:`~repro.plan.executor.PlanExecutor`, each shard
+  folds to its cell rows where it runs, and per-world summaries are cached
   (:func:`repro.sim.cache.world_key`) so warm re-runs are nearly free.
 
 Quickstart::

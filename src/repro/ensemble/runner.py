@@ -12,10 +12,16 @@ the shards, and every shard is the same pure function the study runner
 uses — so any worker count produces a byte-identical distribution
 report, and world 0 (baseline, replica 0) *is* the seed study.
 
-**Bounded memory.**  Shard batches stream through
-:func:`~repro.parallel.pool.pmap_chunked`; each world collapses to one
-:class:`~repro.ensemble.frame.ResultFrame` fold (a dozen floats per
-cell) before the next world's records exist.  State is O(cells), never
+**Fold where the records are.**  Each shard folds its own store to
+per-cell aggregate rows (:func:`fold_cells`, a dozen numbers per
+(env, app, scale) cell) in the process that simulated it, so a pool
+worker ships those rows, its spend and its incidents — never a record.
+A world's summary is its shards' rows sorted by (env, app, scale): a
+shard is one (env, size) cell with all its apps, so each aggregate cell
+comes from exactly one shard, and ``np.bincount`` sums its records in
+record order either way — the same bytes a merged-frame fold gives.
+Cells attached from the cache (incremental, resume, campaign reuse)
+fold the same way in the parent.  State is O(cells), never
 O(worlds × runs).
 
 **Warm re-runs are nearly free.**  Cache keys are seed- and
@@ -37,11 +43,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.core.results import ResultStore
-from repro.ensemble.frame import ResultFrame
 from repro.ensemble.spec import EnsembleSpec
 from repro.ensemble.stats import CellStats, StreamAccumulator
-from repro.parallel.merge import TransportStats
 from repro.parallel.pool import FaultStats
 from repro.parallel.shard import ShardResult
 from repro.plan import PlanExecutor, PlanWorld, ReuseStats, RunPlan, compile_ensemble
@@ -70,6 +73,20 @@ def _engine_options() -> dict:
 
 #: a cell's identity across worlds
 CellKey = tuple[str, str, str, int]  # (scenario_id, env, app, scale)
+
+
+def fold_cells(result: ShardResult) -> ShardResult:
+    """An ensemble shard's reduction: its store becomes its cell rows.
+
+    The ensemble keeps only per-cell aggregates, so the shard folds
+    where it ran (``PlanExecutor(fold=...)``); what crosses the pool is
+    the rows, the spend and the incidents.  A shard is one (env, size)
+    cell with all its apps, so each of its (env, app, scale) rows holds
+    every record that cell has in the world.
+    """
+    result.cells = result.store.to_frame().cell_aggregates().rows()
+    result.store = None
+    return result
 
 
 @dataclass
@@ -102,12 +119,6 @@ class EnsembleResult:
     #: malformed cell-summary entries met on the reuse path); ``None``
     #: for from-scratch runs
     reuse: ReuseStats | None = None
-    #: how executed worlds' shard stores crossed back from the worker
-    #: pool (:class:`~repro.parallel.merge.TransportStats`); world-cache
-    #: replays ship nothing, so a fully-warm run reports no stores.
-    #: Deliberately absent from :meth:`to_json_dict` — transport is an
-    #: execution property, not part of the dataset.
-    transport: TransportStats | None = None
     #: recovery events executed worlds survived (retries, requeues,
     #: rebuilds, resumed cells); included in :meth:`to_json_dict` only
     #: when something actually happened, so clean snapshots are
@@ -213,7 +224,6 @@ class EnsembleRunner:
         self.spec = spec
         self.incremental = incremental
         #: accumulates over one run() invocation (see EnsembleResult)
-        self._transport_stats = TransportStats()
         self._fault_stats = FaultStats()
         #: extra worlds (e.g. a campaign's smoke stage) whose cached
         #: cells this run may attach, on top of its own baseline replicas
@@ -256,8 +266,6 @@ class EnsembleRunner:
         is byte-identical to a from-scratch run.
         """
         result = EnsembleResult(spec=self.spec)
-        self._transport_stats = TransportStats()
-        result.transport = self._transport_stats
         self._fault_stats = FaultStats()
         result.faults = self._fault_stats
         cache = RunCache(self.options.cache_dir) if self.options.cache_dir else None
@@ -393,9 +401,10 @@ class EnsembleRunner:
     ) -> Iterator[tuple[PlanWorld, dict, bool]]:
         """Execute missing worlds through the shared executor, in order.
 
-        With a ``baseline`` plan the sub-plan runs incrementally: cells
-        the diff proves untouched attach their folded summaries from the
-        cell cache instead of simulating.
+        Every shard folds to its cell rows (:func:`fold_cells`) where it
+        executes.  With a ``baseline`` plan the sub-plan runs
+        incrementally: cells the diff proves untouched attach from the
+        cell cache instead of simulating, and fold in this process.
         """
         if not pending:
             return
@@ -403,13 +412,12 @@ class EnsembleRunner:
             plan.subset(world.index for world, _ in pending),
             self.options,
             baseline=baseline,
+            fold=fold_cells,
         )
         world_results = executor.iter_world_results()
         try:
             for (world, key), (executed, shard_results) in zip(pending, world_results):
                 assert executed.index == world.index
-                for shard in shard_results:
-                    self._transport_stats.note(shard)
                 summary = self._world_summary(shard_results)
                 if cache is not None and key is not None:
                     cache.put_json(key, summary, level="world")
@@ -423,25 +431,26 @@ class EnsembleRunner:
 
     @staticmethod
     def _world_summary(shard_results: list[ShardResult]) -> dict:
-        """Fold one world's shard results into its columnar summary.
+        """One world's summary from its folded shard results.
 
-        Records concatenate in plan order (results arrive in submission
-        order), so the frame fold — and therefore the summary — is the
-        same bytes for any worker count, and JSON floats round-trip
-        exactly, so a cache replay folds identically to a fresh fold.
+        The cell rows sort by (env, app, scale), the order a fold of the
+        world's merged records lists them in; no two shards share a cell
+        (:func:`fold_cells`).  Spend sums in plan order, so the summary
+        is the same bytes for any worker count, and JSON floats
+        round-trip exactly, so a cache replay folds identically to a
+        fresh fold.
         """
-        # Shard stores concatenate columnar (plan order) and the frame
-        # borrows the merged buffers zero-copy — no row objects here.
-        frame = ResultStore.merge(
-            shard.store for shard in shard_results
-        ).to_frame()
+        cells = sorted(
+            (row for shard in shard_results for row in shard.cells),
+            key=lambda row: (row["env"], row["app"], row["scale"]),
+        )
         spend = sum(
             usd for shard in shard_results for usd in shard.spend_by_cloud.values()
         )
         incidents = sum(len(shard.incidents) for shard in shard_results)
         return {
             "v": WORLD_SUMMARY_VERSION,
-            "cells": frame.cell_aggregates().rows(),
+            "cells": cells,
             "spend": spend,
             "incidents": incidents,
         }

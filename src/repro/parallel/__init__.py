@@ -9,7 +9,10 @@ per-cell from keyed streams, never from call order, so any worker count
 yields a byte-identical :class:`~repro.core.results.ResultStore`.
 
 Results cross the pool as pickled column arrays, never as per-record
-objects (:mod:`~repro.parallel.transport`).
+objects (:mod:`~repro.parallel.transport`); a front-end that keeps only
+per-cell aggregates folds each result in its worker instead, so only
+the aggregates cross (:func:`~repro.parallel.shard.execute_shard`'s
+``fold``).
 
 Execution is fault-tolerant: per-shard futures retry transient failures
 with deterministic backoff under a :class:`~repro.parallel.pool.RetryPolicy`,

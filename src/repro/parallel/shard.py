@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.cloud.providers import get_provider
 from repro.core.incidents import CATEGORIES, Incident, incident_from_fault
@@ -93,13 +94,22 @@ class ShardResult:
     and the store pickles as raw column arrays — shard transport never
     serializes per-record objects.  :attr:`records` materializes rows
     for callers that still want them.
+
+    A front-end that keeps only per-cell aggregates folds the result
+    where the shard ran (``execute_shard(shard, fold=...)``; the
+    ensemble's :func:`~repro.ensemble.runner.fold_cells`): :attr:`cells`
+    then holds the store's cell rows and :attr:`store` is ``None``, so
+    no record crosses the pool.
     """
 
     index: int
     env_id: str
     scale: int
     world: int = 0
-    store: ResultStore = field(default_factory=ResultStore)
+    store: ResultStore | None = field(default_factory=ResultStore)
+    #: the store's per-cell aggregate rows, once a fold replaced it
+    #: (:meth:`~repro.ensemble.frame.CellAggregates.rows`)
+    cells: list[dict] | None = None
     incidents: list[Incident] = field(default_factory=list)
     spend_by_cloud: dict[str, float] = field(default_factory=dict)
     clusters_created: int = 0
@@ -326,13 +336,21 @@ def _decode_shard(shard: StudyShard, store: ResultStore, header: dict) -> ShardR
     )
 
 
-def execute_shard(shard: StudyShard) -> ShardResult:
+def execute_shard(
+    shard: StudyShard,
+    fold: Callable[[ShardResult], ShardResult] | None = None,
+) -> ShardResult:
     """Run one cell start to finish; pure in (shard) → (result).
 
     With a cache directory configured, the cache works at two levels:
     the engine consults the run-level cache per record, and the whole
     cell is stored under a :func:`~repro.sim.cache.shard_key` so a
     repeat campaign skips provisioning and Kubernetes bring-up too.
+
+    ``fold`` reduces the result where the shard ran, after its cell
+    entry is written and inside the ``shard.execute`` span: a pool
+    worker returns only what the front-end keeps (the ensemble passes
+    :func:`~repro.ensemble.runner.fold_cells`).
 
     When the shard is dispatched with ``trace=True`` and no tracer is
     active (i.e. in a worker process), a local
@@ -355,15 +373,18 @@ def execute_shard(shard: StudyShard) -> ShardResult:
         tracer = Tracer(label=f"worker-{os.getpid()}")
         t0 = time.perf_counter()
         with use_tracer(tracer):
-            with span("shard.execute", env=shard.env_id, scale=shard.scale,
-                      world=shard.world):
-                result = _execute_shard_body(shard)
+            result = _execute_and_fold(shard, fold)
         result.trace = tracer.snapshot()
         result.worker_seconds = time.perf_counter() - t0
         return result
+    return _execute_and_fold(shard, fold)
+
+
+def _execute_and_fold(shard: StudyShard, fold) -> ShardResult:
     with span("shard.execute", env=shard.env_id, scale=shard.scale,
               world=shard.world):
-        return _execute_shard_body(shard)
+        result = _execute_shard_body(shard)
+        return result if fold is None else fold(result)
 
 
 def _execute_shard_body(shard: StudyShard) -> ShardResult:

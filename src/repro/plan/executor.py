@@ -18,13 +18,16 @@ Shard batches stream through
 :func:`~repro.parallel.pool.pmap_chunked`, so peak memory is bounded by
 one chunk of shard results (plus the world currently being folded) —
 an ensemble of hundreds of worlds never holds more than a window of
-records at a time.
+records at a time.  A front-end that keeps only a reduction of each
+result passes it as ``fold``: every shard applies it where it executes
+(:func:`~repro.parallel.shard.execute_shard`), and attached cells apply
+it here, so every yielded result is folded alike.
 
 **Incremental mode** (a ``baseline=`` plan) adds diff-aware reuse: the
 plan is diffed against the baseline (:func:`repro.plan.diff.diff_plans`)
-and every cell the diff proves untouched is *attached* — its folded
-summary loaded straight from the cell-level cache the baseline run
-wrote — while only the dirty cells (and any reusable cells whose cache
+and every cell the diff proves untouched is *attached* — its result
+loaded straight from the cell-level cache the baseline run wrote —
+while only the dirty cells (and any reusable cells whose cache
 entries are cold or malformed) dispatch to shards.  ``resume`` attaches
 the cells the journal proves complete the same way.  Results are still
 yielded in plan order and are byte-identical to a from-scratch run:
@@ -35,8 +38,9 @@ content-addressed key the cell would recompute.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.core.incidents import Incident
 from repro.errors import ConfigurationError
@@ -139,6 +143,9 @@ class PlanExecutor:
     The cache is the plan's own (``plan.cache_dir``); ``options`` says
     how to execute.  A ``baseline`` plan selects incremental mode: cells
     the diff against it proves untouched attach from the cell cache.
+    ``fold`` reduces every shard result before it is yielded (executed
+    shards apply it in their worker); :meth:`merged_worlds` needs the
+    unfolded stores, so it is for front-ends that pass none.
     """
 
     def __init__(
@@ -147,6 +154,7 @@ class PlanExecutor:
         options: ExecutionOptions | None = None,
         *,
         baseline: RunPlan | None = None,
+        fold: Callable[[ShardResult], ShardResult] | None = None,
     ):
         options = options if options is not None else ExecutionOptions()
         if baseline is not None:
@@ -155,6 +163,9 @@ class PlanExecutor:
             require_cache("resume", plan.cache_dir)
         self.plan = plan
         self.options = options
+        #: the front-end's reduction of each shard result (``None``:
+        #: results keep their stores)
+        self.fold = fold
         #: the plan reusable cells are diffed against (incremental mode)
         self.baseline = baseline
         #: the computed diff (populated when incremental iteration starts)
@@ -232,12 +243,12 @@ class PlanExecutor:
         untouched, and (with ``resume``) cells the journal proves
         complete.  Probes happen up front (the pool needs its work list
         before submission), so the map peaks at the whole attachable
-        set; each entry is a *folded* cell summary — tiny next to the
-        simulation it replaces — and is popped as its world yields.  A
-        cell whose cache entry is cold or malformed silently joins the
-        dispatch list — reuse degrades to re-execution, never to a hole
-        in the tables; malformed entries additionally flow through
-        :meth:`RunCache.note_invalid` and count in
+        set; each entry is the cell's cached result, reduced by
+        :attr:`fold` when there is one, and is popped as its world
+        yields.  A cell whose cache entry is cold or malformed silently
+        joins the dispatch list — reuse degrades to re-execution, never
+        to a hole in the tables; malformed entries additionally flow
+        through :meth:`RunCache.note_invalid` and count in
         :attr:`reuse.invalid <ReuseStats.invalid>`.
         """
         reusable: frozenset[int] = frozenset()
@@ -261,6 +272,8 @@ class PlanExecutor:
                 if reuse or (done_keys and shard_summary_key(shard) in done_keys):
                     result = attach_shard(shard, cache)
                     if result is not None:
+                        if self.fold is not None:
+                            result = self.fold(result)
                         attached[shard.index] = result
                         resumed += not reuse
         if done_keys:
@@ -296,7 +309,8 @@ class PlanExecutor:
                 journal.record(shard_summary_key(next(keys)))
 
         batches = pmap_chunked(
-            execute_shard,
+            execute_shard if self.fold is None
+            else functools.partial(execute_shard, fold=self.fold),
             self._dispatchable(to_run),
             workers=self.options.workers,
             chunk_size=self._chunk_size(),

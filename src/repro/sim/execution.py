@@ -189,9 +189,10 @@ class ExecutionEngine:
     #: and preemptions, price shocks, fabric degradation.  ``None`` or
     #: an empty scenario reproduces the baseline byte for byte.
     scenario: Scenario | None = None
-    #: per-cell block memo: the run/hookup stream keys name no app, so
-    #: every app of one (env, size) cell re-derives identical seeded
-    #: streams (and identical hookup draws) — seed once, reuse per cell
+    #: per-cell memo: the run/hookup stream keys name no app, so every
+    #: app of one (env, size) cell re-derives identical seeded streams
+    #: (and identical hookup draws), and resolves the same node model
+    #: and effective fabric — compute once, reuse per cell
     _block_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- fabric resolution ----------------------------------------------------
@@ -245,6 +246,28 @@ class ExecutionEngine:
         )
         return effective_fabric(base, env.cloud, placement)
 
+    def _resolve_cell(self, env: Environment, nodes: int) -> tuple[Any, Fabric]:
+        """(ECC-conditioned node model, effective fabric) at ``nodes``.
+
+        Both are functions of the engine's seed, scenario and options
+        plus (env, nodes) — never of the app or the iteration — so the
+        placement sampling, the topology model and the ECC draw run
+        once per cell and every app of the cell shares the values.
+        """
+        key = ("cell", env, nodes)
+        cell = self._block_memo.get(key)
+        if cell is None:
+            ecc_on = True
+            if env.is_gpu:
+                # The node's ECC state: Azure fleets are mixed (§3.3).
+                states = sample_ecc_settings(env.cloud, nodes, seed=self.seed)
+                ecc_on = bool(states.all()) if states.size else True
+            cell = self._block_memo[key] = (
+                env.node_model(ecc_on=ecc_on),
+                self._effective_fabric(env, nodes),
+            )
+        return cell
+
     # -- context construction --------------------------------------------------
 
     def resolve_group(
@@ -260,7 +283,10 @@ class ExecutionEngine:
         Placement sampling, topology-effective fabric, ECC-conditioned
         node model, and pricing are functions of (seed, env, scale) —
         :meth:`run_block` resolves them once per (env, app, size) group
-        instead of once per iteration, with identical results.
+        instead of once per iteration, with identical results, and the
+        node model and fabric once per cell (:meth:`_resolve_cell`).
+        The collective model and the group memo stay per group: app
+        models key their memoized values with their own keys.
         """
         model = app_lookup(app) if isinstance(app, str) else app
         with span(
@@ -268,24 +294,19 @@ class ExecutionEngine:
         ):
             nodes = env.nodes_for(scale)
             ranks = env.ranks_for(scale)
-            ecc_on = True
-            if env.is_gpu:
-                # The node's ECC state: Azure fleets are mixed (§3.3).
-                states = sample_ecc_settings(env.cloud, nodes, seed=self.seed)
-                ecc_on = bool(states.all()) if states.size else True
+            node_model, fabric = self._resolve_cell(env, nodes)
             itype = env.instance()
             rate = itype.cost_per_hour
             scn = active(self.scenario)
             if scn is not None:
                 rate = effective_rate(itype, scn.price_multiplier(env.cloud, nodes))
-            fabric = self._effective_fabric(env, nodes)
             return ResolvedGroup(
                 env=env,
                 model=model,
                 scale=scale,
                 nodes=nodes,
                 ranks=ranks,
-                node_model=env.node_model(ecc_on=ecc_on),
+                node_model=node_model,
                 fabric=fabric,
                 comm=CollectiveModel(fabric),
                 memo={},
@@ -294,8 +315,16 @@ class ExecutionEngine:
                 options=options or {},
             )
 
-    def _group_context(self, group: ResolvedGroup, iteration: int) -> RunContext:
-        """The :class:`RunContext` for one iteration of a resolved group."""
+    def _group_context(
+        self, group: ResolvedGroup, iteration: int | None = None
+    ) -> RunContext:
+        """The :class:`RunContext` for one iteration of a resolved group,
+        or — ``iteration=None`` — the group's block context, which has
+        no generator (block physics draw from their
+        :class:`~repro.rng.StreamBlock`)."""
+        rng = None
+        if iteration is not None:
+            rng = stream(self.seed, "run", group.env.env_id, group.scale, iteration)
         return RunContext(
             env=group.env,
             scale=group.scale,
@@ -303,8 +332,8 @@ class ExecutionEngine:
             ranks=group.ranks,
             node_model=group.node_model,
             fabric=group.fabric,
-            rng=stream(self.seed, "run", group.env.env_id, group.scale, iteration),
-            iteration=iteration,
+            rng=rng,
+            iteration=iteration or 0,
             options=group.options,
             comm_model=group.comm,
             group_memo=group.memo,
@@ -320,21 +349,15 @@ class ExecutionEngine:
     ) -> RunContext:
         """Build the :class:`RunContext` an app model will see."""
         nodes = env.nodes_for(scale)
-        ranks = env.ranks_for(scale)
-        rng = stream(self.seed, "run", env.env_id, scale, iteration)
-        ecc_on = True
-        if env.is_gpu:
-            # The node's ECC state: Azure fleets are mixed (§3.3).
-            states = sample_ecc_settings(env.cloud, nodes, seed=self.seed)
-            ecc_on = bool(states.all()) if states.size else True
+        node_model, fabric = self._resolve_cell(env, nodes)
         return RunContext(
             env=env,
             scale=scale,
             nodes=nodes,
-            ranks=ranks,
-            node_model=env.node_model(ecc_on=ecc_on),
-            fabric=self._effective_fabric(env, nodes),
-            rng=rng,
+            ranks=env.ranks_for(scale),
+            node_model=node_model,
+            fabric=fabric,
+            rng=stream(self.seed, "run", env.env_id, scale, iteration),
             iteration=iteration,
             options=options or {},
         )
@@ -564,7 +587,7 @@ class ExecutionEngine:
         env = group.env
         model = group.model
         n = len(iters)
-        ctx = self._group_context(group, int(iters[0]) if n else 0)
+        ctx = self._group_context(group)
         block = stream_block(self.seed, "run", env.env_id, group.scale, iterations=iters)
         sig = iters.tobytes()
         run_key_memo = ("run", env.env_id, group.scale, sig)

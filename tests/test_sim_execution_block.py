@@ -75,6 +75,24 @@ def test_spot_scenario_preemptions_match():
         _assert_equivalent(env_id, "laghos", 128, iterations=8, scenario=scn)
 
 
+def test_block_physics_that_reads_ctx_rng_fails_loudly():
+    # A block context carries no generator: per-iteration draws come
+    # from the StreamBlock, so reading ctx.rng raises instead of drawing
+    # from one stream for the whole group.
+    seen = []
+
+    class ReadsRng(type(APPS["lammps"])):
+        def simulate_block(self, ctx, block):
+            seen.append(ctx.rng)
+            return ctx.rng.normal(1.0, 0.1)
+
+    with pytest.raises(AttributeError):
+        ExecutionEngine(seed=0).run_block(
+            ENVIRONMENTS["cpu-eks-aws"], ReadsRng(), 64, iterations=2, store=ResultStore()
+        )
+    assert seen == [None]
+
+
 def test_hookup_cutoff_truncates_identically():
     stop = HookupCutoff(env_id="cpu-aks-az", scale=256, threshold_s=300.0)
     _assert_equivalent("cpu-aks-az", "lammps", 256, iterations=5, stop=stop)
