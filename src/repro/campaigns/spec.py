@@ -38,19 +38,6 @@ from repro.scenarios.presets import scenario as scenario_lookup, scenario_grid
 from repro.scenarios.spec import Scenario
 
 
-def _require_unique(values, what: str) -> None:
-    """Reject duplicate entries, naming every offender at once."""
-    counts: dict = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    duplicates = [v for v, n in counts.items() if n > 1]
-    if duplicates:
-        detail = ", ".join(f"{v!r} x{counts[v]}" for v in duplicates)
-        raise ConfigurationError(
-            f"duplicate {what} in campaign search space: {detail}"
-        )
-
-
 def _check_unknown(data: dict, allowed: tuple[str, ...], kind: str) -> None:
     unknown = set(data) - set(allowed)
     if unknown:
@@ -203,7 +190,12 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         from repro.core.study import check_selection
 
-        check_selection(self.env_ids, self.apps, self.sizes, self.iterations)
+        # The shared check also refuses a repeated env/app/size, which
+        # would double-count candidates and skew spend.
+        check_selection(
+            self.env_ids, self.apps, self.sizes, self.iterations,
+            scope="campaign search space",
+        )
         if self.grid.replicas < self.smoke.replicas:
             raise ConfigurationError(
                 "grid.replicas must be >= smoke.replicas — the grid stage "
@@ -216,14 +208,6 @@ class CampaignSpec:
             scenario_grid(self.scenarios, include_baseline=False)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from None
-        # ...and the same duplicate check on the cell axes: a repeated
-        # env/app/size would double-count candidates and skew spend.
-        if self.env_ids is not None:
-            _require_unique(self.env_ids, "environment ids")
-        if self.apps is not None:
-            _require_unique(self.apps, "apps")
-        if self.sizes is not None:
-            _require_unique(self.sizes, "sizes")
 
     # -- derived -------------------------------------------------------------
 

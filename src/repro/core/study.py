@@ -31,6 +31,7 @@ A full-size study produces tens of thousands of records (the paper:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -54,11 +55,17 @@ if TYPE_CHECKING:  # repro.plan sits above this module in the import graph
     from repro.plan.executor import ExecutionOptions
 
 
-def check_selection(env_ids, apps, sizes, iterations: int) -> None:
-    """The one campaign-selection check (:class:`StudyConfig` and
-    :class:`~repro.ensemble.spec.EnsembleSpec`): every env id and app
-    registered, every size and the iteration count at least 1.  A
-    ``None`` selection means "all" and passes."""
+def check_selection(
+    env_ids, apps, sizes, iterations: int, *, scope: str = "the selection"
+) -> None:
+    """The one campaign-selection check (:class:`StudyConfig`,
+    :class:`~repro.ensemble.spec.EnsembleSpec` and
+    :class:`~repro.campaigns.spec.CampaignSpec`): every env id and app
+    registered, every size and the iteration count at least 1, and no
+    env id, app or size named twice — a repeat would plan one
+    (env, size) cell twice and count its records twice.  A ``None``
+    selection means "all" and passes.  ``scope`` names the selection
+    in the repeat error."""
     for env_id in env_ids or ():
         if env_id not in ENVIRONMENTS:
             raise ConfigurationError(f"unknown environment {env_id!r}")
@@ -68,6 +75,11 @@ def check_selection(env_ids, apps, sizes, iterations: int) -> None:
     for size in sizes or ():
         if size < 1:
             raise ConfigurationError(f"sizes must be at least 1 (got {size})")
+    for what, values in (("environment ids", env_ids), ("apps", apps), ("sizes", sizes)):
+        counts = Counter(values or ())
+        repeated = ", ".join(f"{v!r} x{n}" for v, n in counts.items() if n > 1)
+        if repeated:
+            raise ConfigurationError(f"duplicate {what} in {scope}: {repeated}")
     if iterations < 1:
         raise ConfigurationError(f"iterations must be at least 1 (got {iterations})")
 

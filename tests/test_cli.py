@@ -687,6 +687,27 @@ def test_bad_campaign_selection_is_rejected_before_any_work(argv, message, capsy
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--envs", "cpu-eks-aws,cpu-onprem-a,cpu-eks-aws"],
+         "duplicate environment ids in the selection: 'cpu-eks-aws' x2"),
+        (["--apps", "amg2023,amg2023"], "duplicate apps in the selection: 'amg2023' x2"),
+        (["--sizes", "32,64,32"], "duplicate sizes in the selection: 32 x2"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command", [["study"], ["ensemble", "run"], ["plan", "show"]], ids=" ".join
+)
+def test_repeated_selection_is_rejected_before_any_work(command, flags, message, capsys):
+    # A repeat would plan one (env, size) cell twice: the study CSV would
+    # hold its records twice and an ensemble would fold them twice.
+    assert main([*command, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_transport_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exited:
         main(["study", "--transport", "pickle"])
