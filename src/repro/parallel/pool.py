@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 import time
 from concurrent.futures import (
@@ -227,6 +228,20 @@ def _run_retrying(
             raise ShardExecutionError.wrap(item, ordinal, attempt, exc) from exc
 
 
+def _pool_context():
+    """The start method pool workers use: ``fork`` wherever the platform
+    offers it, else the platform default (``None``).
+
+    A forked worker inherits the parent's imported modules; a
+    ``forkserver`` or ``spawn`` worker (Linux's default from Python 3.14
+    on) would import ``repro.__main__``'s whole closure again, which
+    costs about as much as a small command.
+    """
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
+
+
 @dataclass(eq=False)
 class _Flight:
     """One item's journey through the pool: identity-based, mutable."""
@@ -281,6 +296,7 @@ class _ResilientMap:
 
         return ProcessPoolExecutor(
             max_workers=min(self.workers, self.total),
+            mp_context=_pool_context(),
             initializer=mark_worker_process,
         )
 

@@ -7,6 +7,8 @@ every stochastic draw is keyed on cell coordinates rather than global
 call order.
 """
 
+import sys
+
 import pytest
 
 from repro.core.study import StudyConfig, StudyRunner
@@ -168,6 +170,24 @@ def test_pmap_chunked_rejects_bad_chunk_size():
 
     with pytest.raises(ValueError):
         list(pmap_chunked(_square, [1, 2], workers=1, chunk_size=0))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux offers fork")
+def test_pool_workers_fork_on_linux(monkeypatch):
+    # Python 3.14 makes forkserver Linux's default start method, whose
+    # workers would re-import the package; the pool pins fork instead.
+    import repro.parallel.pool as pool
+
+    contexts = []
+    real = pool.ProcessPoolExecutor
+
+    def recording(*args, **kwargs):
+        contexts.append(kwargs.get("mp_context"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", recording)
+    assert pmap(_square, list(range(6)), workers=2) == [i * i for i in range(6)]
+    assert [ctx.get_start_method() for ctx in contexts] == ["fork"]
 
 
 # --------------------------------------------------------------------- world tags
