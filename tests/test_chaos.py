@@ -244,3 +244,23 @@ def test_corrupted_cache_entries_degrade_to_re_execution(tmp_path, clean_csv):
     assert report.store.to_csv() == clean_csv
     assert report.cache_invalid >= 1
     assert report.cache_invalid_reasons
+
+
+# -- ensembles under fault injection ------------------------------------------
+
+
+def test_ensemble_cli_survives_kills_and_transients_byte_identically(capsys):
+    # An ensemble shard folds its cells inside the retried unit, so a
+    # killed or retried worker must fold the same rows again.
+    from repro.__main__ import main
+
+    argv = ["ensemble", "run", "--replicas", "4", "--workers", "2"]
+    assert main(argv) == 0
+    clean = capsys.readouterr()
+    assert "fault recovery" not in clean.err
+    assert main([*argv, "--chaos", "kill=0.1,transient=0.1,seed=7"]) == 0
+    chaotic = capsys.readouterr()
+    assert chaotic.out == clean.out
+    (line,) = [l for l in chaotic.err.splitlines() if l.startswith("fault recovery")]
+    counts = dict(part.split("=") for part in line.split(": ", 1)[1].split(", "))
+    assert int(counts.get("retries", 0)) + int(counts.get("rebuilds", 0)) > 0
