@@ -35,6 +35,7 @@ import os
 import re
 import tempfile
 from bisect import bisect_right
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -1082,28 +1083,44 @@ class ResultStore:
         "failure_kind",
     )
 
+    #: rows whose columns :meth:`to_csv` holds as Python values at once
+    _CSV_SLICE_ROWS = 1024
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(self.CSV_FIELDS)
-        cols = {name: b.view() for name, b in self._cols.items()}
-        fom_none = self._fom_none.view()
-        for i in range(len(self)):
-            writer.writerow(
+        # Columns convert to Python values one slice of rows at a time:
+        # indexing a NumPy buffer row by row boxes every element as a
+        # NumPy scalar, and converting whole columns would hold every
+        # value of the store as a Python object at once.
+        fom_units, failure_kinds = iter(self._fom_units), iter(self._failure_kind)
+        for start in range(0, len(self), self._CSV_SLICE_ROWS):
+            part = slice(start, start + self._CSV_SLICE_ROWS)
+            cols = {name: b.view()[part].tolist() for name, b in self._cols.items()}
+            n = len(cols["env"])
+            rows = zip(
+                cols["env"], cols["app"], cols["scale"], cols["nodes"],
+                cols["iteration"], cols["state"], cols["fom"],
+                self._fom_none.view()[part].tolist(), islice(fom_units, n),
+                cols["wall_seconds"], cols["hookup_seconds"], cols["cost_usd"],
+                islice(failure_kinds, n),
+            )
+            writer.writerows(
                 [
-                    str(cols["env"][i]),
-                    str(cols["app"][i]),
-                    int(cols["scale"][i]),
-                    int(cols["nodes"][i]),
-                    int(cols["iteration"][i]),
-                    STATE_ORDER[cols["state"][i]].value,
-                    "" if fom_none[i] else f"{float(cols['fom'][i]):.6g}",
-                    self._fom_units[i],
-                    f"{float(cols['wall_seconds'][i]):.3f}",
-                    f"{float(cols['hookup_seconds'][i]):.3f}",
-                    f"{float(cols['cost_usd'][i]):.4f}",
-                    self._failure_kind[i] or "",
+                    env, app, scale, nodes, iteration,
+                    STATE_ORDER[state].value,
+                    "" if fom_none else f"{fom:.6g}",
+                    units,
+                    f"{wall:.3f}",
+                    f"{hookup:.3f}",
+                    f"{cost:.4f}",
+                    kind or "",
                 ]
+                for (
+                    env, app, scale, nodes, iteration, state, fom, fom_none, units,
+                    wall, hookup, cost, kind,
+                ) in rows
             )
         return buf.getvalue()
 

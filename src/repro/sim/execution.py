@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 from bisect import bisect_left
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -57,6 +58,31 @@ ONPREM_WALLTIME_S = 4 * 3600.0
 _FAILED = STATE_CODE[RunState.FAILED]
 _TIMEOUT = STATE_CODE[RunState.TIMEOUT]
 _COMPLETED = STATE_CODE[RunState.COMPLETED]
+
+#: the open :func:`shared_cells` scope's per-cell memos, one per
+#: (seed, azure_ucx_tuned); ``None`` outside a scope
+_SHARED_CELLS: ContextVar[dict | None] = ContextVar("repro_shared_cells", default=None)
+
+
+@contextlib.contextmanager
+def shared_cells():
+    """Share the per-cell memo among the engines one command builds.
+
+    Inside the ``with`` block, every :class:`ExecutionEngine` built
+    without an active scenario adopts the scope's memo for its (seed,
+    ``azure_ucx_tuned``) instead of starting an empty one of its own, so
+    a command that builds many engines seeds each cell's streams and
+    resolves its fabric once.  Every memo value is a function of the
+    engine's seed, scenario and ``azure_ucx_tuned`` plus its key, so
+    sharing changes no record; an engine with a scenario keeps a private
+    memo.  The scope's memos are dropped when the block exits, by an
+    exception too, and nothing carries over to the next scope.
+    """
+    token = _SHARED_CELLS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_CELLS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -192,8 +218,14 @@ class ExecutionEngine:
     #: per-cell memo: the run/hookup stream keys name no app, so every
     #: app of one (env, size) cell re-derives identical seeded streams
     #: (and identical hookup draws), and resolves the same node model
-    #: and effective fabric — compute once, reuse per cell
+    #: and effective fabric — compute once, reuse per cell (and, inside
+    #: :func:`shared_cells`, across the command's engines)
     _block_memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        memos = _SHARED_CELLS.get()
+        if memos is not None and active(self.scenario) is None:
+            self._block_memo = memos.setdefault((self.seed, self.azure_ucx_tuned), {})
 
     # -- fabric resolution ----------------------------------------------------
 

@@ -64,6 +64,23 @@ def test_csv_roundtrippable(store):
     assert float(rows[0]["fom"]) > 0
 
 
+@pytest.mark.parametrize("slice_rows", [1, 5])
+def test_csv_does_not_depend_on_the_slice_size(store, monkeypatch, slice_rows):
+    # Row-appended records, then blocks with timeouts and skips: payload
+    # segments of every kind cross the slice boundaries.
+    engine = ExecutionEngine(seed=0)
+    for env_id, app, scale in (
+        ("cpu-eks-aws", "laghos", 256),
+        ("gpu-parallelcluster-aws", "lammps", 32),
+        ("cpu-aks-az", "amg2023", 32),
+    ):
+        engine.run_block(environment(env_id), app, scale, iterations=3, store=store)
+    expected = store.to_csv()
+    assert "walltime" in expected and "skipped" in expected
+    monkeypatch.setattr(ResultStore, "_CSV_SLICE_ROWS", slice_rows)
+    assert store.to_csv() == expected
+
+
 def test_artifact_payload(store):
     name, payload = store.to_artifact("study")
     assert name == "study.csv"

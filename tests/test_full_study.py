@@ -1,5 +1,7 @@
 """The paper-scale campaign: every environment, app, size, 5 iterations."""
 
+import hashlib
+
 import pytest
 
 from repro.core.costs import study_spend
@@ -8,9 +10,31 @@ from repro.core.usability import usability_table
 from repro.sim.run_result import RunState
 
 
+#: sha256 of ``StudyConfig.full_study(seed=S)``'s ``store.to_csv()``
+#: (2,860 records).  A change that moves any number moves these.
+GOLDEN_FULL_STUDY_CSV_SHA256 = {
+    0: "c48e87d3527772dd605cab3a870b6c243e240850ba0b708103efb1efb8bcb544",
+    3: "6aa4b991f2546852a47d9fa296e7bd6a7cae82612c695620cae4025b2fb13e36",
+}
+
+
 @pytest.fixture(scope="module")
 def full_report():
     return StudyRunner(StudyConfig.full_study(seed=0)).run()
+
+
+def _csv_sha256(report) -> str:
+    return hashlib.sha256(report.store.to_csv().encode()).hexdigest()
+
+
+def test_full_study_csv_matches_golden_digest(full_report):
+    assert full_report.datasets == len(full_report.store) == 2_860
+    assert _csv_sha256(full_report) == GOLDEN_FULL_STUDY_CSV_SHA256[0]
+
+
+def test_full_study_csv_matches_golden_digest_at_seed_3():
+    report = StudyRunner(StudyConfig.full_study(seed=3)).run()
+    assert _csv_sha256(report) == GOLDEN_FULL_STUDY_CSV_SHA256[3]
 
 
 def test_dataset_volume_comparable_to_paper(full_report):

@@ -1,10 +1,13 @@
 """Evaluation-report generator tests."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
+from repro.experiments.base import ExperimentOutput
 from repro.reporting.report import REPORT_ORDER, generate_report
+from repro.sim import execution
 
 #: sha256 of ``repro report --seed S``'s stdout: the markdown plus the
 #: newline ``print`` adds.  A change that moves any number moves these.
@@ -31,6 +34,39 @@ def test_report_matches_golden_digest(report_text):
 
 def test_report_matches_golden_digest_at_seed_3():
     assert _stdout_sha256(generate_report(seed=3)) == GOLDEN_REPORT_SHA256[3]
+
+
+def test_report_seeds_and_resolves_each_cell_once(monkeypatch):
+    """The report's engines share one cell memo per (seed,
+    azure_ucx_tuned): 120 stream-seeding passes and 52 cell resolutions
+    at seed 0, where a memo per engine makes 417 and 441.  A second
+    report in the same process counts the same, so no memo outlives its
+    report, and each experiment's claims are checked once."""
+    calls = Counter()
+    co_seed = execution.co_seed
+    effective_fabric = execution.ExecutionEngine._effective_fabric
+    check = ExperimentOutput.check
+
+    def co_seed_spy(*blocks):
+        calls["co_seed"] += 1
+        return co_seed(*blocks)
+
+    def fabric_spy(self, env, nodes):
+        calls["fabric"] += 1
+        return effective_fabric(self, env, nodes)
+
+    def check_spy(self):
+        calls["check"] += 1
+        return check(self)
+
+    monkeypatch.setattr(execution, "co_seed", co_seed_spy)
+    monkeypatch.setattr(execution.ExecutionEngine, "_effective_fabric", fabric_spy)
+    monkeypatch.setattr(ExperimentOutput, "check", check_spy)
+    for _ in range(2):
+        calls.clear()
+        text = generate_report(seed=0)
+        assert _stdout_sha256(text) == GOLDEN_REPORT_SHA256[0]
+        assert calls == {"co_seed": 120, "fabric": 52, "check": len(REPORT_ORDER)}
 
 
 def test_report_covers_every_experiment(report_text):
