@@ -49,7 +49,7 @@ import os
 import sys
 
 from repro.apps.registry import APPS
-from repro.core.study import StudyConfig, StudyRunner
+from repro.core.study import StudyConfig, StudyRunner, check_seeds
 from repro.envs.registry import ENVIRONMENTS, environment
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.reporting.compare import summarize
@@ -1296,7 +1296,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.errors import ConfigurationError
+
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", None) is not None:
+        # Every --seed, at the boundary: a spec's replica seeds are
+        # checked again when the spec is built.
+        try:
+            check_seeds(range(args.seed, args.seed + 1))
+        except ConfigurationError as exc:
+            return _usage_error(exc)
     handlers = {
         "list": _cmd_list,
         "experiment": _cmd_experiment,

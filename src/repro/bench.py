@@ -48,7 +48,11 @@ class BenchCampaign:
     scales: tuple[int, ...] = (32, 64, 128, 256)
     apps: tuple[str, ...] = ()  # empty = every registered app
     target_records: int = 10_500
+    #: each side is the fastest of at least ``repeats`` runs, and of as
+    #: many more as fit in ``min_seconds``: a short side (the block
+    #: pipeline, ~0.1 s) is timed many times, the seed side ~3 times
     repeats: int = 3
+    min_seconds: float = 1.0
 
     def resolved_apps(self) -> tuple[str, ...]:
         if self.apps:
@@ -76,15 +80,19 @@ QUICK_CAMPAIGN = BenchCampaign(
     apps=("lammps", "amg2023", "osu"),
     target_records=240,
     repeats=1,
+    min_seconds=0.0,
 )
 
 
-def _best_of(fn: Callable, repeats: int):
-    best, result = math.inf, None
-    for _ in range(repeats):
+def _best_of(fn: Callable, repeats: int, min_seconds: float = 0.0):
+    """``(fastest seconds, last result)`` of at least ``repeats`` calls,
+    calling again until the calls add up to ``min_seconds``."""
+    best, result, calls, spent = math.inf, None, 0, 0.0
+    while calls < repeats or spent < min_seconds:
         start = time.perf_counter()
         result = fn()
-        best = min(best, time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        best, calls, spent = min(best, elapsed), calls + 1, spent + elapsed
     return best, result
 
 
@@ -107,7 +115,7 @@ def _block_pipeline(campaign: BenchCampaign):
     return store, store.to_frame().cell_aggregates()
 
 
-def _rng_bench(n: int = 5_000) -> dict:
+def _rng_bench(n: int = 5_000, repeats: int = 2, min_seconds: float = 0.0) -> dict:
     """Keyed-stream draws: per-iteration construction vs one block."""
 
     def _scalar():
@@ -118,8 +126,8 @@ def _rng_bench(n: int = 5_000) -> dict:
     def _block():
         return stream_block(0, "bench", "rng", iterations=n).normal(1.0, 0.1)
 
-    t_scalar, a = _best_of(_scalar, 2)
-    t_block, b = _best_of(_block, 2)
+    t_scalar, a = _best_of(_scalar, repeats, min_seconds)
+    t_block, b = _best_of(_block, repeats, min_seconds)
     assert np.array_equal(a, b), "stream_block diverged from stream()"
     return {
         "streams": n,
@@ -372,10 +380,11 @@ def run_bench(campaign: BenchCampaign | None = None) -> dict:
     """
     campaign = campaign or BenchCampaign()
     with span("bench.run", records=campaign.target_records, repeats=campaign.repeats):
+        at_least = (campaign.repeats, campaign.min_seconds)
         with span("bench.seed", repeats=campaign.repeats):
-            t_seed, (records, agg_seed) = _best_of(lambda: _seed_pipeline(campaign), campaign.repeats)
+            t_seed, (records, agg_seed) = _best_of(lambda: _seed_pipeline(campaign), *at_least)
         with span("bench.block", repeats=campaign.repeats):
-            t_block, (store_v, agg_v) = _best_of(lambda: _block_pipeline(campaign), campaign.repeats)
+            t_block, (store_v, agg_v) = _best_of(lambda: _block_pipeline(campaign), *at_least)
         return _fold_bench(campaign, t_seed, t_block, records, store_v, agg_seed, agg_v)
 
 
@@ -385,7 +394,7 @@ def _fold_bench(campaign, t_seed, t_block, records, store_v, agg_seed, agg_v) ->
     assert agg_v.rows() == agg_seed.rows()
 
     with span("bench.rng"):
-        rng = _rng_bench()
+        rng = _rng_bench(min_seconds=campaign.min_seconds)
     with span("bench.transport", records=len(records)):
         transport = _transport_bench(store_v)
 
@@ -398,6 +407,7 @@ def _fold_bench(campaign, t_seed, t_block, records, store_v, agg_seed, agg_v) ->
             "scales": list(campaign.scales),
             "iterations": campaign.iterations(),
             "repeats": campaign.repeats,
+            "min_seconds": campaign.min_seconds,
         },
         "pipeline": {
             "seed_seconds": t_seed,

@@ -192,8 +192,10 @@ class CampaignSpec:
 
         # The shared check also refuses a repeated env/app/size, which
         # would double-count candidates and skew spend.
+        replicas = max(self.smoke.replicas, self.grid.replicas)
         check_selection(
             self.env_ids, self.apps, self.sizes, self.iterations,
+            seeds=range(self.base_seed, self.base_seed + replicas),
             scope="campaign search space",
         )
         if self.grid.replicas < self.smoke.replicas:

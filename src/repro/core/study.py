@@ -49,23 +49,47 @@ from repro.envs.registry import ENVIRONMENTS
 from repro.parallel.merge import TransportStats
 from repro.parallel.pool import FaultStats
 from repro.errors import ConfigurationError
+from repro.rng import SEED_MAX
 from repro.telemetry import span
 
 if TYPE_CHECKING:  # repro.plan sits above this module in the import graph
     from repro.plan.executor import ExecutionOptions
 
 
+def check_seeds(seeds: range) -> None:
+    """Refuse study seeds outside ``0..SEED_MAX``.
+
+    The keyed streams hash ``seed & SEED_MAX`` (:func:`repro.rng.stream`),
+    so seed ``2**32`` would draw seed 0's numbers while cache keys and
+    the kernels' own generators read the full value.  ``seeds`` is every
+    seed a command runs at (an ensemble's replicas are consecutive).
+    """
+    if seeds and not (0 <= seeds[0] and seeds[-1] <= SEED_MAX):
+        if len(seeds) == 1:
+            raise ConfigurationError(f"seed must be in 0..{SEED_MAX} (got {seeds[0]})")
+        raise ConfigurationError(
+            f"replica seeds must be in 0..{SEED_MAX} (got {seeds[0]}..{seeds[-1]})"
+        )
+
+
 def check_selection(
-    env_ids, apps, sizes, iterations: int, *, scope: str = "the selection"
+    env_ids,
+    apps,
+    sizes,
+    iterations: int,
+    *,
+    seeds: range,
+    scope: str = "the selection",
 ) -> None:
     """The one campaign-selection check (:class:`StudyConfig`,
     :class:`~repro.ensemble.spec.EnsembleSpec` and
     :class:`~repro.campaigns.spec.CampaignSpec`): every env id and app
-    registered, every size and the iteration count at least 1, and no
-    env id, app or size named twice — a repeat would plan one
-    (env, size) cell twice and count its records twice.  A ``None``
-    selection means "all" and passes.  ``scope`` names the selection
-    in the repeat error."""
+    registered, every size and the iteration count at least 1, every
+    seed in ``seeds`` within :func:`check_seeds`' range, and no env id,
+    app or size named twice — a repeat would plan one (env, size) cell
+    twice and count its records twice.  A ``None`` selection means
+    "all" and passes.  ``scope`` names the selection in the repeat
+    error."""
     for env_id in env_ids or ():
         if env_id not in ENVIRONMENTS:
             raise ConfigurationError(f"unknown environment {env_id!r}")
@@ -82,6 +106,7 @@ def check_selection(
             raise ConfigurationError(f"duplicate {what} in {scope}: {repeated}")
     if iterations < 1:
         raise ConfigurationError(f"iterations must be at least 1 (got {iterations})")
+    check_seeds(seeds)
 
 
 @dataclass
@@ -95,7 +120,10 @@ class StudyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_selection(self.env_ids, self.apps, self.sizes, self.iterations)
+        check_selection(
+            self.env_ids, self.apps, self.sizes, self.iterations,
+            seeds=range(self.seed, self.seed + 1),
+        )
 
     @classmethod
     def smoke(cls, seed: int = 0) -> "StudyConfig":

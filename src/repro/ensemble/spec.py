@@ -49,7 +49,10 @@ class EnsembleSpec:
 
         if self.n_replicas < 1:
             raise ConfigurationError("an ensemble needs n_replicas >= 1")
-        check_selection(self.env_ids, self.apps, self.sizes, self.iterations)
+        check_selection(
+            self.env_ids, self.apps, self.sizes, self.iterations,
+            seeds=range(self.base_seed, self.replica_seed(self.n_replicas)),
+        )
         # Same grid invariants as a sweep (unique ids, 'baseline'
         # reserved) — validated by the one shared implementation.
         from repro.scenarios.presets import scenario_grid

@@ -17,15 +17,35 @@ The batched layer
 Constructing ``Generator(PCG64(SeedSequence(...)))`` costs tens of
 microseconds — twice per simulated run, which dominates the scalar
 per-iteration path.  :func:`stream_block` removes that cost for the
-iteration axis of a group: it reproduces NumPy's seeding pipeline with
-vectorized integer arithmetic (the :class:`~numpy.random.SeedSequence`
-entropy-pool hash over all iterations at once, then the PCG64 seeding
-LCG steps as 128-bit Python-int math) and *injects* each iteration's
-post-seeding state into one reused bit generator.  Every iteration's
-draw sequence is unchanged — the same PCG64 state produces the same
-bits — so block draws are bit-identical to per-iteration
-:func:`stream` calls (``tests/test_rng_block.py`` pins this), at about
-a tenth of the construction cost.
+iteration axis of a group: it seeds every stream once, to its
+post-seeding PCG64 ``(state, inc)`` pair as Python ints, and *injects*
+a stream's pair into one reused bit generator whenever it draws from
+that stream.  Seeding picks its path by size (:data:`NATIVE_SEED_MAX`):
+a small block runs numpy's own ``SeedSequence(...).generate_state`` per
+stream plus PCG64's two seeding LCG steps in int arithmetic, and a
+larger one reproduces the SeedSequence entropy-pool hash and the LCG
+steps with vectorized integer arithmetic over all its streams at once.
+
+A block's seeded streams are one :class:`SeededStreams` object, which
+blocks over the same streams share (the engine's per-cell memo hands it
+to every app of a cell).  It carries one lazily widened ``(n, K)``
+prefix of standard normals: :meth:`StreamBlock.normal` returns
+``loc + scale * Z[:, :k]``, so only the first block that needs ``k``
+columns enters the streams, and later blocks slice the prefix.  Three
+facts keep every draw bit-identical to per-iteration :func:`stream`
+calls, and ``tests/test_rng_block.py`` pins each one:
+
+1. both seedings reproduce the post-seeding state of
+   ``PCG64(SeedSequence(...))`` exactly;
+2. numpy computes ``Generator.normal(loc, scale)`` as
+   ``loc + scale * standard_normal()``, element by element, in order;
+3. a stream's first ``k`` standard normals do not depend on how many
+   more are drawn after them.
+
+Log-normal draws are not rebuilt from the prefix (``np.exp`` can differ
+from libm's ``exp`` in the last bit): :meth:`~StreamBlock.lognormal`,
+:meth:`~StreamBlock.random` and :meth:`~StreamBlock.generator` enter
+their streams.
 """
 
 from __future__ import annotations
@@ -38,6 +58,11 @@ from numpy.random import PCG64, Generator, SeedSequence
 
 _blake2b = hashlib.blake2b
 _from_bytes = int.from_bytes
+
+#: the largest seed the streams tell apart: they hash ``seed & SEED_MAX``,
+#: so seeds that differ only above bit 31 would draw the same numbers
+#: (:func:`repro.core.study.check_seeds` refuses them at the input boundary)
+SEED_MAX = 0xFFFFFFFF
 
 
 def _key_to_int(parts: tuple[Any, ...]) -> int:
@@ -61,7 +86,7 @@ def stream(seed: int, *key: Any) -> np.random.Generator:
     two generators per simulated run) but bit-identical to
     ``default_rng(SeedSequence([...]))`` on the same entropy.
     """
-    return Generator(PCG64(SeedSequence((seed & 0xFFFFFFFF, _key_to_int(key)))))
+    return Generator(PCG64(SeedSequence((seed & SEED_MAX, _key_to_int(key)))))
 
 
 def jitter(rng: np.random.Generator, scale: float) -> float:
@@ -156,11 +181,11 @@ def _mul_add_128(a: list[np.ndarray], b: tuple[int, ...], c: list[np.ndarray]) -
     return out
 
 
-def _seed_states(seed: int, key_ints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Post-seeding PCG64 states for ``(seed, key)`` streams, vectorized.
+def _seed_states(seed: int, keys: list[int]) -> tuple[list[int], list[int]]:
+    """Post-seeding PCG64 ``(state, inc)`` ints, vectorized over streams.
 
     Reproduces, over all keys at once, exactly what
-    ``PCG64(SeedSequence((seed & 0xFFFFFFFF, key)))`` computes:
+    ``PCG64(SeedSequence((seed & SEED_MAX, key)))`` computes:
 
     1. the SeedSequence entropy-pool hash (three uint32 entropy words —
        the 32-bit seed plus the lo/hi halves of the 64-bit key — mixed
@@ -169,13 +194,13 @@ def _seed_states(seed: int, key_ints: np.ndarray) -> tuple[np.ndarray, np.ndarra
        ``state = (inc + initstate) * MULT + inc`` (the two LCG steps of
        ``pcg64_srandom`` folded together) — as 32-bit limb arithmetic.
 
-    Returns ``(state_hi, state_lo, inc_hi, inc_lo)`` uint64 arrays; the
-    128-bit Python ints the state-injection dict needs are assembled
-    per stream only when a stream is actually entered.
+    Its cost is mostly a fixed ~180 µs of small ufunc calls, so it pays
+    only above :data:`NATIVE_SEED_MAX` streams (:func:`_seed`).
     """
+    key_ints = np.array(keys, dtype=np.uint64)
     n = len(key_ints)
     entropy = [
-        np.full(n, np.uint32(seed & 0xFFFFFFFF)),
+        np.full(n, np.uint32(seed & SEED_MAX)),
         (key_ints & _U32).astype(np.uint32),
         (key_ints >> _SHIFT32).astype(np.uint32),
     ]
@@ -235,47 +260,104 @@ def _seed_states(seed: int, key_ints: np.ndarray) -> tuple[np.ndarray, np.ndarra
         tot.append(t & _U32)
         carry = t >> _SHIFT32
     state = _mul_add_128(tot, _PCG_MULT_LIMBS, inc)
-    state_lo = state[0] | (state[1] << _SHIFT32)
-    state_hi = state[2] | (state[3] << _SHIFT32)
-    return state_hi, state_lo, inc_hi64, inc_lo64
+    state_lo = (state[0] | (state[1] << _SHIFT32)).tolist()
+    state_hi = (state[2] | (state[3] << _SHIFT32)).tolist()
+    return (
+        [(hi << 64) | lo for hi, lo in zip(state_hi, state_lo)],
+        [(hi << 64) | lo for hi, lo in zip(inc_hi64.tolist(), inc_lo64.tolist())],
+    )
+
+
+def _native_states(seed: int, keys: list[int]) -> tuple[list[int], list[int]]:
+    """Post-seeding PCG64 ``(state, inc)`` ints, one stream at a time.
+
+    ``PCG64(SeedSequence(entropy))`` seeds from the four uint64 words
+    ``w = SeedSequence(entropy).generate_state(4, np.uint64)``:
+    ``initstate = w0 << 64 | w1`` and ``initseq = w2 << 64 | w3``, then
+    (``pcg64_srandom``) ``inc = initseq << 1 | 1`` and two LCG steps
+    from state 0 give ``state = (inc + initstate) * MULT + inc``.  numpy
+    hashes the entropy here; only the two LCG steps are int arithmetic.
+    """
+    seed &= SEED_MAX
+    states, incs = [], []
+    for key in keys:
+        w0, w1, w2, w3 = SeedSequence((seed, key)).generate_state(4, np.uint64).tolist()
+        inc = ((w2 << 65) | (w3 << 1) | 1) & _MASK_128
+        states.append(((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK_128)
+        incs.append(inc)
+    return states, incs
+
+
+#: The seeding crossover: a pass over at most this many streams (a
+#: co-seeded group counts all of its blocks) seeds natively
+#: (:func:`_native_states`), a larger one vectorized (:func:`_seed_states`).
+#: Both are exact, so this moves time only.  Measured on a 2-vCPU x86-64
+#: VM (Python 3.11, numpy 2.4.6), best of 600 per size from 1 to 40
+#: streams: native costs about 12 µs per stream, the vectorized pass
+#: about 180 µs at every size, and they tie at 15 streams.
+NATIVE_SEED_MAX = 15
+
+
+def _seed(seed: int, keys: list[int]) -> tuple[list[int], list[int]]:
+    """The ``(state, inc)`` ints of streams ``(seed, key)``, one seeding
+    pass by the path their count selects."""
+    if len(keys) <= NATIVE_SEED_MAX:
+        return _native_states(seed, keys)
+    return _seed_states(seed, keys)
+
+
+class SeededStreams:
+    """The seeded streams of one block, shared by the blocks that draw them.
+
+    ``states[j]`` and ``incs[j]`` are stream ``j``'s post-seeding PCG64
+    state and increment.  ``normals`` is the ``(n, K)`` prefix of each
+    stream's standard normals drawn so far: ``K`` starts at 0 and only
+    grows (:meth:`StreamBlock.normal`).  The object lives as long as
+    its holder, an engine's per-cell memo or a single block.
+    """
+
+    __slots__ = ("states", "incs", "normals")
+
+    def __init__(self, states: list[int], incs: list[int]):
+        self.states = states
+        self.incs = incs
+        self.normals = np.empty((len(states), 0))
 
 
 class StreamBlock:
     """The keyed per-iteration streams of one batched group.
 
     Stream ``j`` is exactly ``stream(seed, *key, iterations[j])``; the
-    block seeds all of them in one vectorized pass (lazily, on first
-    draw) and replays each stream through a single reused
-    :class:`~numpy.random.PCG64` by state injection.  Draw-gathering
-    methods return one value (or row) per iteration, bit-identical to
-    scalar draws from the per-iteration generators.
+    block seeds all of them in one pass (lazily, on first draw, or
+    adopts an identical block's :class:`SeededStreams`) and replays each
+    stream through a single reused :class:`~numpy.random.PCG64` by state
+    injection.  Draw-gathering methods return one value (or row) per
+    iteration, bit-identical to scalar draws from the per-iteration
+    generators.
 
     Each stream's draws must be gathered **in one call** (sequential
     gathers would need a state save/restore per stream — if an app
     needs several noise factors per iteration, ask for them as one
     ``normal(loc, [cv1, cv2, ...])`` row).  A second whole-block gather
     raises; :meth:`generator` (the per-iteration fallback path) is the
-    escape hatch for arbitrary scalar draw sequences.
+    escape hatch for arbitrary scalar draw sequences.  Normal gathers
+    slice the shared standard-normal prefix; the others enter every
+    stream.
     """
 
-    __slots__ = (
-        "seed", "key", "iterations",
-        "_state_hi", "_state_lo", "_inc_hi", "_inc_lo",
-        "_bg", "_gen", "_dict", "_drawn",
-    )
+    __slots__ = ("seed", "key", "iterations", "_streams", "_drawn")
 
     def __init__(self, seed: int, key: tuple[Any, ...], iterations: Sequence[int] | np.ndarray):
         self.seed = seed
         self.key = key
         self.iterations = np.asarray(iterations, dtype=np.int64)
-        self._bg: PCG64 | None = None
-        self._gen: Generator | None = None
+        self._streams: SeededStreams | None = None
         self._drawn = False
 
     def __len__(self) -> int:
         return len(self.iterations)
 
-    def _key_ints(self) -> np.ndarray:
+    def _keys(self) -> list[int]:
         # Key text for iteration i is "\x1f".join((*key, i)) — with an
         # empty key path the iteration stands alone, no separator.
         prefix = (
@@ -283,61 +365,37 @@ class StreamBlock:
             if self.key
             else b""
         )
-        return np.fromiter(
-            (
-                _from_bytes(
-                    _blake2b(prefix + str(i).encode("utf-8"), digest_size=8).digest(),
-                    "little",
-                )
-                for i in self.iterations
-            ),
-            dtype=np.uint64,
-            count=len(self.iterations),
-        )
-
-    def _install(self, state_hi, state_lo, inc_hi, inc_lo) -> None:
-        """Attach seeded per-stream states (from :func:`co_seed` or
-        :meth:`_seed_all`) and the shared scratch generator."""
-        self._state_hi, self._state_lo = state_hi, state_lo
-        self._inc_hi, self._inc_lo = inc_hi, inc_lo
-        self._bg, self._gen = _scratch_generator()
-        # One reused state-injection dict; the setter copies the values
-        # into the bit generator's C state, so mutating it is safe.
-        self._dict = {
-            "bit_generator": "PCG64",
-            "state": {"state": 0, "inc": 0},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        return [
+            _from_bytes(_blake2b(prefix + str(i).encode("utf-8"), digest_size=8).digest(), "little")
+            for i in self.iterations.tolist()
+        ]
 
     def _seed_all(self) -> None:
-        if self._bg is not None:
-            return
-        self._install(*_seed_states(self.seed, self._key_ints()))
+        if self._streams is None:
+            self._streams = SeededStreams(*_seed(self.seed, self._keys()))
 
-    def seeded_states(self):
-        """The per-stream seeded states, for reuse by an identical block.
+    def seeded_states(self) -> SeededStreams:
+        """This block's seeded streams, for an identical block to share.
 
         The run/hookup key paths name no application, so every app of a
-        study cell re-derives the *same* streams; the engine seeds them
-        once and installs the states into each app's block
-        (:meth:`install_states`).  The arrays are read-only shared state
-        — blocks only ever inject copies into the scratch generator.
+        study cell draws the *same* streams; the engine seeds them once
+        per cell and installs them into each app's block
+        (:meth:`install_states`), normal prefix included.
         """
         self._seed_all()
-        return (self._state_hi, self._state_lo, self._inc_hi, self._inc_lo)
+        return self._streams
 
-    def install_states(self, states) -> None:
-        """Adopt previously seeded states (from :meth:`seeded_states`)."""
-        self._install(*states)
+    def install_states(self, streams: SeededStreams) -> None:
+        """Adopt an identical block's streams (from :meth:`seeded_states`)."""
+        self._streams = streams
 
     def _enter(self, j: int) -> Generator:
         """Point the shared generator at stream ``j``'s seeded state."""
-        inner = self._dict["state"]
-        inner["state"] = (int(self._state_hi[j]) << 64) | int(self._state_lo[j])
-        inner["inc"] = (int(self._inc_hi[j]) << 64) | int(self._inc_lo[j])
-        self._bg.state = self._dict
-        return self._gen
+        streams = self._streams
+        _INNER["state"] = streams.states[j]
+        _INNER["inc"] = streams.incs[j]
+        _SCRATCH_BG.state = _STATE
+        return _SCRATCH
 
     def generator(self, j: int) -> Generator:
         """Stream ``j`` from its seeded start (shared object — draw from
@@ -355,91 +413,93 @@ class StreamBlock:
         self._drawn = True
         return len(self.iterations)
 
+    def _standard_normals(self, k: int) -> np.ndarray:
+        """Each stream's first ``k`` standard normals, ``(n, k)``: a view
+        of the shared prefix, widened first if it holds fewer columns
+        (every stream re-entered and redrawn from its seeded start)."""
+        streams = self._streams
+        z = streams.normals
+        if z.shape[1] < k:
+            z = np.empty((len(z), k))
+            for j in range(len(z)):
+                self._enter(j).standard_normal(out=z[j])
+            streams.normals = z
+        return z[:, :k]
+
     def normal(self, loc: float, scale) -> np.ndarray:
         """One row of normal draws per iteration.
 
         ``scale`` may be a scalar (one draw per iteration → shape
         ``(n,)``) or a length-``k`` vector (``k`` sequential draws per
         iteration → shape ``(n, k)``, exactly the values ``k`` scalar
-        ``rng.normal`` calls would produce in order).
+        ``rng.normal`` calls would produce in order).  Both are
+        ``loc + scale * z`` over the streams' first standard normals,
+        numpy's own arithmetic for ``Generator.normal``.
         """
-        n = self._begin()
+        self._begin()
         scale = np.asarray(scale, dtype=np.float64)
-        gen, enter = self._gen, self._enter
+        if np.signbit(scale).any():
+            raise ValueError("scale < 0")
         if scale.ndim == 0:
-            scale = float(scale)
-            out = np.empty(n, dtype=np.float64)
-            for j in range(n):
-                enter(j)
-                out[j] = gen.normal(loc, scale)
-            return out
-        out = np.empty((n, len(scale)), dtype=np.float64)
-        for j in range(n):
-            enter(j)
-            out[j] = gen.normal(loc, scale)
-        return out
+            return loc + float(scale) * self._standard_normals(1)[:, 0]
+        return loc + scale * self._standard_normals(len(scale))
 
     def lognormal(self, mean: float, sigma: float) -> np.ndarray:
         """One log-normal draw per iteration."""
         n = self._begin()
-        gen, enter = self._gen, self._enter
+        enter = self._enter
         out = np.empty(n, dtype=np.float64)
         for j in range(n):
-            enter(j)
-            out[j] = gen.lognormal(mean=mean, sigma=sigma)
+            out[j] = enter(j).lognormal(mean=mean, sigma=sigma)
         return out
 
     def random(self, k: int | None = None) -> np.ndarray:
         """Uniform [0, 1) draws: one per iteration, or ``k`` sequential
         draws per iteration (shape ``(n, k)``)."""
         n = self._begin()
-        gen, enter = self._gen, self._enter
+        enter = self._enter
         if k is None:
             out = np.empty(n, dtype=np.float64)
             for j in range(n):
-                enter(j)
-                out[j] = gen.random()
+                out[j] = enter(j).random()
             return out
         out = np.empty((n, k), dtype=np.float64)
         for j in range(n):
-            enter(j)
-            out[j] = gen.random(size=k)
+            out[j] = enter(j).random(size=k)
         return out
 
 
 #: one process-wide scratch bit generator for state injection — every
 #: block *sets* the state before drawing, so sharing is safe for the
-#: single-threaded simulation loop (each worker process gets its own)
-_SCRATCH: tuple[PCG64, Generator] | None = None
-
-
-def _scratch_generator() -> tuple[PCG64, Generator]:
-    global _SCRATCH
-    if _SCRATCH is None:
-        bg = PCG64(SeedSequence(0))
-        _SCRATCH = (bg, Generator(bg))
-    return _SCRATCH
+#: single-threaded simulation loop (each worker process gets its own).
+#: One reused state dict: the setter copies its values into the bit
+#: generator's C state, so mutating ``_INNER`` between entries is safe.
+_SCRATCH_BG = PCG64(0)
+_SCRATCH = Generator(_SCRATCH_BG)
+_INNER = {"state": 0, "inc": 0}
+_STATE = {"bit_generator": "PCG64", "state": _INNER, "has_uint32": 0, "uinteger": 0}
 
 
 def co_seed(*blocks: StreamBlock) -> None:
-    """Seed several same-seed blocks with one vectorized pass.
+    """Seed several same-seed blocks with one seeding pass.
 
-    The entropy-pool hash has a fixed per-call overhead that dwarfs the
-    per-stream cost for study-sized groups; a group's run and hookup
-    blocks seeded together pay it once.  Blocks already seeded (or with
-    differing study seeds) fall back to their own pass.
+    A group's run and hookup blocks seeded together pay one pass, and
+    their total stream count picks its path (:data:`NATIVE_SEED_MAX`):
+    the vectorized pass has a fixed per-call cost that dwarfs its
+    per-stream cost for study-sized groups.  Blocks already seeded (or
+    with differing study seeds) fall back to their own pass.
     """
-    pending = [b for b in blocks if b._bg is None and len(b)]
+    pending = [b for b in blocks if b._streams is None and len(b)]
     if not pending:
         return
     seed = pending[0].seed
     joint = [b for b in pending if b.seed == seed]
-    key_arrays = [b._key_ints() for b in joint]
-    parts = _seed_states(seed, np.concatenate(key_arrays))
+    key_lists = [b._keys() for b in joint]
+    states, incs = _seed(seed, [key for keys in key_lists for key in keys])
     start = 0
-    for block, keys in zip(joint, key_arrays):
+    for block, keys in zip(joint, key_lists):
         stop = start + len(keys)
-        block._install(*(p[start:stop] for p in parts))
+        block._streams = SeededStreams(states[start:stop], incs[start:stop])
         start = stop
     for block in pending:
         if block.seed != seed:

@@ -123,7 +123,7 @@ def preemption_block(
     ``(iterations[j], durations[j])`` bit for bit.  The hit probability
     and the conditional reclaim-instant draw are evaluated per stream
     (the second draw only happens on a reclaim, exactly like the scalar
-    path), but all streams are seeded in one vectorized pass.
+    path), but all streams are seeded in one pass.
     """
     iterations = np.asarray(iterations, dtype=np.int64)
     out = np.full(len(iterations), np.nan)

@@ -216,10 +216,11 @@ class ExecutionEngine:
     #: an empty scenario reproduces the baseline byte for byte.
     scenario: Scenario | None = None
     #: per-cell memo: the run/hookup stream keys name no app, so every
-    #: app of one (env, size) cell re-derives identical seeded streams
-    #: (and identical hookup draws), and resolves the same node model
-    #: and effective fabric — compute once, reuse per cell (and, inside
-    #: :func:`shared_cells`, across the command's engines)
+    #: app of one (env, size) cell draws the same streams (one
+    #: :class:`~repro.rng.SeededStreams`, standard-normal prefix
+    #: included) and the same hookup column, and resolves the same node
+    #: model and effective fabric — compute once, reuse per cell (and,
+    #: inside :func:`shared_cells`, across the command's engines)
     _block_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -629,7 +630,8 @@ class ExecutionEngine:
         with span("engine.rng", env=env.env_id, iterations=n):
             seeded = self._block_memo.get(run_key_memo)
             if seeded is not None:
-                # A sibling app of this cell already seeded these streams.
+                # A sibling app of this cell already seeded these streams;
+                # its normal draws are this block's prefix too.
                 block.install_states(seeded)
                 hookup = self._block_memo.get(hookup_memo)
             else:
@@ -644,7 +646,7 @@ class ExecutionEngine:
                     iterations=iters,
                 )
                 if seeded is None:
-                    # One vectorized seeding pass covers both stream families.
+                    # One seeding pass covers both stream families.
                     co_seed(block, hookup_streams)
                     self._block_memo[run_key_memo] = block.seeded_states()
                 hookup = hookup_block(

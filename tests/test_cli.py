@@ -708,6 +708,33 @@ def test_repeated_selection_is_rejected_before_any_work(command, flags, message,
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["report", "--seed", "4294967296"], "seed must be in 0..4294967295 (got 4294967296)"),
+        (["run", "cpu-eks-aws", "amg2023", "64", "--seed", "-1"],
+         "seed must be in 0..4294967295 (got -1)"),
+        (["experiment", "table1", "--seed", "4294967296"],
+         "seed must be in 0..4294967295 (got 4294967296)"),
+        (["study", "--seed", "4294967296"], "seed must be in 0..4294967295 (got 4294967296)"),
+        (["plan", "show", "--seed", "-1"], "seed must be in 0..4294967295 (got -1)"),
+        ([*_SCENARIO_RUN, "--seed", "4294967296"],
+         "seed must be in 0..4294967295 (got 4294967296)"),
+        (["ensemble", "run", "--seed", "4294967295", "--replicas", "2"],
+         "replica seeds must be in 0..4294967295 (got 4294967295..4294967296)"),
+        (["plan", "show", "--seed", "4294967290", "--replicas", "8"],
+         "replica seeds must be in 0..4294967295 (got 4294967290..4294967297)"),
+    ],
+)
+def test_seed_outside_32_bits_is_rejected_before_any_work(argv, message, capsys):
+    # The keyed streams hash seed & 0xFFFFFFFF: `report --seed 4294967296`
+    # would draw seed 0's numbers under a different cache key.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_transport_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exited:
         main(["study", "--transport", "pickle"])

@@ -88,6 +88,33 @@ def test_unknown_app_rejected():
         StudyConfig(env_ids=("cpu-eks-aws",), apps=("hpcg",), sizes=(32,), iterations=1)
 
 
+def test_seeds_outside_32_bits_are_rejected():
+    """The keyed streams hash ``seed & 0xFFFFFFFF``: seed 2**32 would
+    alias seed 0's draws while cache keys read the full value, so every
+    spec refuses a seed outside 0..2**32-1 when it is built, an
+    ensemble's or campaign's last replica seed included."""
+    from repro.campaigns import CampaignSpec
+    from repro.ensemble import EnsembleSpec
+    from repro.errors import ConfigurationError
+
+    top = 2**32 - 1
+    selection = dict(env_ids=("cpu-eks-aws",), apps=("amg2023",), sizes=(32,), iterations=1)
+    for seed in (2**32, -1, 2**40):
+        message = rf"^seed must be in 0\.\.{top} \(got {seed}\)$"
+        with pytest.raises(ConfigurationError, match=message):
+            StudyConfig(**selection, seed=seed)
+    assert StudyConfig(**selection, seed=top).seed == top
+    message = rf"^replica seeds must be in 0\.\.{top} \(got {top - 2}\.\.{top + 1}\)$"
+    with pytest.raises(ConfigurationError, match=message):
+        EnsembleSpec(n_replicas=4, base_seed=top - 2)
+    with pytest.raises(ConfigurationError, match="replica seeds must be in"):
+        EnsembleSpec(n_replicas=2, base_seed=-1)
+    assert EnsembleSpec(n_replicas=3, base_seed=top - 2).replica_seed(2) == top
+    with pytest.raises(ConfigurationError, match=rf"\(got {top - 1}\.\.{top + 1}\)$"):
+        CampaignSpec(base_seed=top - 1)  # the grid stage's 3 replicas
+    assert CampaignSpec(base_seed=top - 2).base_seed == top - 2
+
+
 def test_full_study_config_shape():
     config = StudyConfig.full_study()
     assert len(config.env_ids) == 14

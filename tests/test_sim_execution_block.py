@@ -61,6 +61,24 @@ def test_every_app_block_equals_scalar(app):
         _assert_equivalent(env_id, app, 64)
 
 
+def test_one_engine_serves_every_app_of_a_cell_from_one_prefix():
+    """Every app of a cell through one engine, in registry order, over
+    three iteration sets: each app's normals are slices of the cell's
+    shared standard-normal prefix (osu's and stream's rows widen it),
+    with one prefix per iteration set.  Records equal per-iteration
+    runs on fresh engines."""
+    for env_id in ("cpu-eks-aws", "gpu-gke-g"):
+        env = ENVIRONMENTS[env_id]
+        engine = ExecutionEngine(seed=4)
+        for iterations in (3, 5, 2):
+            for app in APPS:
+                store = _block_store(engine, env, app, 64, iterations=iterations)
+                reference = _scalar_runs(
+                    ExecutionEngine(seed=4), env, app, 64, iterations=iterations
+                )
+                assert store.records == reference
+
+
 def test_failure_and_skip_groups():
     _assert_equivalent("gpu-gke-g", "kripke", 32)  # uniform misconfiguration
     _assert_equivalent("cpu-onprem-a", "minife", 32)  # uniform partial-output
