@@ -9,7 +9,7 @@ import pytest
 
 from repro.apps.registry import APPS
 from repro.core.results import ResultStore
-from repro.envs.registry import environment
+from repro.envs.registry import ENVIRONMENTS, environment
 from repro.scenarios.presets import scenario
 from repro.sim.execution import CLOUD_WALLTIME_S, ExecutionEngine, shared_cells
 from repro.sim.run_result import RunState
@@ -252,3 +252,133 @@ def test_canonical_form_keeps_tuples_apart_from_lists():
     assert _canonical((8, 4, 2)) != _canonical([8, 4, 2])
     assert _canonical(np.float64(0.1)) == _canonical(0.1) == "0.1"
     assert _canonical(np.arange(2)) == "array<int64>[0, 1]"
+
+
+def _digest(lines) -> tuple[str, int]:
+    digest = hashlib.sha256()
+    count = 0
+    for line in lines:
+        digest.update(line.encode() + b"\n")
+        count += 1
+    return digest.hexdigest(), count
+
+
+#: sha256 of :func:`_canonical_record` lines for every ``ExecutionEngine.run``
+#: of :func:`_scenario_runs` (scenario, seed): every environment and app at
+#: its smallest and largest size, iterations 0-3 (1,232 records per set).
+#: The spot set holds preemptions; all three sets move prices.
+SCENARIO_RUNS_SHA256 = {
+    ("spot-everything", 0):
+        "a6fc5db94fb68d6b606556fb7fee1a7b81a4cd1ef3f37eafed1faec04f6cee37",
+    ("spot-everything", 3):
+        "e4f0772af9d12966e7ca445a810dc76e5d5f36bab16240cb0042a7bd57913adf",
+    ("azure-price-spike", 0):
+        "037756d96dae5a362ba3ce9361ffec70a87fd27ea278d44bf444f3341a093608",
+    ("azure-price-spike", 3):
+        "e6e0fc04a1415e35d297c046fcf6e935de836862f861a13c59cea5b7c6322374",
+    ("price-war", 0):
+        "e573ede18242356267e1a17636e05f9f9f328afa2f3fcfd4c04e1907f23602b8",
+    ("price-war", 3):
+        "7a7b997dbdcd67ce5a1ecafeec37afe21daebec5944d542b7b5e800157cf4449",
+}
+
+
+def _scenario_runs(name: str, seed: int):
+    engine = ExecutionEngine(seed=seed, scenario=scenario(name))
+    for env in ENVIRONMENTS.values():
+        for app in APPS:
+            for scale in (min(env.sizes()), max(env.sizes())):
+                for iteration in range(4):
+                    yield engine.run(env, app, scale, iteration=iteration)
+
+
+@pytest.mark.parametrize("name,seed", sorted(SCENARIO_RUNS_SHA256))
+def test_scenario_run_records_match_golden_digest(name, seed):
+    records = list(_scenario_runs(name, seed))
+    assert len(records) == len(ENVIRONMENTS) * len(APPS) * 2 * 4
+    if (name, seed) == ("spot-everything", 0):
+        assert sum(r.failure_kind == "spot-preemption" for r in records) == 10
+    digest, _ = _digest(_canonical_record(r) for r in records)
+    assert digest == SCENARIO_RUNS_SHA256[name, seed]
+
+
+#: sha256 of fig2's two process-topology runs (amg2023 on gpu-gke-g at
+#: size 64 with ``-P 8 4 2`` and ``-P 4 4 4``) at seed S
+FIG2_TOPOLOGY_RUNS_SHA256 = {
+    0: "9e6e2a8c275a07af6bd8edc1d2bf2570529a3610adba8e5574e23effec345e04",
+    3: "7e4e270d35f7117d7b2f8881d4f8673caffd67902e1beb82dddea04cfbf64374",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIG2_TOPOLOGY_RUNS_SHA256))
+def test_fig2_topology_runs_match_golden_digest(seed):
+    engine = ExecutionEngine(seed=seed)
+    env = environment("gpu-gke-g")
+    records = [
+        engine.run(env, "amg2023", 64, options={"process_topology": topology})
+        for topology in ((8, 4, 2), (4, 4, 4))
+    ]
+    digest, _ = _digest(_canonical_record(r) for r in records)
+    assert digest == FIG2_TOPOLOGY_RUNS_SHA256[seed]
+
+
+#: sha256 of every table row and series line of ``run_experiment(E,
+#: seed=S)`` at full precision (the report renders 4 significant digits)
+EXPERIMENT_OUTPUT_SHA256 = {
+    ("fig5", 0):
+        "2a8aef2302278f96026b1404169cfd29bf11d22475c48e31a59f0964f9d3e27c",
+    ("fig5", 3):
+        "abdd6a29b2ab1c1b2cdc3c8c29dcbe0066faba61057ee18aa45968353f216d7f",
+    ("nodebench", 0):
+        "42179e223beda1ad86a62677268677cd092da54474273badf7ee8796cc75733d",
+    ("nodebench", 3):
+        "185a844dfdcd1a5bb379886972cd14e3d9cb19655fc7127b616580399b71e2ec",
+    ("hookup", 0):
+        "4cf27aaf3100f409a0f2d3aa44e68cd812e6f5daae13c49400e76ddfa486b145",
+    ("hookup", 3):
+        "1c9c303abe569e54153fadfc57c224992bf062e6ce01ef6f408989fb3e40984e",
+    ("ecc", 0):
+        "b2cf05ef5b28f684b72b21fbc731a1ca859e754e4c80973b69d67a3c4057bcf3",
+    ("ecc", 3):
+        "9273050f750af503d6e15d3289227e98be948edb79c716ec487979933210ca98",
+}
+
+
+def _experiment_lines(out):
+    if out.table is not None:
+        for row in out.table.rows:
+            yield "row|" + _canonical(row)
+    for series in out.series:
+        for name, points in series.lines.items():
+            yield f"line|{series.title}|{name}|{_canonical(points)}"
+
+
+@pytest.mark.parametrize("experiment,seed", sorted(EXPERIMENT_OUTPUT_SHA256))
+def test_experiment_output_matches_golden_digest(experiment, seed):
+    from repro.experiments.registry import run_experiment
+
+    digest, count = _digest(_experiment_lines(run_experiment(experiment, seed=seed)))
+    assert count
+    assert digest == EXPERIMENT_OUTPUT_SHA256[experiment, seed]
+
+
+#: sha256 of the hookup experiment's per-(cloud, accelerator, size) means
+#: at full precision (its table rounds them to 0.1 s) at seed S
+HOOKUP_MEANS_SHA256 = {
+    0: "9dbf9eb75d8d5c94ac39a8ba26802ccf4420b1e42995e8e621844a67dc3345b6",
+    3: "673d721db891ba85838b3b90f77179a7ae687c1441c7dad060e89578f58966e2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HOOKUP_MEANS_SHA256))
+def test_hookup_means_match_golden_digest(seed):
+    from repro.experiments.hookup_times import CPU_NODE_SIZES, GPU_NODE_SIZES, _mean_hookup
+
+    lines = [
+        f"{cloud}|{gpu}|{nodes}|{_mean_hookup(cloud, gpu, nodes, seed, 10)!r}"
+        for cloud in ("aws", "az", "g", "p")
+        for gpu, sizes in ((True, GPU_NODE_SIZES), (False, CPU_NODE_SIZES))
+        for nodes in sizes
+    ]
+    digest, _ = _digest(lines)
+    assert digest == HOOKUP_MEANS_SHA256[seed]
