@@ -11,13 +11,15 @@ the modelled mechanisms rather than from tuning:
 * cloud jitter multiplier -> MiniFE inverse scaling strength
 """
 
+import dataclasses
+
 import pytest
 
 import repro.apps.base as apps_base
-from repro.apps.osu import OSUBenchmarks
 from repro.core.analysis import mean_fom
 from repro.envs.registry import environment
 from repro.experiments.base import run_matrix
+from repro.rng import stream_block
 from repro.sim.execution import ExecutionEngine
 
 
@@ -53,13 +55,11 @@ def test_ablation_straggler_factor(benchmark):
 
 def test_ablation_ucx_tuning(benchmark):
     """Untuned Azure UCX (pre-§3.1 experimentation) triples small-message latency."""
-    osu = OSUBenchmarks()
     env = environment("cpu-aks-az")
 
     def measure(tuned: bool) -> float:
         engine = ExecutionEngine(seed=0, azure_ucx_tuned=tuned)
-        ctx = engine.context(env, 64)
-        return osu.latency_us(ctx, 1024)
+        return engine.run(env, "osu", 64).extra["latency_us"][1024]
 
     tuned_lat = measure(True)
     untuned_lat = benchmark.pedantic(measure, args=(False,), rounds=1, iterations=1)
@@ -75,21 +75,19 @@ def test_ablation_placement_degradation(benchmark):
     engine = ExecutionEngine(seed=0)
     minife = app("minife")
 
-    def degraded_fom() -> float:
-        foms = []
-        for it in range(3):
-            ctx = engine.context(env, 128, iteration=it)
-            foms.append(minife.simulate(ctx).fom)
+    def mean_fom_over_3(ctx) -> float:
+        block = stream_block(0, "run", env.env_id, 128, iterations=3)
+        foms = minife.simulate_block(ctx, block).fom
         return sum(foms) / len(foms)
 
+    def degraded_fom() -> float:
+        return mean_fom_over_3(engine.context(env, 128))
+
     def colocated_fom() -> float:
-        foms = []
-        for it in range(3):
-            ctx = engine.context(env, 128, iteration=it)
-            # Force the fabric the cluster would see with a working PPG.
-            ctx.fabric = env.base_fabric().with_jitter(ctx.fabric.jitter_cv)
-            foms.append(minife.simulate(ctx).fom)
-        return sum(foms) / len(foms)
+        ctx = engine.context(env, 128)
+        # Force the fabric the cluster would see with a working PPG.
+        fabric = env.base_fabric().with_jitter(ctx.fabric.jitter_cv)
+        return mean_fom_over_3(dataclasses.replace(ctx, fabric=fabric))
 
     degraded = benchmark.pedantic(degraded_fom, rounds=1, iterations=1)
     colocated = colocated_fom()

@@ -10,6 +10,11 @@ straight into the typed buffers — is at least **6x** the seed
 per-iteration path, with records and aggregates byte-identical (the
 suite refuses to report speedups otherwise).
 
+The seed side is one :meth:`~repro.sim.execution.ExecutionEngine.run`
+call per record.  Each is a one-iteration block on the same physics,
+so the ratio is what batching the iteration axis saves a caller that
+loops over iterations one run at a time.
+
 Results land in ``BENCH_vector.json`` (redirect with
 ``BENCH_VECTOR_ARTIFACT``) and are gated against
 ``benchmarks/BASELINE_vector.json``: a regression of more than 25%

@@ -9,7 +9,7 @@ demonstrates the §2.8 pair-sampling strategy (8 nodes, 28 pairs).
 
 import numpy as np
 
-from repro.apps.osu import MESSAGE_SIZES, OSUBenchmarks
+from repro.apps.osu import OSUBenchmarks
 from repro.envs.registry import cpu_environments
 from repro.reporting.tables import Table, render_table
 from repro.sim.execution import ExecutionEngine
@@ -18,7 +18,6 @@ from repro.units import fmt_bytes
 
 def main() -> None:
     engine = ExecutionEngine(seed=0)
-    osu = OSUBenchmarks()
 
     headline_sizes = (8, 1024, 32768, 65536, 4 * 1024 * 1024)
     lat_table = Table(
@@ -32,12 +31,11 @@ def main() -> None:
     )
     bw_peak = {}
     for env in cpu_environments():
-        ctx = engine.context(env, 256)
-        lat_table.add(env.env_id, *(f"{osu.latency_us(ctx, s):.2f}" for s in headline_sizes))
-        ar_table.add(env.env_id, *(f"{osu.allreduce_us(ctx, s):.0f}" for s in headline_sizes))
-        bw_peak[env.env_id] = max(
-            osu.bandwidth_mbps(ctx, s) for s in MESSAGE_SIZES
-        )
+        sweep = engine.run(env, "osu", 256).extra
+        lat, ar = sweep["latency_us"], sweep["allreduce_us"]
+        lat_table.add(env.env_id, *(f"{lat[s]:.2f}" for s in headline_sizes))
+        ar_table.add(env.env_id, *(f"{ar[s]:.0f}" for s in headline_sizes))
+        bw_peak[env.env_id] = max(sweep["bandwidth_mbps"].values())
 
     print(render_table(lat_table))
     print()

@@ -18,7 +18,7 @@ See ``examples/`` for complete scenarios and ``repro.experiments`` for
 the per-table/figure harnesses.
 """
 
-from repro.apps import APPS, AppModel, AppResult, RunContext, app
+from repro.apps import APPS, AppModel, RunContext, app
 from repro.cloud import (
     AWS,
     Azure,
@@ -60,7 +60,6 @@ __all__ = [
     "APPS",
     "AWS",
     "AppModel",
-    "AppResult",
     "Azure",
     "CloudProvider",
     "Component",

@@ -7,7 +7,7 @@ substrates.
 """
 
 from repro.apps.amg2023 import AMG2023
-from repro.apps.base import AppModel, AppResult, RunContext, straggler_factor
+from repro.apps.base import AppModel, RunContext, straggler_factor
 from repro.apps.kripke import Kripke
 from repro.apps.laghos import Laghos
 from repro.apps.lammps import LAMMPS
@@ -24,7 +24,6 @@ __all__ = [
     "AMG2023",
     "APPS",
     "AppModel",
-    "AppResult",
     "Kripke",
     "LAMMPS",
     "Laghos",

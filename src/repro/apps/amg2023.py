@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from repro.apps.base import AppBlockResult, AppModel, AppResult, RunContext
+from repro.apps.base import AppBlockResult, AppModel, RunContext
 from repro.machine.rates import KernelClass
 
 #: per-unit grid (256 x 256 x 128 points)
@@ -59,70 +59,34 @@ class AMG2023(AppModel):
     higher_is_better = True
     scaling = "weak"
 
-    def _base(self, ctx: RunContext):
-        def _compute():
-            units = ctx.scale if ctx.env.is_gpu else ctx.nodes
-            points = POINTS_PER_UNIT * units
-            nnz_ap = NNZ_PER_POINT * points
-
-            # Compute phases: memory-bandwidth bound on the executing device.
-            setup_flops = points * SETUP_FLOPS_PER_POINT / 1e9
-            cycle_flops = points * CYCLE_FLOPS_PER_POINT / 1e9
-            solver_eff = ENV_SOLVER_EFFICIENCY.get(ctx.env.env_id, 1.0)
-            t_setup_compute = (
-                ctx.compute_time(setup_flops, KernelClass.MEMORY) / solver_eff
-            )
-            t_cycle_compute = (
-                ctx.compute_time(cycle_flops, KernelClass.MEMORY) / solver_eff
-            )
-
-            # Communication per V-cycle over the level hierarchy.
-            levels = max(
-                4, int(math.log2(max(points, 2)) / 3) + int(math.log2(max(units, 2)))
-            )
-            face_bytes = 256 * 128 * 8  # one fine-level face of doubles
-            strag = ctx.straggler()
-            comm_cycle = 0.0
-            for lvl in range(levels):
-                shrink = 2**lvl
-                halo = ctx.comm.halo(max(face_bytes // shrink, 64), neighbors=6)
-                # Coarse-grid convergence check: tiny allreduce, jitter-bound.
-                ar = ctx.comm.allreduce(8, ctx.ranks) * strag
-                comm_cycle += halo + ar
-            # Setup-phase comm: coarsening handshakes, ~3 cycles' worth.
-            return (
-                units, nnz_ap, t_setup_compute, t_cycle_compute,
-                comm_cycle, 3.0 * comm_cycle,
-            )
-
-        return ctx.once(("amg-base",), _compute)
-
-    def simulate(self, ctx: RunContext) -> AppResult:
-        (
-            units, nnz_ap, t_setup_compute, t_cycle_compute, comm_cycle, t_setup_comm,
-        ) = self._base(ctx)
-
-        t_setup = self._noisy(ctx, t_setup_compute + t_setup_comm)
-        t_solve = self._noisy(ctx, N_CYCLES * (t_cycle_compute + comm_cycle))
-
-        topo = tuple(ctx.options.get("process_topology", (8, 4, 2)))
-        bonus = TOPOLOGY_BONUS.get(topo, 1.0)
-
-        fom = bonus * nnz_ap / (t_setup + 3.0 * t_solve)
-        wall = t_setup + t_solve
-        return self._result(
-            ctx,
-            fom=fom,
-            wall=wall,
-            phases={"setup": t_setup, "solve": t_solve},
-            extra={"nnz_AP": nnz_ap, "units": units, "process_topology": topo},
-        )
-
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native path: both noise draws gathered as one row."""
-        (
-            units, nnz_ap, t_setup_compute, t_cycle_compute, comm_cycle, t_setup_comm,
-        ) = self._base(ctx)
+        """Both noise draws (setup, then solve) gathered as one row."""
+        units = ctx.scale if ctx.env.is_gpu else ctx.nodes
+        points = POINTS_PER_UNIT * units
+        nnz_ap = NNZ_PER_POINT * points
+
+        # Compute phases: memory-bandwidth bound on the executing device.
+        setup_flops = points * SETUP_FLOPS_PER_POINT / 1e9
+        cycle_flops = points * CYCLE_FLOPS_PER_POINT / 1e9
+        solver_eff = ENV_SOLVER_EFFICIENCY.get(ctx.env.env_id, 1.0)
+        t_setup_compute = ctx.compute_time(setup_flops, KernelClass.MEMORY) / solver_eff
+        t_cycle_compute = ctx.compute_time(cycle_flops, KernelClass.MEMORY) / solver_eff
+
+        # Communication per V-cycle over the level hierarchy.
+        levels = max(
+            4, int(math.log2(max(points, 2)) / 3) + int(math.log2(max(units, 2)))
+        )
+        face_bytes = 256 * 128 * 8  # one fine-level face of doubles
+        strag = ctx.straggler()
+        comm_cycle = 0.0
+        for lvl in range(levels):
+            shrink = 2**lvl
+            halo = ctx.comm.halo(max(face_bytes // shrink, 64), neighbors=6)
+            # Coarse-grid convergence check: tiny allreduce, jitter-bound.
+            ar = ctx.comm.allreduce(8, ctx.ranks) * strag
+            comm_cycle += halo + ar
+        # Setup-phase comm: coarsening handshakes, ~3 cycles' worth.
+        t_setup_comm = 3.0 * comm_cycle
 
         cv = ctx.fabric.jitter_cv
         factors = self._noisy_factors(ctx, block, (cv, cv))

@@ -1,8 +1,10 @@
 """Application-model framework.
 
 An :class:`AppModel` turns a :class:`RunContext` (environment, scale,
-effective fabric, node model, RNG) into an :class:`AppResult` (FOM,
-phase timings, failure state).  The performance decomposition is::
+effective fabric, node model) and a :class:`~repro.rng.StreamBlock` (one
+keyed stream per iteration) into an :class:`AppBlockResult`: FOM, phase
+timings and failure state as columns over the iterations.  A single run
+is a one-iteration block.  The performance decomposition is::
 
     wall = setup + n_iters * (t_compute + t_comm)
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -81,39 +84,14 @@ class RunContext:
     ranks: int
     node_model: NodeModel
     fabric: Fabric  # effective fabric after topology degradation
-    #: the iteration's keyed stream; ``None`` in a block context
-    #: (:meth:`AppModel.simulate_block` draws from its ``block``), so a
-    #: block physics that reads it fails instead of drawing silently
-    rng: np.random.Generator | None = None
-    iteration: int = 0
     #: app-specific options (e.g. AMG process topology "-P 8 4 2")
     options: dict[str, Any] = field(default_factory=dict)
-    #: shared memoized collective model; a resolved group
-    #: (:meth:`ExecutionEngine.resolve_group`) passes one model to every
-    #: context it builds so distinct collectives price once per group
-    comm_model: CollectiveModel | None = field(default=None, repr=False, compare=False)
-    #: group-scoped memo for :meth:`once`; a resolved group shares one
-    #: dict across its contexts, a standalone context gets its own
-    group_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
+    @cached_property
     def comm(self) -> CollectiveModel:
-        if self.comm_model is None:
-            self.comm_model = CollectiveModel(self.fabric)
-        return self.comm_model
-
-    def once(self, key: tuple, fn):
-        """Compute a group-deterministic value once per batched group.
-
-        ``fn`` must be pure in the group coordinates (env, app, scale,
-        options) — in particular it must never touch :attr:`rng`, which
-        is per-iteration.  Outside a batch the memo is per-context, so
-        values (and rng call patterns) are identical either way.
-        """
-        value = self.group_memo.get(key)
-        if value is None:
-            value = self.group_memo[key] = fn()
-        return value
+        """The fabric's memoized collective model (each distinct
+        collective prices once per context)."""
+        return CollectiveModel(self.fabric)
 
     def straggler(self) -> float:
         return straggler_factor(self.fabric, self.ranks)
@@ -150,7 +128,7 @@ class AppBlockResult:
     "the same for every iteration" (the common case — apps fail
     uniformly per group, never per iteration).
 
-    * ``fom`` — float column, NaN where the scalar path yields ``None``;
+    * ``fom`` — float column, NaN where a run reports no FOM;
     * ``wall`` — wall seconds per iteration;
     * ``failed`` — bool column, or ``None`` when no iteration failed;
     * ``failure_kind`` — one kind shared by every failed iteration;
@@ -168,24 +146,6 @@ class AppBlockResult:
     failure_kind: str | None = None
     phases: dict | list = field(default_factory=dict)
     extra: dict | list = field(default_factory=dict)
-
-
-@dataclass
-class AppResult:
-    """Outcome of one application run."""
-
-    app: str
-    fom: float | None
-    fom_units: str
-    wall_seconds: float
-    phases: dict[str, float] = field(default_factory=dict)
-    failed: bool = False
-    failure_kind: str | None = None  # "segfault" | "misconfiguration" | ...
-    extra: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed and self.fom is not None
 
 
 class AppModel(abc.ABC):
@@ -207,37 +167,28 @@ class AppModel(abc.ABC):
         return self.supports_gpu if accelerator == "gpu" else self.supports_cpu
 
     @abc.abstractmethod
-    def simulate(self, ctx: RunContext) -> AppResult:
-        """Produce the run outcome for one (environment, scale) point."""
-
-    @abc.abstractmethod
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Columnar outcome for a whole group of iterations at once.
+        """Columnar outcome for a group of iterations at once.
 
-        ``ctx`` is the group's shared context: it has no generator
-        (``ctx.rng`` is ``None``) and its ``iteration`` is meaningless —
-        per-iteration randomness comes from ``block``, a
+        ``ctx`` is the group's context, the same for every iteration;
+        per-iteration randomness comes only from ``block``, a
         :class:`~repro.rng.StreamBlock` whose stream ``j`` is iteration
-        ``block.iterations[j]``'s keyed stream.  Must be bit-identical
-        to :meth:`simulate` replayed per iteration through the block's
-        streams.
+        ``block.iterations[j]``'s keyed stream.  Row ``j`` must depend
+        on that stream alone, so a one-iteration block reproduces any
+        row of a longer one.
         """
 
     # -- helpers ----------------------------------------------------------------
 
-    def _noisy(self, ctx: RunContext, value: float, cv: float | None = None) -> float:
-        """Apply run-to-run noise scaled to the fabric's jitter."""
-        cv = cv if cv is not None else ctx.fabric.jitter_cv
-        return value * float(max(0.1, ctx.rng.normal(1.0, cv)))
-
     def _noisy_factors(
         self, ctx: RunContext, block, cv: float | None = None
     ) -> np.ndarray:
-        """Vectorized :meth:`_noisy` noise factors, one per iteration.
+        """Run-to-run noise factors scaled to the fabric's jitter: one
+        ``max(0.1, N(1, cv))`` draw per iteration.
 
         ``cv`` may be a scalar (shape ``(n,)``) or a sequence of ``k``
-        per-draw coefficients (shape ``(n, k)``, matching ``k``
-        sequential :meth:`_noisy` calls per iteration).
+        per-draw coefficients (shape ``(n, k)``, ``k`` sequential draws
+        per iteration).
         """
         if cv is None:
             cv = ctx.fabric.jitter_cv
@@ -256,26 +207,4 @@ class AppModel(abc.ABC):
             failure_kind=failure_kind,
             phases={},
             extra=extra,
-        )
-
-    def _result(
-        self,
-        ctx: RunContext,
-        *,
-        fom: float | None,
-        wall: float,
-        phases: dict[str, float] | None = None,
-        failed: bool = False,
-        failure_kind: str | None = None,
-        extra: dict[str, Any] | None = None,
-    ) -> AppResult:
-        return AppResult(
-            app=self.name,
-            fom=fom,
-            fom_units=self.fom_units,
-            wall_seconds=wall,
-            phases=phases or {},
-            failed=failed,
-            failure_kind=failure_kind,
-            extra=extra or {},
         )

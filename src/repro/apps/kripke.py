@@ -15,7 +15,7 @@ GPU runs return a failure, mirroring the paper's unreported results.
 
 from __future__ import annotations
 
-from repro.apps.base import AppBlockResult, AppModel, AppResult, RunContext
+from repro.apps.base import AppBlockResult, AppModel, RunContext
 from repro.machine.rates import KernelClass
 
 #: zones per rank (weak-ish deposition: 16^3 zones x 32 groups x 72 dirs)
@@ -40,50 +40,25 @@ class Kripke(AppModel):
         "extra": {"detail": "process-to-GPU mapping failure"},
     }
 
-    def _base(self, ctx: RunContext):
-        def _compute():
-            unknowns = UNKNOWNS_PER_RANK * ctx.ranks
-            work_gflops = unknowns * FLOPS_PER_UNKNOWN / 1e9
-            t_sweep = ctx.compute_time(work_gflops, KernelClass.BANDWIDTH)
-
-            # KBA pipeline: one sweep per octant; fill depth ~ 2 * cbrt(ranks)
-            # stages, each forwarding two faces of angular flux (zone face x
-            # groups x per-octant directions x doubles).
-            octants = 8
-            stages = int(2 * round(ctx.ranks ** (1.0 / 3.0)))
-            face_bytes = 16 * 16 * 32 * 8 * 8
-            t_pipeline = octants * stages * ctx.comm.halo(face_bytes, neighbors=2)
-            return unknowns, t_sweep, stages, t_pipeline
-
-        return ctx.once(("kripke-base",), _compute)
-
-    def simulate(self, ctx: RunContext) -> AppResult:
-        if ctx.env.is_gpu:
-            return self._result(
-                ctx, fom=None, wall=0.0, failed=True, **self._GPU_FAILURE
-            )
-
-        unknowns, t_sweep, stages, t_pipeline = self._base(ctx)
-
-        # Structured sweeps are cache-predictable; run-to-run noise is far
-        # below the fabric's small-message jitter.
-        per_iter = self._noisy(ctx, t_sweep + t_pipeline, cv=0.02)
-        wall = N_ITERATIONS * per_iter
-        grind_ns = wall / (unknowns * N_ITERATIONS) * 1e9
-        return self._result(
-            ctx,
-            fom=grind_ns,
-            wall=wall,
-            phases={"sweep": N_ITERATIONS * t_sweep, "pipeline": N_ITERATIONS * t_pipeline},
-            extra={"unknowns": unknowns, "stages": stages},
-        )
-
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native path; GPU groups fail uniformly without a draw."""
+        """GPU groups fail uniformly without a draw."""
         if ctx.env.is_gpu:
             return self._block_failure(block, wall=0.0, **self._GPU_FAILURE)
 
-        unknowns, t_sweep, stages, t_pipeline = self._base(ctx)
+        unknowns = UNKNOWNS_PER_RANK * ctx.ranks
+        work_gflops = unknowns * FLOPS_PER_UNKNOWN / 1e9
+        t_sweep = ctx.compute_time(work_gflops, KernelClass.BANDWIDTH)
+
+        # KBA pipeline: one sweep per octant; fill depth ~ 2 * cbrt(ranks)
+        # stages, each forwarding two faces of angular flux (zone face x
+        # groups x per-octant directions x doubles).
+        octants = 8
+        stages = int(2 * round(ctx.ranks ** (1.0 / 3.0)))
+        face_bytes = 16 * 16 * 32 * 8 * 8
+        t_pipeline = octants * stages * ctx.comm.halo(face_bytes, neighbors=2)
+
+        # Structured sweeps are cache-predictable; run-to-run noise is far
+        # below the fabric's small-message jitter.
         per_iter = (t_sweep + t_pipeline) * self._noisy_factors(ctx, block, cv=0.02)
         wall = N_ITERATIONS * per_iter
         grind_ns = wall / (unknowns * N_ITERATIONS) * 1e9

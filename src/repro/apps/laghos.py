@@ -39,7 +39,6 @@ from __future__ import annotations
 from repro.apps.base import (
     AppBlockResult,
     AppModel,
-    AppResult,
     RunContext,
     strong_scaling_efficiency,
 )
@@ -92,54 +91,27 @@ class Laghos(AppModel):
             return self._LAUNCH_FAILURE
         return None
 
-    def _base(self, ctx: RunContext):
-        def _compute():
-            # Compute: strong-scaled with n_1/2 efficiency loss.
-            dofs_per_rank = TOTAL_DOFS / ctx.ranks
-            eff = strong_scaling_efficiency(dofs_per_rank, HALF_DOFS)
-            work_gflops = TOTAL_DOFS * FLOPS_PER_DOF_STEP / 1e9
-            t_compute = (
-                ctx.compute_time(work_gflops, KernelClass.COMPUTE) / max(eff, 1e-6)
-            )
-
-            # Communication: hundreds of small latency-bound messages.
-            alpha = ctx.fabric.latency_s + ctx.fabric.overhead_s
-            if ctx.env.is_cloud:
-                alpha += CLOUD_SMALL_MSG_OVERHEAD
-            cliff = 1.0
-            if ctx.nodes > CLIFF_NODES:
-                cliff = (ctx.nodes / CLIFF_NODES) ** CLIFF_EXPONENT
-            t_comm = MESSAGES_PER_STEP * alpha * ctx.straggler() * cliff
-            return t_compute, t_comm
-
-        return ctx.once(("laghos-base",), _compute)
-
-    def simulate(self, ctx: RunContext) -> AppResult:
-        failure = self._group_failure(ctx)
-        if failure is not None:
-            return self._result(ctx, fom=None, wall=0.0, failed=True, **failure)
-
-        dofs_per_rank = TOTAL_DOFS / ctx.ranks
-        t_compute, t_comm = self._base(ctx)
-        step_time = self._noisy(ctx, t_compute + t_comm)
-        wall = MAX_STEPS * step_time
-        fom = (TOTAL_DOFS / 1e6) * MAX_STEPS / wall
-        return self._result(
-            ctx,
-            fom=fom,
-            wall=wall,
-            phases={"compute": MAX_STEPS * t_compute, "comm": MAX_STEPS * t_comm},
-            extra={"dofs_per_rank": dofs_per_rank, "steps": MAX_STEPS},
-        )
-
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native path; the per-group failure modes stay uniform."""
+        """The per-group failure modes stay uniform."""
         failure = self._group_failure(ctx)
         if failure is not None:
             return self._block_failure(block, wall=0.0, **failure)
 
+        # Compute: strong-scaled with n_1/2 efficiency loss.
         dofs_per_rank = TOTAL_DOFS / ctx.ranks
-        t_compute, t_comm = self._base(ctx)
+        eff = strong_scaling_efficiency(dofs_per_rank, HALF_DOFS)
+        work_gflops = TOTAL_DOFS * FLOPS_PER_DOF_STEP / 1e9
+        t_compute = ctx.compute_time(work_gflops, KernelClass.COMPUTE) / max(eff, 1e-6)
+
+        # Communication: hundreds of small latency-bound messages.
+        alpha = ctx.fabric.latency_s + ctx.fabric.overhead_s
+        if ctx.env.is_cloud:
+            alpha += CLOUD_SMALL_MSG_OVERHEAD
+        cliff = 1.0
+        if ctx.nodes > CLIFF_NODES:
+            cliff = (ctx.nodes / CLIFF_NODES) ** CLIFF_EXPONENT
+        t_comm = MESSAGES_PER_STEP * alpha * ctx.straggler() * cliff
+
         step_time = (t_compute + t_comm) * self._noisy_factors(ctx, block)
         wall = MAX_STEPS * step_time
         fom = (TOTAL_DOFS / 1e6) * MAX_STEPS / wall

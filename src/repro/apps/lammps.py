@@ -24,7 +24,6 @@ from __future__ import annotations
 from repro.apps.base import (
     AppBlockResult,
     AppModel,
-    AppResult,
     RunContext,
     strong_scaling_efficiency,
 )
@@ -50,49 +49,22 @@ class LAMMPS(AppModel):
     higher_is_better = True
     scaling = "strong"
 
-    def _base(self, ctx: RunContext):
-        def _compute():
-            # Everything before the noise draw is pure in the group
-            # coordinates, so a batched group computes it once.
-            atoms = ATOMS_GPU if ctx.env.is_gpu else ATOMS_CPU
-            atoms_per_rank = atoms / ctx.ranks
-
-            eff = strong_scaling_efficiency(atoms_per_rank, HALF_ATOMS)
-            kernel = KernelClass.LATENCY  # branchy force loops, not dense flops
-            work_gflops = atoms * FLOPS_PER_ATOM / 1e9
-            t_compute = ctx.compute_time(work_gflops, kernel) / max(eff, 1e-6)
-
-            strag = ctx.straggler()
-            t_qeq = (
-                ALLREDUCES_PER_STEP * ctx.comm.allreduce(8 * 1024, ctx.ranks) * strag
-            )
-            # Neighbour halo: skin of ~6% of per-rank atoms, 26 neighbours
-            halo_bytes = int(max(atoms_per_rank, 1) * 0.06 * 48)
-            t_halo = ctx.comm.halo(halo_bytes, neighbors=6)
-            return atoms, atoms_per_rank, t_compute, t_qeq, t_halo
-
-        return ctx.once(("lammps-base",), _compute)
-
-    def simulate(self, ctx: RunContext) -> AppResult:
-        atoms, atoms_per_rank, t_compute, t_qeq, t_halo = self._base(ctx)
-        step_time = self._noisy(ctx, t_compute + t_qeq + t_halo)
-        wall = N_STEPS * step_time
-        fom = atoms * N_STEPS / wall / 1e6
-        return self._result(
-            ctx,
-            fom=fom,
-            wall=wall,
-            phases={
-                "force": N_STEPS * t_compute,
-                "qeq": N_STEPS * t_qeq,
-                "halo": N_STEPS * t_halo,
-            },
-            extra={"atoms": atoms, "atoms_per_rank": atoms_per_rank},
-        )
-
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native path: one noise gather, then elementwise physics."""
-        atoms, atoms_per_rank, t_compute, t_qeq, t_halo = self._base(ctx)
+        """One noise gather, then elementwise physics."""
+        atoms = ATOMS_GPU if ctx.env.is_gpu else ATOMS_CPU
+        atoms_per_rank = atoms / ctx.ranks
+
+        eff = strong_scaling_efficiency(atoms_per_rank, HALF_ATOMS)
+        kernel = KernelClass.LATENCY  # branchy force loops, not dense flops
+        work_gflops = atoms * FLOPS_PER_ATOM / 1e9
+        t_compute = ctx.compute_time(work_gflops, kernel) / max(eff, 1e-6)
+
+        strag = ctx.straggler()
+        t_qeq = ALLREDUCES_PER_STEP * ctx.comm.allreduce(8 * 1024, ctx.ranks) * strag
+        # Neighbour halo: skin of ~6% of per-rank atoms, 26 neighbours
+        halo_bytes = int(max(atoms_per_rank, 1) * 0.06 * 48)
+        t_halo = ctx.comm.halo(halo_bytes, neighbors=6)
+
         step_time = (t_compute + t_qeq + t_halo) * self._noisy_factors(ctx, block)
         wall = N_STEPS * step_time
         fom = atoms * N_STEPS / wall / 1e6

@@ -18,7 +18,7 @@ The numerical core this models is implemented for real in
 
 from __future__ import annotations
 
-from repro.apps.base import AppBlockResult, AppModel, AppResult, RunContext
+from repro.apps.base import AppBlockResult, AppModel, RunContext
 from repro.machine.rates import KernelClass
 
 #: global problem: 120^3 rows, 27-point stencil — small enough that the
@@ -44,50 +44,22 @@ class MiniFE(AppModel):
         "extra": {"detail": "on-prem runs saved partial output only"},
     }
 
-    def _base(self, ctx: RunContext):
-        def _compute():
-            work_gflops = FLOPS_PER_ITER / 1e9
-            t_compute = ctx.compute_time(work_gflops, KernelClass.MEMORY)
-
-            # CG: 2 dot-product allreduces per iteration, straggler-bound,
-            # plus a 6-face halo for the matvec.
-            strag = ctx.straggler()
-            t_allreduce = 2.0 * ctx.comm.allreduce(8, ctx.ranks) * strag
-            rows_per_rank = N_ROWS / ctx.ranks
-            face_bytes = int(max(rows_per_rank, 1) ** (2.0 / 3.0) * 8)
-            t_halo = ctx.comm.halo(face_bytes, neighbors=6)
-            return t_compute, t_allreduce, t_halo
-
-        return ctx.once(("minife-base",), _compute)
-
-    def simulate(self, ctx: RunContext) -> AppResult:
-        if ctx.env.cloud == "p":
-            return self._result(
-                ctx, fom=None, wall=0.0, failed=True, **self._ONPREM_FAILURE
-            )
-
-        t_compute, t_allreduce, t_halo = self._base(ctx)
-        per_iter = self._noisy(ctx, t_compute + t_allreduce + t_halo)
-        wall = N_ITERATIONS * per_iter
-        fom_mflops = (N_ITERATIONS * FLOPS_PER_ITER) / wall / 1e6
-        return self._result(
-            ctx,
-            fom=fom_mflops,
-            wall=wall,
-            phases={
-                "matvec": N_ITERATIONS * t_compute,
-                "allreduce": N_ITERATIONS * t_allreduce,
-                "halo": N_ITERATIONS * t_halo,
-            },
-            extra={"rows": N_ROWS, "iterations": N_ITERATIONS},
-        )
-
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native path; on-prem groups fail uniformly, no draws."""
+        """On-prem groups fail uniformly, no draws."""
         if ctx.env.cloud == "p":
             return self._block_failure(block, wall=0.0, **self._ONPREM_FAILURE)
 
-        t_compute, t_allreduce, t_halo = self._base(ctx)
+        work_gflops = FLOPS_PER_ITER / 1e9
+        t_compute = ctx.compute_time(work_gflops, KernelClass.MEMORY)
+
+        # CG: 2 dot-product allreduces per iteration, straggler-bound,
+        # plus a 6-face halo for the matvec.
+        strag = ctx.straggler()
+        t_allreduce = 2.0 * ctx.comm.allreduce(8, ctx.ranks) * strag
+        rows_per_rank = N_ROWS / ctx.ranks
+        face_bytes = int(max(rows_per_rank, 1) ** (2.0 / 3.0) * 8)
+        t_halo = ctx.comm.halo(face_bytes, neighbors=6)
+
         per_iter = (t_compute + t_allreduce + t_halo) * self._noisy_factors(ctx, block)
         wall = N_ITERATIONS * per_iter
         fom_mflops = (N_ITERATIONS * FLOPS_PER_ITER) / wall / 1e6

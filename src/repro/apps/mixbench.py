@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppBlockResult, AppModel, AppResult, RunContext
+from repro.apps.base import AppBlockResult, AppModel, RunContext
 
 #: operational intensities swept (flops/byte), mixbench-style
 INTENSITIES = tuple(float(x) for x in (0.25, 0.5, 1, 2, 4, 8, 16, 32, 64, 128))
@@ -46,24 +46,9 @@ class Mixbench(AppModel):
             bw = rates.mem_bw_gbs
         return {i: min(peak, i * bw) for i in INTENSITIES}
 
-    def simulate(self, ctx: RunContext) -> AppResult:
-        roof = ctx.once(("mixbench-roof",), lambda: self.roofline(ctx))
-        attained = {i: self._noisy(ctx, v, cv=0.02) for i, v in roof.items()}
-        peak = max(attained.values())
-        ecc_on = None
-        if ctx.env.is_gpu and ctx.node_model.gpu_model is not None:
-            ecc_on = ctx.node_model.gpu_model.ecc_on
-        return self._result(
-            ctx,
-            fom=peak,
-            wall=60.0,
-            phases={"sweep": 60.0},
-            extra={"roofline": attained, "ecc_on": ecc_on},
-        )
-
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native path: the whole intensity sweep noised at once."""
-        roof = ctx.once(("mixbench-roof",), lambda: self.roofline(ctx))
+        """The whole intensity sweep noised at once."""
+        roof = self.roofline(ctx)
         n = len(block)
         factors = self._noisy_factors(ctx, block, np.full(len(roof), 0.02))
         attained = np.array(list(roof.values())) * factors  # (n, intensities)

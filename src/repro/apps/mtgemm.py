@@ -20,7 +20,7 @@ Figure 7):
 
 from __future__ import annotations
 
-from repro.apps.base import AppBlockResult, AppModel, AppResult, RunContext
+from repro.apps.base import AppBlockResult, AppModel, RunContext
 from repro.machine.rates import KernelClass
 
 #: hard-coded global sizes (square matrices)
@@ -55,32 +55,12 @@ class MTGemm(AppModel):
         t_comm = ctx.comm.allgather(N_CPU * N_CPU * 8, ctx.ranks)
         return t_compute, t_comm
 
-    def simulate(self, ctx: RunContext) -> AppResult:
+    def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
+        """One stable-noise gather, elementwise FOM."""
         n = N_GPU if ctx.env.is_gpu else N_CPU
-        t_compute, t_comm = ctx.once(
-            ("mtgemm-base",),
-            lambda: self._gpu_rep(ctx) if ctx.env.is_gpu else self._cpu_rep(ctx),
-        )
+        t_compute, t_comm = self._gpu_rep(ctx) if ctx.env.is_gpu else self._cpu_rep(ctx)
         # Dense GEMM throughput is very stable run-to-run; noise is far
         # below the fabric's small-message jitter.
-        per_rep = self._noisy(ctx, t_compute + t_comm, cv=0.05)
-        wall = REPS * per_rep
-        fom = (2.0 * float(n) ** 3 / 1e9) / per_rep
-        return self._result(
-            ctx,
-            fom=fom,
-            wall=wall,
-            phases={"gemm": REPS * t_compute, "comm": REPS * t_comm},
-            extra={"n": n},
-        )
-
-    def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native path: one stable-noise gather, elementwise FOM."""
-        n = N_GPU if ctx.env.is_gpu else N_CPU
-        t_compute, t_comm = ctx.once(
-            ("mtgemm-base",),
-            lambda: self._gpu_rep(ctx) if ctx.env.is_gpu else self._cpu_rep(ctx),
-        )
         per_rep = (t_compute + t_comm) * self._noisy_factors(ctx, block, cv=0.05)
         wall = REPS * per_rep
         fom = (2.0 * float(n) ** 3 / 1e9) / per_rep

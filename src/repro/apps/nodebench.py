@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.base import AppBlockResult, AppModel, AppResult, RunContext
+from repro.apps.base import AppBlockResult, AppModel, RunContext
 
 #: probability that an AKS node comes up misreporting its CPU count
 AKS_FISH_PROBABILITY = 0.01
@@ -58,68 +58,35 @@ class SingleNodeBenchmark(AppModel):
     scaling = "weak"
 
     def collect(self, ctx: RunContext) -> list[NodeInventory]:
+        """Every node's inventory as its instance type advertises it."""
         itype = ctx.env.instance()
-        inventories = []
-        for i in range(ctx.nodes):
-            cpus = itype.cores
-            # The AKS anomaly: a node reporting 2 processors.
-            if ctx.env.env_id.startswith("cpu-aks") or ctx.env.env_id.startswith("gpu-aks"):
-                if ctx.rng.random() < AKS_FISH_PROBABILITY:
-                    cpus = 2
-            inventories.append(
-                NodeInventory(
-                    node_index=i,
-                    cpu_model=itype.processor.model,
-                    reported_cpus=cpus,
-                    memory_gb=itype.memory_gb,
-                    gpus=itype.gpus_per_node,
-                    topology_ok=True,
-                )
+        return [
+            NodeInventory(
+                node_index=i,
+                cpu_model=itype.processor.model,
+                reported_cpus=itype.cores,
+                memory_gb=itype.memory_gb,
+                gpus=itype.gpus_per_node,
+                topology_ok=True,
             )
-        return inventories
-
-    def simulate(self, ctx: RunContext) -> AppResult:
-        if ctx.env.env_id.startswith(("cpu-aks", "gpu-aks")):
-            # AKS draws the fish lottery per node, per iteration.
-            inventories = self.collect(ctx)
-            fish = find_fish(inventories)
-        else:
-            # Everywhere else the survey is rng-free and identical for
-            # every iteration of a group: collect once, reuse.
-            def _survey():
-                collected = self.collect(ctx)
-                return collected, find_fish(collected)
-
-            inventories, fish = ctx.once(("nodebench-survey",), _survey)
-        return self._result(
-            ctx,
-            fom=float(len(fish)),
-            wall=120.0,
-            phases={"collect": 120.0},
-            extra={
-                "nodes_surveyed": len(inventories),
-                "anomalies": [f.node_index for f in fish],
-            },
-        )
+            for i in range(ctx.nodes)
+        ]
 
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native survey.
+        """The survey of every iteration.
 
-        Off Azure the survey is rng-free and group-constant.  On AKS the
-        per-node lottery is one uniform matrix; only the reported CPU
-        count can deviate, so :func:`find_fish` reduces to counting fish
-        per row — including :class:`~collections.Counter`'s first-seen
-        tie-break (node 0's signature wins a split vote), replicated
-        exactly.
+        Off Azure the survey is rng-free and group-constant.  On AKS
+        each node draws the fish lottery (a node reporting 2 processors)
+        from the iteration's stream, one uniform row per iteration; only
+        the reported CPU count can deviate, so :func:`find_fish` reduces
+        to counting fish per row — including
+        :class:`~collections.Counter`'s first-seen tie-break (node 0's
+        signature wins a split vote), replicated exactly.
         """
         n = len(block)
         if not ctx.env.env_id.startswith(("cpu-aks", "gpu-aks")):
-
-            def _survey():
-                collected = self.collect(ctx)
-                return collected, find_fish(collected)
-
-            inventories, fish = ctx.once(("nodebench-survey",), _survey)
+            inventories = self.collect(ctx)
+            fish = find_fish(inventories)
             return AppBlockResult(
                 app=self.name,
                 fom=np.full(n, float(len(fish))),

@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.apps.base import AppBlockResult, AppModel, AppResult, RunContext
+from repro.apps.base import AppBlockResult, AppModel, RunContext
 from repro.network.loggp import LogGP
 
 #: OSU default sweep: powers of two from 1 B to 4 MiB
@@ -73,98 +73,59 @@ class OSUBenchmarks(AppModel):
     # -- the three benchmarks ------------------------------------------------------
 
     @staticmethod
-    def _base_latency(fab, nbytes: int) -> float:
-        lg = LogGP.from_fabric(fab)
-        return lg.send_time(nbytes) * fab.quirk_multiplier(nbytes, "p2p")
+    def base_times(ctx: RunContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Noise-free sweep values, one per :data:`MESSAGE_SIZES` entry.
 
-    @staticmethod
-    def _base_bandwidth(fab, nbytes: int) -> float:
+        ``(latency, bandwidth, allreduce)``: the one-way point-to-point
+        latency osu_latency reports (s), the streaming bandwidth of a
+        64-message window (B/s), and the average allreduce latency
+        across the full rank set (s).
+        """
+        fab = ctx.fabric
         lg = LogGP.from_fabric(fab)
         window = 64
-        t = lg.send_time(nbytes) + (window - 1) * max(lg.g, nbytes * lg.G)
-        return window * nbytes / t
+        lat, bw = [], []
+        for s in MESSAGE_SIZES:
+            lat.append(lg.send_time(s) * fab.quirk_multiplier(s, "p2p"))
+            t = lg.send_time(s) + (window - 1) * max(lg.g, s * lg.G)
+            bw.append(window * s / t)
+        strag = ctx.straggler()
+        ar = [ctx.comm.allreduce(s, ctx.ranks) * strag for s in MESSAGE_SIZES]
+        return np.array(lat), np.array(bw), np.array(ar)
 
-    def latency_us(self, ctx: RunContext, nbytes: int) -> float:
-        """One-way point-to-point latency, as osu_latency reports.
-
-        The base time is pure per (fabric, size), so the sweep memoizes
-        it on the shared collective model; only the noise draw is
-        per-iteration.
-        """
-        t = ctx.comm.cached(
-            ("osu-lat", nbytes), lambda fab: self._base_latency(fab, nbytes)
-        )
-        return self._noisy(ctx, t) * 1e6
-
-    def bandwidth_mbps(self, ctx: RunContext, nbytes: int) -> float:
-        """Streaming bandwidth in MB/s with a 64-message window."""
-        rate = ctx.comm.cached(
-            ("osu-bw", nbytes), lambda fab: self._base_bandwidth(fab, nbytes)
-        )
-        return self._noisy(ctx, rate) / 1e6
-
-    def allreduce_us(self, ctx: RunContext, nbytes: int) -> float:
-        """Average allreduce latency across the full rank set.
+    @staticmethod
+    def allreduce_cv(ctx: RunContext) -> float:
+        """Run-to-run noise of the allreduce sweep.
 
         CycleCloud's tuned transport is ``UCX_TLS=ud,shm,rc`` (§3.1);
         the unreliable-datagram path retransmits under fabric load,
         which shows up as the highest within-run AllReduce variation in
         Figure 5 — modelled as extra run-to-run noise.
         """
-        t = ctx.comm.allreduce(nbytes, ctx.ranks) * ctx.straggler()
-        cv = 0.35 if "cyclecloud" in ctx.env.env_id else None
-        return self._noisy(ctx, t, cv=cv) * 1e6
+        return 0.35 if "cyclecloud" in ctx.env.env_id else ctx.fabric.jitter_cv
 
     # -- AppModel ------------------------------------------------------------------
 
-    def simulate(self, ctx: RunContext) -> AppResult:
-        lat = {s: self.latency_us(ctx, s) for s in MESSAGE_SIZES}
-        bw = {s: self.bandwidth_mbps(ctx, s) for s in MESSAGE_SIZES}
-        ar = {s: self.allreduce_us(ctx, s) for s in MESSAGE_SIZES}
-        wall = sum(v * 1e-6 * 1000 for v in lat.values())  # 1000 reps each
-        return self._result(
-            ctx,
-            fom=lat[8],  # headline: small-message latency
-            wall=wall,
-            phases={"sweep": wall},
-            extra={"latency_us": lat, "bandwidth_mbps": bw, "allreduce_us": ar},
-        )
-
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native sweep: all 3 × 23 noise draws gathered as one row
-        per iteration (latency sizes, then bandwidth, then allreduce —
-        the scalar path's exact draw order)."""
+        """All 3 × 23 noise draws gathered as one row per iteration:
+        latency sizes, then bandwidth, then allreduce."""
         sizes = MESSAGE_SIZES
         k = len(sizes)
-        lat_base = np.array(
-            [
-                ctx.comm.cached(("osu-lat", s), lambda fab, s=s: self._base_latency(fab, s))
-                for s in sizes
-            ]
-        )
-        bw_base = np.array(
-            [
-                ctx.comm.cached(("osu-bw", s), lambda fab, s=s: self._base_bandwidth(fab, s))
-                for s in sizes
-            ]
-        )
-        strag = ctx.straggler()
-        ar_base = np.array([ctx.comm.allreduce(s, ctx.ranks) * strag for s in sizes])
+        lat_base, bw_base, ar_base = self.base_times(ctx)
 
         cv = ctx.fabric.jitter_cv
-        ar_cv = 0.35 if "cyclecloud" in ctx.env.env_id else cv
-        cvs = np.concatenate([np.full(2 * k, cv), np.full(k, ar_cv)])
+        cvs = np.concatenate([np.full(2 * k, cv), np.full(k, self.allreduce_cv(ctx))])
         factors = self._noisy_factors(ctx, block, cvs)  # (n, 3k)
 
         lat = lat_base * factors[:, :k] * 1e6
         bw = bw_base * factors[:, k : 2 * k] / 1e6
         ar = ar_base * factors[:, 2 * k :] * 1e6
         wall = 0
-        for col in range(k):  # scalar path's sequential sum over sizes
+        for col in range(k):  # 1000 repetitions of each size, summed in order
             wall = wall + lat[:, col] * 1e-6 * 1000
         return AppBlockResult(
             app=self.name,
-            fom=lat[:, sizes.index(8)].copy(),
+            fom=lat[:, sizes.index(8)].copy(),  # headline: small-message latency
             fom_units=self.fom_units,
             wall=wall,
             phases={"sweep": wall},

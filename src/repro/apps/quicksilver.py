@@ -18,7 +18,7 @@ segments-per-particle accounting.
 
 from __future__ import annotations
 
-from repro.apps.base import AppBlockResult, AppModel, AppResult, RunContext
+from repro.apps.base import AppBlockResult, AppModel, RunContext
 from repro.machine.rates import KernelClass
 
 #: particles per rank (weak deposition, like the Quicksilver defaults)
@@ -45,47 +45,23 @@ class Quicksilver(AppModel):
         "extra": {"detail": "half of ranks pinned to GPU 0; run exceeded budget"},
     }
 
-    def _base(self, ctx: RunContext):
-        def _compute():
-            particles = PARTICLES_PER_RANK * ctx.ranks
-            segments = particles * SEGMENTS_PER_PARTICLE
-            work_gflops = segments * FLOPS_PER_SEGMENT / 1e9
-            t_track = ctx.compute_time(work_gflops, KernelClass.LATENCY)
-
-            # Particle migration between domain neighbours + tally reduction.
-            migration_bytes = int(PARTICLES_PER_RANK * 0.05 * 64)
-            t_comm = (
-                ctx.comm.halo(migration_bytes, neighbors=6)
-                + ctx.comm.allreduce(64 * 8, ctx.ranks) * ctx.straggler()
-            )
-            return particles, segments, t_track, t_comm
-
-        return ctx.once(("qs-base",), _compute)
-
-    def simulate(self, ctx: RunContext) -> AppResult:
-        if ctx.env.is_gpu:
-            return self._result(
-                ctx, fom=None, wall=1200.0, failed=True, **self._GPU_FAILURE
-            )
-
-        particles, segments, t_track, t_comm = self._base(ctx)
-        cycle_time = self._noisy(ctx, t_track + t_comm)
-        wall = N_CYCLES * cycle_time
-        fom = segments / cycle_time
-        return self._result(
-            ctx,
-            fom=fom,
-            wall=wall,
-            phases={"tracking": N_CYCLES * t_track, "comm": N_CYCLES * t_comm},
-            extra={"particles": particles, "segments_per_cycle": segments},
-        )
-
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native path; GPU groups fail uniformly without a draw."""
+        """GPU groups fail uniformly without a draw."""
         if ctx.env.is_gpu:
             return self._block_failure(block, wall=1200.0, **self._GPU_FAILURE)
 
-        particles, segments, t_track, t_comm = self._base(ctx)
+        particles = PARTICLES_PER_RANK * ctx.ranks
+        segments = particles * SEGMENTS_PER_PARTICLE
+        work_gflops = segments * FLOPS_PER_SEGMENT / 1e9
+        t_track = ctx.compute_time(work_gflops, KernelClass.LATENCY)
+
+        # Particle migration between domain neighbours + tally reduction.
+        migration_bytes = int(PARTICLES_PER_RANK * 0.05 * 64)
+        t_comm = (
+            ctx.comm.halo(migration_bytes, neighbors=6)
+            + ctx.comm.allreduce(64 * 8, ctx.ranks) * ctx.straggler()
+        )
+
         cycle_time = (t_track + t_comm) * self._noisy_factors(ctx, block)
         wall = N_CYCLES * cycle_time
         fom = segments / cycle_time

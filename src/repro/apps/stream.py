@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppBlockResult, AppModel, AppResult, RunContext
+from repro.apps.base import AppBlockResult, AppModel, RunContext
 
 #: coefficient of variation of per-node CPU triad in cloud (§3.3: ~35%)
 CPU_TRIAD_CV = 0.35
@@ -33,47 +33,20 @@ class Stream(AppModel):
     higher_is_better = True
     scaling = "weak"
 
-    def simulate(self, ctx: RunContext) -> AppResult:
-        env = ctx.env
-        if env.is_gpu:
-            gpu = ctx.node_model.gpu_model
-            assert gpu is not None
-            # Reported Triad figures are for the ECC-on majority of the
-            # fleet (the ECC survey handles the mixed-Azure story).
-            per_gpu = gpu.with_ecc(True).effective_mem_bw() * env.stream_efficiency
-            value = self._noisy(ctx, per_gpu, cv=GPU_TRIAD_CV)
-            extra = {"per_gpu_gbs": value, "ecc_on": gpu.ecc_on}
-            fom = value
-        else:
-            nominal = ctx.node_model.mem_bw_gbs
-            # Sample every node; aggregate is the reported figure.
-            per_node = nominal * env.stream_efficiency
-            samples = per_node * ctx.rng.normal(1.0, CPU_TRIAD_CV, size=ctx.nodes)
-            samples = samples.clip(min=per_node * 0.1)
-            fom = float(samples.sum())
-            extra = {
-                "per_node_mean_gbs": float(samples.mean()),
-                "per_node_std_gbs": float(samples.std()),
-                "aggregate_gbs": fom,
-            }
-        wall = 30.0  # fixed benchmark duration
-        return self._result(ctx, fom=fom, wall=wall, phases={"triad": wall}, extra=extra)
-
     def simulate_block(self, ctx: RunContext, block) -> AppBlockResult:
-        """Array-native path: the per-node sample matrix in one gather.
+        """The per-node sample matrix in one gather.
 
-        Row reductions run on 1-D row views so every aggregate is the
-        same pairwise-summation result the scalar path computes.
+        Row reductions run on 1-D row views, so each iteration's
+        aggregate is the pairwise sum over its own node samples alone.
         """
         env = ctx.env
         n = len(block)
         if env.is_gpu:
             gpu = ctx.node_model.gpu_model
             assert gpu is not None
-            per_gpu = ctx.once(
-                ("stream-gpu-base",),
-                lambda: gpu.with_ecc(True).effective_mem_bw() * env.stream_efficiency,
-            )
+            # Reported Triad figures are for the ECC-on majority of the
+            # fleet (the ECC survey handles the mixed-Azure story).
+            per_gpu = gpu.with_ecc(True).effective_mem_bw() * env.stream_efficiency
             fom = per_gpu * self._noisy_factors(ctx, block, cv=GPU_TRIAD_CV)
             extra: dict | list = {
                 "per_gpu_gbs": fom,
@@ -81,6 +54,7 @@ class Stream(AppModel):
             }
         else:
             nominal = ctx.node_model.mem_bw_gbs
+            # Sample every node; aggregate is the reported figure.
             per_node = nominal * env.stream_efficiency
             draws = block.normal(1.0, np.full(ctx.nodes, CPU_TRIAD_CV))
             samples = (per_node * draws).clip(min=per_node * 0.1)

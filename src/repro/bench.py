@@ -1,18 +1,19 @@
 """The vectorization benchmark suite (``repro bench``).
 
-Measures the execution hot path against its scalar reference on one
-paper-scale campaign (~10.5k records across 4 environments × all apps ×
-the study's 4 sizes):
+Measures the execution hot path against a caller that runs one record
+at a time, on one paper-scale campaign (~10.5k records across 4
+environments × all apps × the study's 4 sizes):
 
-* **seed** — the scalar per-iteration path: one :meth:`ExecutionEngine.run`
-  call per record, row-based fold (``ResultFrame.from_records``);
-* **block** — the array-native path: :meth:`ExecutionEngine.run_block`
-  (batched keyed RNG, columnar app physics, ``append_block``), zero-copy
-  fold.
+* **seed** — the per-iteration path: one :meth:`ExecutionEngine.run`
+  call per record (each a one-iteration block on the same physics),
+  row-based fold (``ResultFrame.from_records``);
+* **block** — the array-native path: one :meth:`ExecutionEngine.run_block`
+  per group (batched keyed RNG, columnar app physics, ``append_block``),
+  zero-copy fold.
 
 Both pipelines produce byte-identical records and aggregates — the
 suite verifies that before it reports a single number — so the speedup
-is a pure implementation win.  Component microbenchmarks (keyed-stream
+is what batching the iteration axis saves.  Component microbenchmarks (keyed-stream
 seeding, store appends, shard transport pickling) localize where the
 time went.
 

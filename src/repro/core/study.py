@@ -49,27 +49,11 @@ from repro.envs.registry import ENVIRONMENTS
 from repro.parallel.merge import TransportStats
 from repro.parallel.pool import FaultStats
 from repro.errors import ConfigurationError
-from repro.rng import SEED_MAX
+from repro.rng import check_seeds
 from repro.telemetry import span
 
 if TYPE_CHECKING:  # repro.plan sits above this module in the import graph
     from repro.plan.executor import ExecutionOptions
-
-
-def check_seeds(seeds: range) -> None:
-    """Refuse study seeds outside ``0..SEED_MAX``.
-
-    The keyed streams hash ``seed & SEED_MAX`` (:func:`repro.rng.stream`),
-    so seed ``2**32`` would draw seed 0's numbers while cache keys and
-    the kernels' own generators read the full value.  ``seeds`` is every
-    seed a command runs at (an ensemble's replicas are consecutive).
-    """
-    if seeds and not (0 <= seeds[0] and seeds[-1] <= SEED_MAX):
-        if len(seeds) == 1:
-            raise ConfigurationError(f"seed must be in 0..{SEED_MAX} (got {seeds[0]})")
-        raise ConfigurationError(
-            f"replica seeds must be in 0..{SEED_MAX} (got {seeds[0]}..{seeds[-1]})"
-        )
 
 
 def check_selection(

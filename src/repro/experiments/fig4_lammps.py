@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core.analysis import mean_fom, rank_environments
 from repro.envs.registry import cpu_environments, gpu_environments
 from repro.experiments.base import ExperimentOutput, run_matrix, series_from_store
-from repro.network.hookup import hookup_time
+from repro.network.hookup import hookup_block
 from repro.reporting.compare import Expectation
 from repro.sim.run_result import RunState
 
@@ -69,7 +69,7 @@ def run(seed: int = 0, iterations: int = 5) -> ExperimentOutput:
         return bool(runs) and all(r.state is RunState.SKIPPED for r in runs)
 
     def aks_hookup_minutes() -> bool:
-        h = hookup_time("az", False, 256, seed=seed)
+        h = float(hookup_block("az", False, 256, seed=seed, iterations=1)[0])
         return 300.0 <= h <= 900.0  # ~8.8 min in the paper
 
     expectations = [

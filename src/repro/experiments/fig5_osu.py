@@ -37,19 +37,27 @@ def run(seed: int = 0, iterations: int = 5) -> ExperimentOutput:
     allreduce = Series("OSU AllReduce (256 nodes)", "message bytes",
                        "avg latency (us)", higher_is_better=False)
 
-    sweeps: dict[str, dict[str, dict[int, list[float]]]] = {}
+    # Each iteration draws its noise from the cell's keyed run stream in
+    # this figure's own order: every size's latency, bandwidth, then
+    # allreduce draw before the next size's.
+    sweeps: dict[str, dict[str, np.ndarray]] = {}
     for env in envs:
-        per_env = {"lat": {}, "bw": {}, "ar": {}}
-        for it in range(iterations):
-            ctx = engine.context(env, SIZE, iteration=it)
-            for s in MESSAGE_SIZES:
-                per_env["lat"].setdefault(s, []).append(osu.latency_us(ctx, s))
-                per_env["bw"].setdefault(s, []).append(osu.bandwidth_mbps(ctx, s))
-                per_env["ar"].setdefault(s, []).append(osu.allreduce_us(ctx, s))
+        ctx = engine.context(env, SIZE)
+        lat, bw, ar = osu.base_times(ctx)
+        cv = ctx.fabric.jitter_cv
+        block, _ = engine.cell_streams(env, SIZE, np.arange(iterations))
+        factors = np.maximum(
+            0.1, block.normal(1.0, np.tile([cv, cv, osu.allreduce_cv(ctx)], len(MESSAGE_SIZES)))
+        )
+        per_env = {
+            "lat": lat * factors[:, 0::3] * 1e6,
+            "bw": bw * factors[:, 1::3] / 1e6,
+            "ar": ar * factors[:, 2::3] * 1e6,
+        }
         sweeps[env.env_id] = per_env
-        for s in MESSAGE_SIZES:
+        for i, s in enumerate(MESSAGE_SIZES):
             for series, key in ((latency, "lat"), (bandwidth, "bw"), (allreduce, "ar")):
-                vals = per_env[key][s]
+                vals = per_env[key][:, i]
                 series.add_point(env.env_id, s, float(np.mean(vals)), float(np.std(vals)))
 
     def low_latency_fabrics_lowest() -> bool:
@@ -80,8 +88,8 @@ def run(seed: int = 0, iterations: int = 5) -> ExperimentOutput:
         cvs = {}
         for env_id, per_env in sweeps.items():
             ratios = []
-            for s in MESSAGE_SIZES:
-                vals = per_env["ar"][s]
+            for i in range(len(MESSAGE_SIZES)):
+                vals = per_env["ar"][:, i]
                 m = float(np.mean(vals))
                 if m > 0:
                     ratios.append(float(np.std(vals)) / m)

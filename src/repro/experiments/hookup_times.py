@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.base import ExperimentOutput
-from repro.network.hookup import hookup_time
+from repro.network.hookup import hookup_block
 from repro.reporting.compare import Expectation
 from repro.reporting.tables import Table
 
@@ -23,11 +23,7 @@ PAPER_AZURE_CPU = {32: 50.0, 64: 100.0, 128: 200.0, 256: 400.0}
 
 
 def _mean_hookup(cloud: str, gpu: bool, nodes: int, seed: int, iterations: int) -> float:
-    vals = [
-        hookup_time(cloud, gpu, nodes, seed=seed, iteration=i)
-        for i in range(iterations)
-    ]
-    return float(np.mean(vals))
+    return float(np.mean(hookup_block(cloud, gpu, nodes, seed=seed, iterations=iterations)))
 
 
 def run(seed: int = 0, iterations: int = 10) -> ExperimentOutput:

@@ -25,6 +25,7 @@ from repro.experiments import (
     table4_amg_costs,
 )
 from repro.experiments.base import ExperimentOutput
+from repro.rng import check_seeds
 
 EXPERIMENTS: dict[str, Callable[..., ExperimentOutput]] = {
     "table1": table1_environments.run,
@@ -50,6 +51,7 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentOutput]] = {
 
 def run_experiment(experiment_id: str, *, seed: int = 0, iterations: int | None = None) -> ExperimentOutput:
     """Run one experiment by id."""
+    check_seeds(range(seed, seed + 1))
     try:
         runner = EXPERIMENTS[experiment_id]
     except KeyError:

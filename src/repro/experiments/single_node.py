@@ -2,12 +2,12 @@
 
 The study's per-node inventory found machines consistent everywhere
 except one AKS instance reporting two processors.  This harness surveys
-large simulated fleets per environment and flags anomalies.
+large simulated fleets per environment and flags anomalies: one
+single-node benchmark run per environment.
 """
 
 from __future__ import annotations
 
-from repro.apps.nodebench import SingleNodeBenchmark, find_fish
 from repro.envs.registry import cpu_environments, gpu_environments
 from repro.experiments.base import ExperimentOutput
 from repro.reporting.compare import Expectation
@@ -19,7 +19,6 @@ SURVEY_NODES = 256
 
 def run(seed: int = 0, iterations: int = 1) -> ExperimentOutput:
     engine = ExecutionEngine(seed=seed)
-    bench = SingleNodeBenchmark()
     table = Table(
         title="Single-node benchmark survey",
         columns=("Environment", "Nodes surveyed", "Anomalous nodes"),
@@ -28,12 +27,9 @@ def run(seed: int = 0, iterations: int = 1) -> ExperimentOutput:
     )
     anomalies: dict[str, int] = {}
     for env in cpu_environments() + gpu_environments():
-        scale = SURVEY_NODES if not env.is_gpu else SURVEY_NODES
-        ctx = engine.context(env, scale)
-        inventories = bench.collect(ctx)
-        fish = find_fish(inventories)
-        anomalies[env.env_id] = len(fish)
-        table.add(env.env_id, len(inventories), len(fish))
+        record = engine.run(env, "single-node", SURVEY_NODES)
+        anomalies[env.env_id] = int(record.fom)
+        table.add(env.env_id, record.extra["nodes_surveyed"], int(record.fom))
 
     def only_aks_fishy() -> bool:
         for env_id, n in anomalies.items():

@@ -139,10 +139,8 @@ class CollectiveModel:
 
     Every operation is a pure function of (fabric, sizes), so results
     are memoized per instance: an app's level hierarchy re-asking for
-    the same tiny allreduce, and a resolved group
-    (:meth:`~repro.sim.execution.ExecutionEngine.resolve_group`) sharing
-    one model across iterations, pay for each distinct collective once.
-    The memo never changes a value — only skips recomputing it.
+    the same tiny allreduce pays for it once.  The memo never changes a
+    value — only skips recomputing it.
     """
 
     fabric: Fabric
@@ -153,15 +151,6 @@ class CollectiveModel:
         if t is None:
             t = self._memo[key] = compute(self.fabric, *args)
         return t
-
-    def cached(self, key: tuple, compute) -> float:
-        """Memoize any pure-per-fabric value on this model.
-
-        ``compute(fabric) -> float`` must be deterministic in the fabric
-        and the key; app models use this for per-message-size base times
-        that never change across a batched group's iterations.
-        """
-        return self._cached(key, compute)
 
     def allreduce(self, nbytes: int, nprocs: int) -> float:
         return self._cached(("ar", nbytes, nprocs), allreduce_time, nbytes, nprocs)

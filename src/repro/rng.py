@@ -15,8 +15,8 @@ The batched layer
 -----------------
 
 Constructing ``Generator(PCG64(SeedSequence(...)))`` costs tens of
-microseconds — twice per simulated run, which dominates the scalar
-per-iteration path.  :func:`stream_block` removes that cost for the
+microseconds — twice per simulated run if every run built its own run
+and hookup generators.  :func:`stream_block` removes that cost for the
 iteration axis of a group: it seeds every stream once, to its
 post-seeding PCG64 ``(state, inc)`` pair as Python ints, and *injects*
 a stream's pair into one reused bit generator whenever it draws from
@@ -56,13 +56,31 @@ from typing import Any, Sequence
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
+from repro.errors import ConfigurationError
+
 _blake2b = hashlib.blake2b
 _from_bytes = int.from_bytes
 
 #: the largest seed the streams tell apart: they hash ``seed & SEED_MAX``,
 #: so seeds that differ only above bit 31 would draw the same numbers
-#: (:func:`repro.core.study.check_seeds` refuses them at the input boundary)
+#: (:func:`check_seeds` refuses them at the input boundary)
 SEED_MAX = 0xFFFFFFFF
+
+
+def check_seeds(seeds: range) -> None:
+    """Refuse seeds outside ``0..SEED_MAX``.
+
+    The keyed streams hash ``seed & SEED_MAX`` (:func:`stream`), so seed
+    ``2**32`` would draw seed 0's numbers while cache keys and the
+    kernels' own generators read the full value.  ``seeds`` is every
+    seed a command runs at (an ensemble's replicas are consecutive).
+    """
+    if seeds and not (0 <= seeds[0] and seeds[-1] <= SEED_MAX):
+        if len(seeds) == 1:
+            raise ConfigurationError(f"seed must be in 0..{SEED_MAX} (got {seeds[0]})")
+        raise ConfigurationError(
+            f"replica seeds must be in 0..{SEED_MAX} (got {seeds[0]}..{seeds[-1]})"
+        )
 
 
 def _key_to_int(parts: tuple[Any, ...]) -> int:
@@ -339,8 +357,9 @@ class StreamBlock:
     gathers would need a state save/restore per stream — if an app
     needs several noise factors per iteration, ask for them as one
     ``normal(loc, [cv1, cv2, ...])`` row).  A second whole-block gather
-    raises; :meth:`generator` (the per-iteration fallback path) is the
-    escape hatch for arbitrary scalar draw sequences.  Normal gathers
+    raises; :meth:`generator` (one stream at a time, as the keyed
+    preemption draws use it) is the escape hatch for arbitrary scalar
+    draw sequences.  Normal gathers
     slice the shared standard-normal prefix; the others enter every
     stream.
     """

@@ -27,7 +27,7 @@ Quickstart::
     print(result.render_deltas())
 """
 
-from repro.scenarios.market import Preemption, SpotMarket, draw_preemption
+from repro.scenarios.market import SpotMarket
 from repro.scenarios.presets import BASELINE, SCENARIOS, register_scenario, scenario
 from repro.scenarios.spec import (
     FabricDegradation,
@@ -43,7 +43,6 @@ __all__ = [
     "BASELINE",
     "FabricDegradation",
     "FaultScaling",
-    "Preemption",
     "PriceShock",
     "QuotaSqueeze",
     "ReportingShift",
@@ -54,7 +53,6 @@ __all__ = [
     "SpotMarket",
     "SweepResult",
     "active",
-    "draw_preemption",
     "register_scenario",
     "scenario",
 ]

@@ -14,9 +14,9 @@ that trade as two curves:
   per wall-clock hour of exposure; a reclaimed run dies partway through
   and its FOM is lost, but the consumed node-hours are still billed.
 
-Every preemption draw comes from
-``stream(seed, "scenario", scenario_id, "preempt", env, app, scale, it)``
-— keyed on the run's own coordinates, never on call order — so a spot
+Every preemption draw comes from the keyed stream
+``(seed, "scenario", scenario_id, "preempt", env, app, scale, it)`` —
+keyed on the run's own coordinates, never on call order — so a spot
 scenario is byte-identical for any worker count, exactly like the
 baseline study.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.rng import stream, stream_block
+from repro.rng import stream_block
 from repro.units import HOUR
 
 
@@ -73,39 +73,6 @@ class SpotMarket:
         return 1.0 - self.discount_for(nodes)
 
 
-@dataclass(frozen=True)
-class Preemption:
-    """A reclamation that killed a run partway through."""
-
-    #: fraction of the run's wall time that elapsed before the reclaim
-    at_fraction: float
-
-
-def draw_preemption(
-    spot: SpotMarket,
-    seed: int,
-    scenario_id: str,
-    env_id: str,
-    app: str,
-    scale: int,
-    iteration: int,
-    duration_s: float,
-) -> Preemption | None:
-    """One keyed preemption draw for one run; ``None`` if it survives.
-
-    The survival probability is ``exp(-rate × hours)`` — a Poisson
-    arrival process over the run's wall-clock exposure.  The reclaim
-    instant, when one arrives, is uniform over the run.
-    """
-    if spot.preemptions_per_hour <= 0:
-        return None
-    rng = stream(seed, "scenario", scenario_id, "preempt", env_id, app, scale, iteration)
-    hit = 1.0 - math.exp(-spot.preemptions_per_hour * duration_s / HOUR)
-    if rng.random() >= hit:
-        return None
-    return Preemption(at_fraction=float(rng.uniform(0.05, 0.95)))
-
-
 def preemption_block(
     spot: SpotMarket,
     seed: int,
@@ -116,14 +83,15 @@ def preemption_block(
     iterations,
     durations: np.ndarray,
 ) -> np.ndarray:
-    """Keyed preemption draws for a whole batched group at once.
+    """Keyed preemption draws for a group's runs, one per iteration.
 
-    Returns one ``at_fraction`` per iteration, NaN for survivors —
-    entry ``j`` matches :func:`draw_preemption` for
-    ``(iterations[j], durations[j])`` bit for bit.  The hit probability
-    and the conditional reclaim-instant draw are evaluated per stream
-    (the second draw only happens on a reclaim, exactly like the scalar
-    path), but all streams are seeded in one pass.
+    Returns the fraction of each run's wall time that elapsed before
+    its reclaim, NaN for survivors.  A run of ``durations[j]`` seconds
+    survives with probability ``exp(-rate × hours)`` — a Poisson
+    arrival process over its wall-clock exposure — and the reclaim
+    instant, when one arrives, is uniform over the run.  Entry ``j``
+    draws only from iteration ``iterations[j]``'s stream (the second
+    draw only on a reclaim); all streams are seeded in one pass.
     """
     iterations = np.asarray(iterations, dtype=np.int64)
     out = np.full(len(iterations), np.nan)

@@ -34,14 +34,13 @@ from repro.cloud.catalog import effective_rate
 from repro.cloud.placement import apply_placement
 from repro.envs.environment import Environment, EnvironmentKind
 from repro.machine.gpu import sample_ecc_settings
-from repro.network.collectives import CollectiveModel
 from repro.network.fabric import Fabric
-from repro.network.hookup import hookup_block, hookup_stream_block, hookup_time
+from repro.network.hookup import hookup_block, hookup_stream_block
 from repro.network.quirks import AZURE_UNTUNED_UCX
 from repro.network.topology import effective_fabric
-from repro.rng import co_seed, stream, stream_block
+from repro.rng import StreamBlock, check_seeds, co_seed, stream_block
 from repro.scenarios.apply import overlay_fabric
-from repro.scenarios.market import draw_preemption, preemption_block
+from repro.scenarios.market import preemption_block
 from repro.scenarios.spec import Scenario, active, footprint_digest
 from repro.sim.cache import RunCache, batch_key, run_key, run_key_block
 from repro.sim.run_result import STATE_CODE, STATE_ORDER, RunRecord, RunState
@@ -122,7 +121,7 @@ class BlockOutcome:
     #: records appended to the caller's store
     count: int
     #: wall + hookup seconds accumulated in record order (the shard
-    #: clock advances by exactly this, as in the per-record path)
+    #: clock advances by exactly this, record by record)
     total_seconds: float
 
 
@@ -190,12 +189,6 @@ class ResolvedGroup:
     ranks: int
     node_model: Any
     fabric: Fabric
-    #: memoized collective model shared by every iteration's context,
-    #: so each distinct collective prices once per group
-    comm: "CollectiveModel"
-    #: group-scoped memo shared by every iteration's context
-    #: (:meth:`~repro.apps.base.RunContext.once`)
-    memo: dict
     rate: float
     walltime_limit: float
     options: dict[str, Any]
@@ -224,6 +217,7 @@ class ExecutionEngine:
     _block_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        check_seeds(range(self.seed, self.seed + 1))
         memos = _SHARED_CELLS.get()
         if memos is not None and active(self.scenario) is None:
             self._block_memo = memos.setdefault((self.seed, self.azure_ucx_tuned), {})
@@ -318,8 +312,6 @@ class ExecutionEngine:
         :meth:`run_block` resolves them once per (env, app, size) group
         instead of once per iteration, with identical results, and the
         node model and fabric once per cell (:meth:`_resolve_cell`).
-        The collective model and the group memo stay per group: app
-        models key their memoized values with their own keys.
         """
         model = app_lookup(app) if isinstance(app, str) else app
         with span(
@@ -341,23 +333,14 @@ class ExecutionEngine:
                 ranks=ranks,
                 node_model=node_model,
                 fabric=fabric,
-                comm=CollectiveModel(fabric),
-                memo={},
                 rate=rate,
                 walltime_limit=ONPREM_WALLTIME_S if env.cloud == "p" else CLOUD_WALLTIME_S,
                 options=options or {},
             )
 
-    def _group_context(
-        self, group: ResolvedGroup, iteration: int | None = None
-    ) -> RunContext:
-        """The :class:`RunContext` for one iteration of a resolved group,
-        or — ``iteration=None`` — the group's block context, which has
-        no generator (block physics draw from their
-        :class:`~repro.rng.StreamBlock`)."""
-        rng = None
-        if iteration is not None:
-            rng = stream(self.seed, "run", group.env.env_id, group.scale, iteration)
+    @staticmethod
+    def _group_context(group: ResolvedGroup) -> RunContext:
+        """The :class:`RunContext` a resolved group's physics sees."""
         return RunContext(
             env=group.env,
             scale=group.scale,
@@ -365,11 +348,7 @@ class ExecutionEngine:
             ranks=group.ranks,
             node_model=group.node_model,
             fabric=group.fabric,
-            rng=rng,
-            iteration=iteration or 0,
             options=group.options,
-            comm_model=group.comm,
-            group_memo=group.memo,
         )
 
     def context(
@@ -377,10 +356,11 @@ class ExecutionEngine:
         env: Environment,
         scale: int,
         *,
-        iteration: int = 0,
         options: dict[str, Any] | None = None,
     ) -> RunContext:
-        """Build the :class:`RunContext` an app model will see."""
+        """The :class:`RunContext` an app model sees at (env, scale),
+        without resolving an app: placement, effective fabric and the
+        ECC-conditioned node model."""
         nodes = env.nodes_for(scale)
         node_model, fabric = self._resolve_cell(env, nodes)
         return RunContext(
@@ -390,10 +370,60 @@ class ExecutionEngine:
             ranks=env.ranks_for(scale),
             node_model=node_model,
             fabric=fabric,
-            rng=stream(self.seed, "run", env.env_id, scale, iteration),
-            iteration=iteration,
             options=options or {},
         )
+
+    def cell_streams(
+        self, env: Environment, scale: int, iterations: np.ndarray
+    ) -> tuple[StreamBlock, np.ndarray]:
+        """One cell's keyed run streams over ``iterations``, and its
+        hookup times.
+
+        The run streams ``("run", env_id, scale, i)`` and the hookup
+        streams name no app, so every app of a cell draws the same ones:
+        the first call for a cell and iteration set seeds both families
+        in one pass and memoizes the seeded run streams (standard-normal
+        prefix included) and the hookup column; later calls install them.
+        Returns a fresh, undrawn block each call.
+        """
+        nodes = env.nodes_for(scale)
+        block = stream_block(self.seed, "run", env.env_id, scale, iterations=iterations)
+        sig = block.iterations.tobytes()
+        run_key_memo = ("run", env.env_id, scale, sig)
+        hookup_memo = ("hookup", env.cloud, env.is_gpu, nodes, env.kind.value, sig)
+        with span("engine.rng", env=env.env_id, iterations=len(block)):
+            seeded = self._block_memo.get(run_key_memo)
+            if seeded is not None:
+                # A sibling app of this cell already seeded these streams;
+                # its normal draws are this block's prefix too.
+                block.install_states(seeded)
+                hookup = self._block_memo.get(hookup_memo)
+            else:
+                hookup = None
+            if hookup is None:
+                hookup_streams = hookup_stream_block(
+                    env.cloud,
+                    env.is_gpu,
+                    nodes,
+                    environment_kind=env.kind.value,
+                    seed=self.seed,
+                    iterations=block.iterations,
+                )
+                if seeded is None:
+                    # One seeding pass covers both stream families.
+                    co_seed(block, hookup_streams)
+                    self._block_memo[run_key_memo] = block.seeded_states()
+                hookup = hookup_block(
+                    env.cloud,
+                    env.is_gpu,
+                    nodes,
+                    environment_kind=env.kind.value,
+                    seed=self.seed,
+                    iterations=block.iterations,
+                    rng_block=hookup_streams,
+                )
+                self._block_memo[hookup_memo] = hookup
+        return block, hookup
 
     # -- running ----------------------------------------------------------------
 
@@ -408,9 +438,9 @@ class ExecutionEngine:
     ) -> RunRecord:
         """Execute one run; never raises for in-study failure modes.
 
-        The single-run API and the scalar reference :meth:`run_block` is
-        pinned against: per-iteration calls produce the same records as
-        one block over the same iterations.
+        A one-iteration block: every draw is keyed on the iteration, so
+        the record equals row ``iteration`` of a :meth:`run_block` over
+        the same group.
         """
         model = app_lookup(app) if isinstance(app, str) else app
         reason = self._skip_reason(env, model)
@@ -423,7 +453,8 @@ class ExecutionEngine:
             if record is not None:
                 return record
         group = self.resolve_group(env, model, scale, options=options)
-        record = self._execute_in_group(group, iteration)
+        cols = self._simulate_columns(group, np.array([iteration], dtype=np.int64))
+        record = self._column_records(group, cols)[0]
         if key is not None:
             self.cache.put(key, record)
         return record
@@ -523,142 +554,21 @@ class ExecutionEngine:
             extra={"reason": reason},
         )
 
-    def _execute_in_group(self, group: ResolvedGroup, iteration: int) -> RunRecord:
-        """One iteration of a resolved group; all per-run randomness is
-        keyed on the iteration, so a block over many iterations and
-        one-at-a-time execution produce identical records."""
-        env = group.env
-        model = group.model
-        ctx = self._group_context(group, iteration)
-        hookup = hookup_time(
-            env.cloud,
-            env.is_gpu,
-            group.nodes,
-            environment_kind=env.kind.value,
-            seed=self.seed,
-            iteration=iteration,
-        )
-        result = model.simulate(ctx)
-
-        limit = group.walltime_limit
-        if result.failed:
-            state = RunState.FAILED
-            fom = None
-            wall = result.wall_seconds
-        elif result.wall_seconds > limit:
-            state = RunState.TIMEOUT
-            fom = None
-            wall = limit
-        else:
-            state = RunState.COMPLETED
-            fom = result.fom
-            wall = result.wall_seconds
-
-        failure_kind = result.failure_kind if result.failed else (
-            "walltime" if state is RunState.TIMEOUT else None
-        )
-        extra = result.extra
-
-        scn = active(self.scenario)
-        if scn is not None:
-            # Spot preemption: a reclaimed run dies partway through its
-            # window; the consumed node-time still bills.  Runs that
-            # already failed on their own keep their original cause.
-            if (
-                scn.spot is not None
-                and env.is_cloud
-                and env.cloud in scn.spot.clouds
-                and state is not RunState.FAILED
-            ):
-                preempt = draw_preemption(
-                    scn.spot,
-                    self.seed,
-                    scn.scenario_id,
-                    env.env_id,
-                    model.name,
-                    group.scale,
-                    iteration,
-                    wall + hookup,
-                )
-                if preempt is not None:
-                    state = RunState.FAILED
-                    fom = None
-                    wall *= preempt.at_fraction
-                    failure_kind = "spot-preemption"
-                    extra = dict(result.extra)
-                    extra["preempted_at_fraction"] = preempt.at_fraction
-
-        cost = group.nodes * group.rate * (wall + hookup) / HOUR
-        return RunRecord(
-            env_id=env.env_id,
-            app=model.name,
-            scale=group.scale,
-            nodes=group.nodes,
-            iteration=iteration,
-            state=state,
-            fom=fom,
-            fom_units=model.fom_units,
-            wall_seconds=wall,
-            hookup_seconds=hookup,
-            cost_usd=cost,
-            phases=result.phases,
-            failure_kind=failure_kind,
-            extra=extra,
-        )
-
     # -- the array-native block path -------------------------------------------
 
     def _simulate_columns(self, group: ResolvedGroup, iters: np.ndarray) -> _BlockColumns:
         """Simulate the given iterations of a resolved group as columns.
 
-        The whole post-physics pipeline — hookup, walltime policy, spot
-        preemption, pricing — runs as array operations with the same
-        per-element arithmetic (and the same keyed draws) as
-        :meth:`_execute_in_group`, so every column value is bit-identical
-        to the scalar record it replaces.
+        Hookup, walltime policy, spot preemption and pricing run as
+        array operations over the app's physics columns; every draw is
+        keyed on the iteration (:meth:`cell_streams`), so a column value
+        does not depend on which other iterations share the block.
         """
         env = group.env
         model = group.model
         n = len(iters)
         ctx = self._group_context(group)
-        block = stream_block(self.seed, "run", env.env_id, group.scale, iterations=iters)
-        sig = iters.tobytes()
-        run_key_memo = ("run", env.env_id, group.scale, sig)
-        hookup_memo = (
-            "hookup", env.cloud, env.is_gpu, group.nodes, env.kind.value, sig,
-        )
-        with span("engine.rng", env=env.env_id, iterations=n):
-            seeded = self._block_memo.get(run_key_memo)
-            if seeded is not None:
-                # A sibling app of this cell already seeded these streams;
-                # its normal draws are this block's prefix too.
-                block.install_states(seeded)
-                hookup = self._block_memo.get(hookup_memo)
-            else:
-                hookup = None
-            if hookup is None:
-                hookup_streams = hookup_stream_block(
-                    env.cloud,
-                    env.is_gpu,
-                    group.nodes,
-                    environment_kind=env.kind.value,
-                    seed=self.seed,
-                    iterations=iters,
-                )
-                if seeded is None:
-                    # One seeding pass covers both stream families.
-                    co_seed(block, hookup_streams)
-                    self._block_memo[run_key_memo] = block.seeded_states()
-                hookup = hookup_block(
-                    env.cloud,
-                    env.is_gpu,
-                    group.nodes,
-                    environment_kind=env.kind.value,
-                    seed=self.seed,
-                    iterations=iters,
-                    rng_block=hookup_streams,
-                )
-                self._block_memo[hookup_memo] = hookup
+        block, hookup = self.cell_streams(env, group.scale, iters)
         with span("engine.physics", env=env.env_id, app=model.name, iterations=n):
             result = model.simulate_block(ctx, block)
 
@@ -801,7 +711,7 @@ class ExecutionEngine:
 
         With a cache configured, every iteration still probes the
         per-record cache protocol (probe order, puts, and hit/miss stats
-        match the scalar path exactly): a group whose probes all miss
+        match per-iteration :meth:`run` calls exactly): a group whose probes all miss
         lands as columns, as here, and rows materialize only for a group
         that mixes hits and misses.  A :class:`HookupCutoff` ``stop``
         applies vectorized, any other callable sees materialized rows in
@@ -893,7 +803,7 @@ class ExecutionEngine:
         one sub-block, which reaches the run envelope as one block), and
         — when a ``stop`` truncates the batch — the cache's hit/miss
         counters are re-aligned to the executed prefix so the stats
-        match the scalar path probe for probe.  A group whose probes all
+        match per-iteration :meth:`run` calls probe for probe.  A group whose probes all
         miss lands in ``store`` as columns, like the uncached path; rows
         materialize only for a group that mixes hits and misses.
         """
@@ -951,7 +861,7 @@ class ExecutionEngine:
                     [keys[i] for i in missing[:simulated]], **self._block_args(group, put)
                 )
         if prefix < len(probes):
-            # The scalar path never probes past the stop; re-align all
+            # Per-iteration runs never probe past the stop; re-align all
             # three counters (a corrupt entry past the stop must not
             # surface as an invalid-entry degradation it never caused).
             over_hits = sum(1 for r in probes[prefix:] if r is not None)

@@ -23,35 +23,47 @@ def test_message_sweep_is_osu_default():
     assert all(b == 2 * a for a, b in zip(MESSAGE_SIZES, MESSAGE_SIZES[1:]))
 
 
-def test_latency_monotone_in_message_size(engine, osu):
-    ctx = engine.context(environment("cpu-onprem-a"), 256)
-    lats = [osu.latency_us(ctx, s) for s in (8, 1 << 16, 1 << 22)]
-    assert lats[0] < lats[1] < lats[2]
+def _sweep(engine, env_id, scale, key, iteration=0):
+    """One run's measured sweep ``key`` (message size -> value)."""
+    return engine.run(environment(env_id), "osu", scale, iteration=iteration).extra[key]
 
 
-def test_small_message_latency_matches_fabric(engine, osu):
+def test_latency_monotone_in_message_size(engine):
+    lat = _sweep(engine, "cpu-onprem-a", 256, "latency_us")
+    assert lat[8] < lat[1 << 16] < lat[1 << 22]
+
+
+def test_small_message_latency_matches_fabric(engine):
     # Omni-Path ~1.5us one-way; IB HDR similar; EFA ~16us.
-    a = engine.context(environment("cpu-onprem-a"), 256)
-    eks = engine.context(environment("cpu-eks-aws"), 256)
-    assert osu.latency_us(a, 8) < 3.0
-    assert osu.latency_us(eks, 8) > 10.0
+    assert _sweep(engine, "cpu-onprem-a", 256, "latency_us")[8] < 3.0
+    assert _sweep(engine, "cpu-eks-aws", 256, "latency_us")[8] > 10.0
 
 
-def test_bandwidth_approaches_line_rate(engine, osu):
-    ctx = engine.context(environment("cpu-cyclecloud-az"), 64)  # IB HDR 200Gb/s
-    peak = max(osu.bandwidth_mbps(ctx, s) for s in MESSAGE_SIZES)
-    assert 15_000 < peak < 30_000  # MB/s, ~25 GB/s line rate
+def test_bandwidth_approaches_line_rate(engine):
+    bw = _sweep(engine, "cpu-cyclecloud-az", 64, "bandwidth_mbps")  # IB HDR 200Gb/s
+    assert 15_000 < max(bw.values()) < 30_000  # MB/s, ~25 GB/s line rate
 
 
-def test_allreduce_grows_with_ranks(engine, osu):
-    small = engine.context(environment("cpu-eks-aws"), 32)
-    large = engine.context(environment("cpu-eks-aws"), 256)
-    assert osu.allreduce_us(large, 8) > osu.allreduce_us(small, 8)
+def test_allreduce_grows_with_ranks(engine):
+    small = _sweep(engine, "cpu-eks-aws", 32, "allreduce_us")
+    large = _sweep(engine, "cpu-eks-aws", 256, "allreduce_us")
+    assert large[8] > small[8]
 
 
-def test_aws_spike_at_32k(engine, osu):
+def test_aws_spike_at_32k(engine):
+    ar = _sweep(engine, "cpu-parallelcluster-aws", 256, "allreduce_us")
+    assert ar[32768] > 2.0 * ar[8192]
+
+
+def test_base_times_are_the_noise_free_sweep(engine, osu):
+    """The measured sweep is the base sweep times per-size noise, so the
+    noise-free model keeps the spike and the monotone latency too."""
     ctx = engine.context(environment("cpu-parallelcluster-aws"), 256)
-    assert osu.allreduce_us(ctx, 32768) > 2.0 * osu.allreduce_us(ctx, 8192)
+    lat, bw, ar = osu.base_times(ctx)
+    assert lat.shape == bw.shape == ar.shape == (len(MESSAGE_SIZES),)
+    assert (lat[1:] >= lat[:-1]).all()
+    at = {s: i for i, s in enumerate(MESSAGE_SIZES)}
+    assert ar[at[32768]] > 2.0 * ar[at[8192]]
 
 
 def test_device_mode_host_to_host_without_rdma(engine, osu):
@@ -73,14 +85,11 @@ def test_simulate_returns_full_sweeps(engine, osu):
         assert all(v > 0 for v in sweep.values())
 
 
-def test_cyclecloud_allreduce_noisier_than_aks(engine, osu):
+def test_cyclecloud_allreduce_noisier_than_aks(engine):
     import numpy as np
 
     def cv(env_id):
-        vals = []
-        for it in range(20):
-            ctx = engine.context(environment(env_id), 64, iteration=it)
-            vals.append(osu.allreduce_us(ctx, 1024))
+        vals = [_sweep(engine, env_id, 64, "allreduce_us", it)[1024] for it in range(20)]
         return np.std(vals) / np.mean(vals)
 
     assert cv("cpu-cyclecloud-az") > cv("cpu-aks-az")

@@ -54,13 +54,13 @@ def test_phase_times_nonnegative_and_bounded(env_id, scale, iteration):
         assert sum(rec.phases.values()) <= rec.wall_seconds * 3.0
 
 
-@given(scale=st.sampled_from(SCALES), iteration=st.integers(0, 2))
+@given(scale=st.sampled_from(SCALES))
 @settings(max_examples=20, deadline=None)
-def test_more_cores_never_hurt_compute_rate(scale, iteration):
+def test_more_cores_never_hurt_compute_rate(scale):
     """96-core Hpc6a nodes outrun 56-core c2d nodes on compute-bound work."""
     engine = ExecutionEngine(seed=6)
-    aws = engine.context(environment("cpu-eks-aws"), scale, iteration=iteration)
-    gcp = engine.context(environment("cpu-gke-g"), scale, iteration=iteration)
+    aws = engine.context(environment("cpu-eks-aws"), scale)
+    gcp = engine.context(environment("cpu-gke-g"), scale)
     assert aws.node_rate_gflops(KernelClass.COMPUTE) > gcp.node_rate_gflops(
         KernelClass.COMPUTE
     )
@@ -83,13 +83,11 @@ def test_fom_mean_stable_across_iterations(env_id, scale):
     assert (var**0.5) / mean < 0.5
 
 
-@given(iteration=st.integers(0, 4))
-@settings(max_examples=10, deadline=None)
-def test_onprem_b_needs_twice_the_nodes(iteration):
+def test_onprem_b_needs_twice_the_nodes():
     """Any GPU scale: B runs 2x the nodes of cloud for the same GPUs."""
     engine = ExecutionEngine(seed=8)
     for scale in (32, 64, 128, 256):
-        b = engine.context(environment("gpu-onprem-b"), scale, iteration=iteration)
-        cloud = engine.context(environment("gpu-eks-aws"), scale, iteration=iteration)
+        b = engine.context(environment("gpu-onprem-b"), scale)
+        cloud = engine.context(environment("gpu-eks-aws"), scale)
         assert b.nodes == 2 * cloud.nodes
         assert b.ranks == cloud.ranks == scale

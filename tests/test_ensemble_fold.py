@@ -25,6 +25,7 @@ from repro.ensemble.runner import WORLD_SUMMARY_VERSION, fold_cells
 from repro.envs.registry import ENVIRONMENTS
 from repro.plan import ExecutionOptions, PlanExecutor, compile_ensemble
 from repro.scenarios import scenario
+from repro.sim.run_result import RunState
 from repro.telemetry import Tracer, merge_trace, use_tracer
 
 ENV_IDS = tuple(ENVIRONMENTS)
@@ -106,29 +107,31 @@ def test_worker_fold_equals_the_merged_frame_fold(
 def default_plan_spies():
     """The default 8-replica plan run inline under two spies: one on
     ``_effective_fabric`` (placement sampling and the topology model),
-    one on the engine module's ``stream`` (a per-group generator)."""
+    one on ``ExecutionEngine.run`` (one record at a time) collecting the
+    state of every record it returns."""
     fabric_calls: Counter = Counter()
-    stream_calls = []
+    run_states = []
     effective_fabric = execution.ExecutionEngine._effective_fabric
-    stream = execution.stream
+    run = execution.ExecutionEngine.run
 
     def fabric_spy(self, env, nodes):
         fabric_calls[(self.seed, env.env_id, nodes)] += 1
         return effective_fabric(self, env, nodes)
 
-    def stream_spy(*key):
-        stream_calls.append(key)
-        return stream(*key)
+    def run_spy(self, *args, **kwargs):
+        record = run(self, *args, **kwargs)
+        run_states.append(record.state)
+        return record
 
     mp = pytest.MonkeyPatch()
     mp.setattr(execution.ExecutionEngine, "_effective_fabric", fabric_spy)
-    mp.setattr(execution, "stream", stream_spy)
+    mp.setattr(execution.ExecutionEngine, "run", run_spy)
     try:
         spec = EnsembleSpec(n_replicas=8)
         result = EnsembleRunner(spec).run()
     finally:
         mp.undo()
-    return spec, result, fabric_calls, stream_calls
+    return spec, result, fabric_calls, run_states
 
 
 def test_default_plan_resolves_each_cell_once(default_plan_spies):
@@ -146,9 +149,11 @@ def test_default_plan_resolves_each_cell_once(default_plan_spies):
     )
 
 
-def test_default_plan_builds_no_per_group_generator(default_plan_spies):
-    _, _, _, stream_calls = default_plan_spies
-    assert stream_calls == []
+def test_default_plan_simulates_no_run_one_record_at_a_time(default_plan_spies):
+    """Every simulated group is one block; ``run()`` records only the
+    undeployable environment's skips (8 worlds x 4 sizes x 11 apps)."""
+    _, _, _, run_states = default_plan_spies
+    assert run_states == [RunState.SKIPPED] * (8 * 4 * 11)
 
 
 def test_traced_ensemble_ships_no_store():

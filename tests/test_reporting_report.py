@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.experiments import registry
 from repro.experiments.base import ExperimentOutput
 from repro.reporting.report import REPORT_ORDER, generate_report
 from repro.sim import execution
@@ -38,10 +40,12 @@ def test_report_matches_golden_digest_at_seed_3():
 
 def test_report_seeds_and_resolves_each_cell_once(monkeypatch):
     """The report's engines share one cell memo per (seed,
-    azure_ucx_tuned): 120 stream-seeding passes and 52 cell resolutions
-    at seed 0, where a memo per engine makes 417 and 441.  A second
-    report in the same process counts the same, so no memo outlives its
-    report, and each experiment's claims are checked once."""
+    azure_ucx_tuned): 127 stream-seeding passes and 52 cell resolutions
+    at seed 0, where a memo per engine makes 417 and 441.  The 7 passes
+    over 120 are the nodebench survey's one-iteration runs on cells no
+    other experiment seeds at iteration 0 alone.  A second report in the
+    same process counts the same, so no memo outlives its report, and
+    each experiment's claims are checked once."""
     calls = Counter()
     co_seed = execution.co_seed
     effective_fabric = execution.ExecutionEngine._effective_fabric
@@ -66,7 +70,21 @@ def test_report_seeds_and_resolves_each_cell_once(monkeypatch):
         calls.clear()
         text = generate_report(seed=0)
         assert _stdout_sha256(text) == GOLDEN_REPORT_SHA256[0]
-        assert calls == {"co_seed": 120, "fabric": 52, "check": len(REPORT_ORDER)}
+        assert calls == {"co_seed": 127, "fabric": 52, "check": len(REPORT_ORDER)}
+
+
+def test_report_refuses_an_aliasing_seed_before_any_experiment_runs(monkeypatch):
+    ran = []
+    for eid, runner in registry.EXPERIMENTS.items():
+        monkeypatch.setitem(
+            registry.EXPERIMENTS, eid,
+            lambda runner=runner, eid=eid, **kw: ran.append(eid) or runner(**kw),
+        )
+    with pytest.raises(ConfigurationError, match="seed must be in"):
+        generate_report(seed=2**32)
+    with pytest.raises(ConfigurationError, match="seed must be in"):
+        registry.run_experiment("hookup", seed=2**32)
+    assert ran == []
 
 
 def test_report_covers_every_experiment(report_text):

@@ -311,14 +311,22 @@ def _draw_counts():
 
 
 def test_report_enters_each_cells_streams_once_per_draw_kind():
-    """``repro report`` at seed 0: 863 stream entries (2,311 when every
-    app redrew its normals) and 120 native seeding passes of 744 streams
-    in all (each a run block plus a hookup block of at most 10)."""
+    """``repro report`` at seed 0: 1,229 stream entries and 160 native
+    seeding passes of 1,079 streams in all.  127 passes co-seed a run
+    block and a hookup block of at most 10 streams each; the hookup
+    experiment's 32 means and fig4's AKS check seed their own hookup
+    blocks (33 passes of 321 streams, one log-normal entry each).  Over
+    the 863 entries and 120 passes of 744 streams before fig5, nodebench,
+    fig2's topology check and the hookup means drew from blocks (2,311
+    entries when every app redrew its normals), the entries add those
+    321, 7 hookups of nodebench's new one-iteration cells, fig5's 35
+    (7 environments x 5 iterations widen their prefix to 69 normals),
+    nodebench's 2 AKS lotteries and fig2's 1 prefix."""
     from repro.reporting.report import generate_report
 
     with _draw_counts() as calls:
         generate_report(seed=0)
-    assert calls == {"entries": 863, "native passes": 120, "native streams": 744}
+    assert calls == {"entries": 1229, "native passes": 160, "native streams": 1079}
 
 
 def test_default_ensemble_enters_each_cells_streams_once_per_draw_kind():

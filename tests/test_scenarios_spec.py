@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -13,10 +14,10 @@ from repro.scenarios import (
     Scenario,
     SpotMarket,
     active,
-    draw_preemption,
     register_scenario,
     scenario,
 )
+from repro.scenarios.market import preemption_block
 
 
 # ------------------------------------------------------------------ registry
@@ -210,26 +211,31 @@ def test_spot_discount_curve_shrinks_with_pool_size():
 
 
 def test_preemption_draws_are_keyed_not_ordered():
-    spot = SpotMarket(preemptions_per_hour=50.0)
-    args = (spot, 7, "scn", "cpu-eks-aws", "amg2023", 64, 1, 600.0)
-    first = draw_preemption(*args)
-    # Interleave unrelated draws; the keyed draw must not move.
-    draw_preemption(spot, 7, "scn", "cpu-aks-az", "lammps", 32, 0, 600.0)
-    assert draw_preemption(*args) == first
+    spot = SpotMarket(preemptions_per_hour=2.0)
+    group = (spot, 7, "scn", "cpu-eks-aws", "amg2023", 64)
+    durations = np.full(8, 1800.0)
+    first = preemption_block(*group, range(8), durations)
+    assert np.isnan(first).any() and not np.isnan(first).all()
+    # Interleave unrelated draws; the keyed draws must not move.
+    preemption_block(spot, 7, "scn", "cpu-aks-az", "lammps", 32, range(8), durations)
+    assert np.array_equal(preemption_block(*group, range(8), durations), first, equal_nan=True)
+    # Each entry is its own iteration's draw, whatever else the block holds.
+    subset = preemption_block(*group, [5, 1], durations[:2])
+    assert np.array_equal(subset, first[[5, 1]], equal_nan=True)
 
 
 def test_preemption_never_fires_at_zero_rate():
     spot = SpotMarket(preemptions_per_hour=0.0)
-    for it in range(20):
-        assert draw_preemption(spot, 0, "s", "e", "a", 32, it, 3600.0) is None
+    fracs = preemption_block(spot, 0, "s", "e", "a", 32, range(20), np.full(20, 3600.0))
+    assert fracs.shape == (20,)
+    assert np.isnan(fracs).all()
 
 
 def test_preemption_fraction_is_a_valid_fraction():
     spot = SpotMarket(preemptions_per_hour=10_000.0)
-    hits = [
-        draw_preemption(spot, 0, "s", "cpu-eks-aws", "amg2023", 32, it, 3600.0)
-        for it in range(20)
-    ]
-    hits = [h for h in hits if h is not None]
-    assert hits, "an absurd reclaim rate must preempt something"
-    assert all(0.0 < h.at_fraction < 1.0 for h in hits)
+    fracs = preemption_block(
+        spot, 0, "s", "cpu-eks-aws", "amg2023", 32, range(20), np.full(20, 3600.0)
+    )
+    hits = fracs[~np.isnan(fracs)]
+    assert hits.size, "an absurd reclaim rate must preempt something"
+    assert ((0.0 < hits) & (hits < 1.0)).all()

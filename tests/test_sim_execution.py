@@ -9,6 +9,7 @@ import pytest
 
 from repro.apps.registry import APPS
 from repro.core.results import ResultStore
+from repro.errors import ConfigurationError
 from repro.envs.registry import ENVIRONMENTS, environment
 from repro.scenarios.presets import scenario
 from repro.sim.execution import CLOUD_WALLTIME_S, ExecutionEngine, shared_cells
@@ -41,6 +42,14 @@ def test_iterations_differ(engine):
     a = engine.run(environment("cpu-eks-aws"), "lammps", 64, iteration=0)
     b = engine.run(environment("cpu-eks-aws"), "lammps", 64, iteration=1)
     assert a.fom != b.fom
+
+
+@pytest.mark.parametrize("seed", [2**32, -1])
+def test_engine_refuses_seeds_the_streams_cannot_tell_apart(seed):
+    # The keyed streams hash seed & 0xFFFFFFFF: 2**32 would run seed 0.
+    with pytest.raises(ConfigurationError, match="seed must be in 0..4294967295"):
+        ExecutionEngine(seed=seed)
+    ExecutionEngine(seed=2**32 - 1)
 
 
 def test_undeployable_environment_skipped(engine):

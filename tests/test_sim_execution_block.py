@@ -1,17 +1,23 @@
-"""run_block ≡ the scalar per-iteration path, end to end.
+"""run_block ≡ per-iteration runs, end to end.
 
-The acceptance criterion of the vectorized iteration axis: the block
-path — batched keyed RNG, columnar app physics, array-native pricing /
-walltime / preemption, ``append_block`` — is byte-identical to the
-scalar reference (per-iteration :meth:`ExecutionEngine.run` calls),
-over every app, over cache states, over early-stop cutoffs, and over
-whole study / scenario / ensemble plans at any worker count.
+Every draw is keyed on the iteration, so an n-iteration block — batched
+keyed RNG, columnar app physics, array-native pricing / walltime /
+preemption, ``append_block`` — is byte-identical to n per-iteration
+:meth:`ExecutionEngine.run` calls (one-iteration blocks), over every
+app, over cache states, over early-stop cutoffs, and over whole study /
+scenario / ensemble plans at any worker count.  The absolute anchor for
+both is the run goldens in ``tests/test_sim_execution.py``.
 """
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.base import RunContext
 from repro.apps.registry import APPS
 from repro.core.results import ResultStore
 from repro.core.study import StudyConfig, StudyRunner
@@ -19,12 +25,13 @@ from repro.envs.registry import ENVIRONMENTS
 from repro.ensemble import EnsembleRunner, EnsembleSpec
 from repro.plan import ExecutionOptions
 from repro.scenarios import ScenarioSweep
+from repro.scenarios.presets import SCENARIOS
 from repro.scenarios.presets import scenario as scenario_lookup
 from repro.sim.cache import RunCache
 from repro.sim.execution import ExecutionEngine, HookupCutoff
 
 
-def _scalar_runs(engine, env, app, scale, *, iterations, stop=None):
+def _per_iteration_runs(engine, env, app, scale, *, iterations, stop=None):
     """One :meth:`ExecutionEngine.run` per iteration, ending with the
     first record ``stop`` accepts (the block path's stop rule)."""
     records = []
@@ -44,9 +51,11 @@ def _block_store(engine, env, app, scale, *, iterations, stop=None):
 
 def _assert_equivalent(env_id, app, scale, *, iterations=6, scenario=None, stop=None):
     env = ENVIRONMENTS[env_id]
-    scalar = ExecutionEngine(seed=0, scenario=scenario)
+    per_run = ExecutionEngine(seed=0, scenario=scenario)
     block = ExecutionEngine(seed=0, scenario=scenario)
-    reference = _scalar_runs(scalar, env, app, scale, iterations=iterations, stop=stop)
+    reference = _per_iteration_runs(
+        per_run, env, app, scale, iterations=iterations, stop=stop
+    )
     store = _block_store(block, env, app, scale, iterations=iterations, stop=stop)
     assert store.records == reference
 
@@ -73,7 +82,7 @@ def test_one_engine_serves_every_app_of_a_cell_from_one_prefix():
         for iterations in (3, 5, 2):
             for app in APPS:
                 store = _block_store(engine, env, app, 64, iterations=iterations)
-                reference = _scalar_runs(
+                reference = _per_iteration_runs(
                     ExecutionEngine(seed=4), env, app, 64, iterations=iterations
                 )
                 assert store.records == reference
@@ -93,22 +102,24 @@ def test_spot_scenario_preemptions_match():
         _assert_equivalent(env_id, "laghos", 128, iterations=8, scenario=scn)
 
 
-def test_block_physics_that_reads_ctx_rng_fails_loudly():
-    # A block context carries no generator: per-iteration draws come
-    # from the StreamBlock, so reading ctx.rng raises instead of drawing
-    # from one stream for the whole group.
-    seen = []
+def test_run_context_has_no_generator():
+    # Per-iteration draws come only from the StreamBlock: a context has
+    # no generator, so physics that reads ctx.rng raises instead of
+    # drawing from one stream for the whole group.
+    assert "rng" not in {f.name for f in dataclasses.fields(RunContext)}
 
     class ReadsRng(type(APPS["lammps"])):
         def simulate_block(self, ctx, block):
-            seen.append(ctx.rng)
             return ctx.rng.normal(1.0, 0.1)
 
-    with pytest.raises(AttributeError):
-        ExecutionEngine(seed=0).run_block(
-            ENVIRONMENTS["cpu-eks-aws"], ReadsRng(), 64, iterations=2, store=ResultStore()
-        )
-    assert seen == [None]
+    for call in (
+        lambda engine, app: engine.run_block(
+            ENVIRONMENTS["cpu-eks-aws"], app, 64, iterations=2, store=ResultStore()
+        ),
+        lambda engine, app: engine.run(ENVIRONMENTS["cpu-eks-aws"], app, 64),
+    ):
+        with pytest.raises(AttributeError, match="rng"):
+            call(ExecutionEngine(seed=0), ReadsRng())
 
 
 def test_hookup_cutoff_truncates_identically():
@@ -130,21 +141,21 @@ def test_generic_stop_callable_still_works():
 
 def test_cache_protocol_matches_scalar(tmp_path):
     env = ENVIRONMENTS["cpu-eks-aws"]
-    scalar = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "a"))
+    per_run = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "a"))
     block = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "b"))
     for iterations in (6, 6, 9):  # cold, warm, mixed tail
-        reference = _scalar_runs(scalar, env, "osu", 64, iterations=iterations)
+        reference = _per_iteration_runs(per_run, env, "osu", 64, iterations=iterations)
         store = _block_store(block, env, "osu", 64, iterations=iterations)
         assert store.records == reference
-        assert block.cache.hits == scalar.cache.hits
-        assert block.cache.misses == scalar.cache.misses
+        assert block.cache.hits == per_run.cache.hits
+        assert block.cache.misses == per_run.cache.misses
 
 
 def test_stop_truncation_realigns_invalid_counter(tmp_path):
     """A corrupt cache entry past the stop point is not a degradation.
 
-    The scalar path never probes beyond the stop, so it never sees the
-    corrupt entry; the block path probes up front and must re-align
+    Per-iteration runs never probe beyond the stop, so they never see
+    the corrupt entry; the block path probes up front and must re-align
     ``cache.invalid`` (not just hits/misses) to the executed prefix.
     """
     env = ENVIRONMENTS["cpu-aks-az"]
@@ -162,28 +173,69 @@ def test_stop_truncation_realigns_invalid_counter(tmp_path):
     )
     (warm.cache.path(keys[3])).write_text("garbage", encoding="utf-8")
 
-    scalar = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "c"))
-    reference = _scalar_runs(scalar, env, "lammps", 256, iterations=5, stop=stop)
+    per_run = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "c"))
+    reference = _per_iteration_runs(per_run, env, "lammps", 256, iterations=5, stop=stop)
     block = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "c"))
     store = _block_store(block, env, "lammps", 256, iterations=5, stop=stop)
     assert store.records == reference
-    assert block.cache.hits == scalar.cache.hits
-    assert block.cache.misses == scalar.cache.misses
-    assert block.cache.invalid == scalar.cache.invalid == 0
+    assert block.cache.hits == per_run.cache.hits
+    assert block.cache.misses == per_run.cache.misses
+    assert block.cache.invalid == per_run.cache.invalid == 0
 
 
 def test_block_and_scalar_caches_interchange(tmp_path):
-    """Entries written by one path replay byte-identically in the other."""
+    """Entries a block writes replay byte-identically in per-iteration runs."""
     env = ENVIRONMENTS["cpu-eks-aws"]
     shared = tmp_path / "shared"
     writer = ExecutionEngine(seed=0, cache=RunCache(shared))
     store = _block_store(writer, env, "amg2023", 64, iterations=4)
     reader = ExecutionEngine(seed=0, cache=RunCache(shared))
-    replayed = _scalar_runs(reader, env, "amg2023", 64, iterations=4)
+    replayed = _per_iteration_runs(reader, env, "amg2023", 64, iterations=4)
     assert reader.cache.hits == 4 and reader.cache.misses == 0
     # Cached records round-trip through JSON (tuples come back as
     # lists), so the interchange guarantee is on the exported dataset.
     assert ResultStore(replayed).to_csv() == store.to_csv()
+
+
+def _typed(value):
+    """``value`` with the type of every nested member spelled out."""
+    if isinstance(value, dict):
+        return ("dict", tuple((_typed(k), _typed(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, tuple(_typed(v) for v in value))
+    return (type(value).__name__, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_row_equals_one_iteration_run(data):
+    """Row k of an n-iteration block is ``run(iteration=k)``, field by
+    field and type by type, for any seed, environment, app, size,
+    scenario (or none) and AMG process topology."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    env = ENVIRONMENTS[data.draw(st.sampled_from(sorted(ENVIRONMENTS)), label="env")]
+    app = data.draw(st.sampled_from(sorted(APPS)), label="app")
+    scale = data.draw(st.sampled_from(env.sizes()), label="scale")
+    n = data.draw(st.integers(1, 6), label="n")
+    k = data.draw(st.integers(0, n - 1), label="k")
+    name = data.draw(st.sampled_from([None, *sorted(SCENARIOS)]), label="scenario")
+    options = None
+    if app == "amg2023":
+        topology = data.draw(st.sampled_from([None, (8, 4, 2), (4, 4, 4)]), label="-P")
+        options = None if topology is None else {"process_topology": topology}
+    scn = None if name is None else scenario_lookup(name)
+
+    store = ResultStore()
+    ExecutionEngine(seed=seed, scenario=scn).run_block(
+        env, app, scale, iterations=n, store=store, options=options
+    )
+    row = store.records[k]
+    record = ExecutionEngine(seed=seed, scenario=scn).run(
+        env, app, scale, iteration=k, options=options
+    )
+    assert record == row
+    for f in dataclasses.fields(record):
+        assert _typed(getattr(record, f.name)) == _typed(getattr(row, f.name)), f.name
 
 
 def test_block_outcome_totals_match_record_clock():
@@ -213,7 +265,7 @@ def _study_config(**overrides):
     return StudyConfig(**fields)
 
 
-def _scalar_reference(config):
+def _per_iteration_reference(config):
     """The per-iteration reference dataset for one study campaign."""
     engine = ExecutionEngine(seed=config.seed)
     records = []
@@ -222,7 +274,7 @@ def _scalar_reference(config):
         for scale in config.sizes:
             for app in config.apps:
                 records.extend(
-                    _scalar_runs(engine, env, app, scale, iterations=config.iterations)
+                    _per_iteration_runs(engine, env, app, scale, iterations=config.iterations)
                 )
     return records
 
@@ -230,7 +282,7 @@ def _scalar_reference(config):
 def test_study_plan_matches_per_iteration_reference():
     config = _study_config()
     report = StudyRunner(config).run()
-    assert report.store.records == _scalar_reference(config)
+    assert report.store.records == _per_iteration_reference(config)
 
 
 def test_study_plan_workers_unchanged():
