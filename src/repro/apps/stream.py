@@ -74,7 +74,7 @@ class Stream(AppModel):
             app=self.name,
             fom=fom,
             fom_units=self.fom_units,
-            wall=np.full(n, 30.0),
+            wall=np.full(n, 30.0),  # fixed benchmark duration
             phases={"triad": 30.0},
             extra=extra,
         )

@@ -39,7 +39,8 @@ def run(seed: int = 0, iterations: int = 5) -> ExperimentOutput:
 
     # Each iteration draws its noise from the cell's keyed run stream in
     # this figure's own order: every size's latency, bandwidth, then
-    # allreduce draw before the next size's.
+    # allreduce draw before the next size's (the OSU app draws all 23
+    # latencies first).
     sweeps: dict[str, dict[str, np.ndarray]] = {}
     for env in envs:
         ctx = engine.context(env, SIZE)

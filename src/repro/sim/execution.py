@@ -655,10 +655,10 @@ class ExecutionEngine:
         )
 
     def _column_records(self, group: ResolvedGroup, cols: _BlockColumns) -> list[RunRecord]:
-        """Materialize a column block into per-run records (a cached
-        group that mixes hits and misses, and a ``stop`` without
-        ``stop_index``, need row objects; the fast path never calls
-        this)."""
+        """Materialize a column block into per-run records (:meth:`run`'s
+        one row, a cached group that mixes hits and misses, and a
+        ``stop`` without ``stop_index`` need row objects; the block fast
+        path never calls this)."""
         from repro.core.results import payload_slot
 
         env_id = group.env.env_id

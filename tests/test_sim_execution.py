@@ -236,6 +236,15 @@ def _canonical_record(record) -> str:
     )
 
 
+def _digest(lines) -> tuple[str, int]:
+    digest = hashlib.sha256()
+    count = 0
+    for line in lines:
+        digest.update(line.encode() + b"\n")
+        count += 1
+    return digest.hexdigest(), count
+
+
 def _golden_runs(seed: int):
     engine = ExecutionEngine(seed=seed)
     for env_id in GOLDEN_RUN_ENVS:
@@ -248,28 +257,15 @@ def _golden_runs(seed: int):
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_RUNS_SHA256))
 def test_run_records_match_golden_digest(seed):
-    digest = hashlib.sha256()
-    count = 0
-    for record in _golden_runs(seed):
-        digest.update(_canonical_record(record).encode() + b"\n")
-        count += 1
+    digest, count = _digest(_canonical_record(r) for r in _golden_runs(seed))
     assert count == len(GOLDEN_RUN_ENVS) * len(APPS) * 2 * 2
-    assert digest.hexdigest() == GOLDEN_RUNS_SHA256[seed]
+    assert digest == GOLDEN_RUNS_SHA256[seed]
 
 
 def test_canonical_form_keeps_tuples_apart_from_lists():
     assert _canonical((8, 4, 2)) != _canonical([8, 4, 2])
     assert _canonical(np.float64(0.1)) == _canonical(0.1) == "0.1"
     assert _canonical(np.arange(2)) == "array<int64>[0, 1]"
-
-
-def _digest(lines) -> tuple[str, int]:
-    digest = hashlib.sha256()
-    count = 0
-    for line in lines:
-        digest.update(line.encode() + b"\n")
-        count += 1
-    return digest.hexdigest(), count
 
 
 #: sha256 of :func:`_canonical_record` lines for every ``ExecutionEngine.run``
