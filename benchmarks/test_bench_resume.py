@@ -2,10 +2,11 @@
 
 The resume claim, measured end to end: a campaign killed at ~50%
 completion and resumed with ``--resume`` must finish in **at most 60%
-of the cold-run wall time**, with a byte-identical dataset.  The
-journal banks every drained cell immediately, so the resumed run
-re-attaches the first half from the cache and pays simulation only for
-the half the crash actually lost.  Each side is timed as the fastest of
+of the cold-run wall time**, with a byte-identical dataset.  Every
+executed cell writes its cell entry before its result returns, and the
+rerun attaches every cell it finds cached, so the resumed run loads
+the first half from the cache and pays simulation only for the half
+the crash actually lost.  Each side is timed as the fastest of
 three runs, each with its own fresh cache directory; the resumed side's
 directory first holds the interrupted run, untimed.
 

@@ -614,8 +614,8 @@ examples:
       a recovery drill: deterministically kill workers and inject
       transient failures; the retried dataset is still byte-identical
   python -m repro study --workers 4 --cache .repro-cache --resume
-      continue an interrupted campaign: journaled cells re-attach,
-      only unfinished cells simulate
+      continue an interrupted campaign: cells it already cached
+      attach, only unfinished cells simulate (stderr counts resumed=N)
 """
 
 
@@ -823,8 +823,8 @@ def _execution_parent() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache",
         metavar="DIR",
-        help="content-addressed cache directory (runs, cells, world "
-        "summaries, and the resume journal); repeat runs replay cached "
+        help="content-addressed cache directory (runs, cells and world "
+        "summaries); repeat runs replay cached "
         "work instead of re-simulating (keys embed the scenario digest, "
         "so what-if worlds never collide).  `campaign run` defaults to a "
         "private temporary directory",
@@ -858,9 +858,10 @@ def _execution_parent() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="re-attach cells a previous interrupted run journaled "
-        "(requires --cache); the finished dataset is byte-identical to "
-        "an uninterrupted run",
+        help="rerun an interrupted campaign: count the cells it attaches "
+        "from the cache as resumed (requires --cache; every cached run "
+        "attaches its warm cells); the finished dataset is "
+        "byte-identical to an uninterrupted run",
     )
     parser.add_argument(
         "--chaos",

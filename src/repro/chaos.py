@@ -1,9 +1,9 @@
 """Deterministic fault injection: prove the recovery invariants.
 
 Fault tolerance that is merely *hoped for* rots; this module makes the
-failure modes the resilient pool (:mod:`repro.parallel.pool`) and the
-checkpoint journal (:mod:`repro.plan.journal`) recover from injectable
-on demand, from the same keyed RNG discipline the simulation itself
+failure modes the resilient pool (:mod:`repro.parallel.pool`) and a
+cached rerun (the executor attaches every cell entry already written)
+recover from injectable on demand, from the same keyed RNG discipline the simulation itself
 uses (:func:`repro.rng.stream`).  A :class:`FaultPlan` names per-fault
 probabilities; every injection decision is a pure function of
 ``(plan.seed, fault kind, cell coordinates)`` — never of call order,
@@ -27,8 +27,8 @@ Fault kinds:
   the pool must kill and re-dispatch.
 * ``abort`` — raise :class:`~repro.errors.ChaosAbortError`, which the
   pool classifies as *fatal*: the run dies mid-flight (the model of the
-  driver itself being killed), leaving the journal and caches behind
-  for a ``--resume`` cycle to pick up.
+  driver itself being killed), leaving the cell entries it wrote
+  behind for a ``--resume`` rerun to attach.
 
 Convergence: injection is gated on the shard's ``attempt`` number
 (``attempt <= max_attempt``, default 0 — first attempts only), so a

@@ -20,7 +20,8 @@ A world's summary is its shards' rows sorted by (env, app, scale): a
 shard is one (env, size) cell with all its apps, so each aggregate cell
 comes from exactly one shard, and ``np.bincount`` sums its records in
 record order either way — the same bytes a merged-frame fold gives.
-Cells attached from the cache (incremental, resume, campaign reuse)
+Cells attached from the cell cache (any cached run: a rerun, an
+incremental world, a campaign stage reusing an earlier stage's cells)
 fold the same way in the parent.  State is O(cells), never
 O(worlds × runs).
 
@@ -225,8 +226,8 @@ class EnsembleRunner:
         self.incremental = incremental
         #: accumulates over one run() invocation (see EnsembleResult)
         self._fault_stats = FaultStats()
-        #: extra worlds (e.g. a campaign's smoke stage) whose cached
-        #: cells this run may attach, on top of its own baseline replicas
+        #: extra worlds (e.g. a campaign's smoke stage) the diff counts
+        #: as baseline, on top of this run's own baseline replicas
         self.baseline_plan = baseline_plan
 
     # -- planning -----------------------------------------------------------
@@ -402,9 +403,10 @@ class EnsembleRunner:
         """Execute missing worlds through the shared executor, in order.
 
         Every shard folds to its cell rows (:func:`fold_cells`) where it
-        executes.  With a ``baseline`` plan the sub-plan runs
-        incrementally: cells the diff proves untouched attach from the
-        cell cache instead of simulating, and fold in this process.
+        executes; cells whose entries are warm attach from the cell
+        cache instead of simulating, and fold in this process.  With a
+        ``baseline`` plan the sub-plan also diffs against it for the
+        reuse accounting.
         """
         if not pending:
             return

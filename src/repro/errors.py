@@ -133,7 +133,8 @@ class ChaosAbortError(ReproError):
     """A chaos-injected *fatal* failure (models the driver being killed).
 
     Never retried: the run stops with a :class:`ShardExecutionError`
-    naming the cell, and journaled progress survives for ``--resume``.
+    naming the cell, and every cell entry already written survives for
+    a rerun (``--resume``) to attach.
     """
 
 

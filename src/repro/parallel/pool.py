@@ -131,7 +131,8 @@ class FaultStats:
     serial_hops: int = 0
     #: faults attributed to the chaos harness (:mod:`repro.chaos`)
     injected: int = 0
-    #: shards re-attached from the checkpoint journal on ``--resume``
+    #: cells a ``--resume`` run attached from the cell cache instead of
+    #: executing (whichever earlier run banked them)
     resumed: int = 0
 
     def add(self, other: "FaultStats") -> None:
@@ -228,6 +229,22 @@ def _run_retrying(
             raise ShardExecutionError.wrap(item, ordinal, attempt, exc) from exc
 
 
+def _serial_chunks(
+    fn: Callable[[T], R],
+    chunks: list,
+    policy: RetryPolicy,
+    stats: FaultStats,
+) -> Iterator[list[R]]:
+    """Every chunk inline, in this process, with the retry budget."""
+    ordinal = 0
+    for chunk in chunks:
+        yield [
+            _run_retrying(fn, item, ordinal + offset, policy, stats)
+            for offset, item in enumerate(chunk)
+        ]
+        ordinal += len(chunk)
+
+
 def _pool_context():
     """The start method pool workers use: ``fork`` wherever the platform
     offers it, else the platform default (``None``).
@@ -274,7 +291,6 @@ class _ResilientMap:
         total: int,
         policy: RetryPolicy,
         stats: FaultStats,
-        on_result: Callable | None = None,
     ):
         self.fn = fn
         self.chunks = chunks
@@ -283,7 +299,6 @@ class _ResilientMap:
         self.total = total
         self.policy = policy
         self.stats = stats
-        self.on_result = on_result
         self.pool: ProcessPoolExecutor | None = None
         self.live: list[_Flight] = []
         self.rebuilds = 0
@@ -484,32 +499,12 @@ class _ResilientMap:
                 self.pool.shutdown(wait=False, cancel_futures=True)
                 self.pool = None
             self.live.clear()
-            ordinal = 0
-            for chunk in self.chunks:
-                done = []
-                for item in chunk:
-                    result = _run_retrying(
-                        self.fn, item, ordinal, self.policy, self.stats
-                    )
-                    if self.on_result is not None:
-                        self.on_result(result)
-                    done.append(result)
-                    ordinal += 1
-                yield done
+            yield from _serial_chunks(self.fn, self.chunks, self.policy, self.stats)
             return
         try:
             while in_flight:
                 with span("pool.drain", in_flight=len(in_flight)):
-                    done = []
-                    for flight in in_flight.pop(0):
-                        result = self._drain_flight(flight)
-                        # Per-delivery hook, strictly in submission
-                        # order — this is what lets a checkpoint journal
-                        # bank each cell the moment it crosses back,
-                        # not a chunk later.
-                        if self.on_result is not None:
-                            self.on_result(result)
-                        done.append(result)
+                    done = [self._drain_flight(f) for f in in_flight.pop(0)]
                 if index < len(self.chunks):
                     in_flight.append(self._submit_chunk(index))
                     index += 1
@@ -553,7 +548,6 @@ def pmap_chunked(
     chunk_size: int | None = None,
     policy: RetryPolicy | None = None,
     stats: FaultStats | None = None,
-    on_result: Callable[[R], None] | None = None,
 ) -> Iterator[list[R]]:
     """Map ``fn`` over ``items`` one chunk at a time, preserving order.
 
@@ -564,12 +558,9 @@ def pmap_chunked(
     peak memory is O(chunk), not O(items), while workers never sit idle
     between chunks.  ``policy`` governs retries, deadlines, and the
     degradation ladder; recovery events accumulate into ``stats`` when
-    given.  ``on_result`` fires once per item, in delivery (= input)
-    order, the moment its result is retrieved — *before* the enclosing
-    chunk is yielded — which is what checkpoint journaling hangs off:
-    a crash later in the same chunk must not lose cells that already
-    crossed back.  As with :func:`pmap`, ``workers <= 1`` runs inline
-    and a host without process support degrades to the serial path.
+    given.  As with :func:`pmap`, ``workers <= 1`` (or at most one
+    item: an empty work list starts no pool) runs inline, and a host
+    without process support degrades to the same serial path.
     """
     if chunk_size is None:
         chunk_size = max(1, workers) * 4
@@ -581,20 +572,9 @@ def pmap_chunked(
         stats = FaultStats()
     chunks = [items[start:start + chunk_size] for start in range(0, len(items), chunk_size)]
     if workers <= 1 or len(items) <= 1:
-        ordinal = 0
-        for chunk in chunks:
-            done = []
-            for item in chunk:
-                result = _run_retrying(fn, item, ordinal, policy, stats)
-                if on_result is not None:
-                    on_result(result)
-                done.append(result)
-                ordinal += 1
-            yield done
+        yield from _serial_chunks(fn, chunks, policy, stats)
         return
-    engine = _ResilientMap(
-        fn, chunks, chunk_size, workers, len(items), policy, stats, on_result
-    )
+    engine = _ResilientMap(fn, chunks, chunk_size, workers, len(items), policy, stats)
     yield from engine.run()
 
 

@@ -23,6 +23,7 @@ serial run.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -226,9 +227,10 @@ def shard_summary_key(shard: StudyShard, *, azure_ucx_tuned: bool = True) -> str
     The scenario contribution is the shard's per-cell overlay
     *footprint* (:meth:`~repro.scenarios.spec.Scenario.footprint` for
     the cell's cloud), so a cell a scenario cannot touch keys exactly
-    like the baseline cell — the incremental planner
-    (:mod:`repro.plan.diff`) attaches such cells straight from the
-    cache without dispatching them to a worker.
+    like the baseline cell: the executor attaches such a cell from the
+    entry the baseline run wrote without dispatching it to a worker
+    (:func:`attach_shard`), and :mod:`repro.plan.diff` predicts which
+    cells those are.
     """
     cloud = ENVIRONMENTS[shard.env_id].cloud
     return shard_key(
@@ -253,19 +255,15 @@ def _shard_cache_key(shard: StudyShard, engine: ExecutionEngine) -> str:
 def attach_shard(shard: StudyShard, cache: RunCache) -> ShardResult | None:
     """A shard's cached result, or ``None`` when it must execute.
 
-    The incremental reuse path: probe the cell entry under
-    :func:`shard_summary_key` and rebuild the :class:`ShardResult`
-    without provisioning, simulation, or a worker round-trip.  A
-    malformed entry flows through :meth:`RunCache.note_invalid` (the
-    caller surfaces the counter) and returns ``None`` — reuse degrades
-    to re-execution, never to silence.
+    The one reader of cell entries: the plan executor probes every cell
+    of a cached plan here, in the parent, before dispatch
+    (:meth:`~repro.plan.executor.PlanExecutor._attach`), and a hit
+    rebuilds the :class:`ShardResult` without provisioning, simulation,
+    or a worker round-trip.  A malformed entry flows through
+    :meth:`RunCache.note_invalid` (the caller surfaces the counter) and
+    returns ``None`` — reuse degrades to re-execution, never to silence.
     """
-    return _cached_shard(shard, cache, shard_summary_key(shard))
-
-
-def _cached_shard(shard: StudyShard, cache: RunCache, cell_key: str) -> ShardResult | None:
-    """The shard's result from its cell entry, or ``None`` on a miss or a
-    malformed entry (which :meth:`RunCache.note_invalid` counts)."""
+    cell_key = shard_summary_key(shard)
     cached = cache.get_columns(cell_key, kind="cell")
     if cached is None:
         return None
@@ -346,6 +344,8 @@ def execute_shard(
     the engine consults the run-level cache per record, and the whole
     cell is stored under a :func:`~repro.sim.cache.shard_key` so a
     repeat campaign skips provisioning and Kubernetes bring-up too.
+    The cell entry is only written here: :func:`attach_shard` reads it,
+    in the parent, before the cell would dispatch.
 
     ``fold`` reduces the result where the shard ran, after its cell
     entry is written and inside the ``shard.execute`` span: a pool
@@ -392,15 +392,6 @@ def _execute_shard_body(shard: StudyShard) -> ShardResult:
     scn = active(shard.scenario)
     cache = RunCache(shard.cache_dir) if shard.cache_dir else None
     engine = ExecutionEngine(seed=shard.seed, cache=cache, scenario=scn)
-    if cache is not None:
-        # A corrupt or stale cell entry warns once and re-executes.
-        cached = _cached_shard(shard, cache, _shard_cache_key(shard, engine))
-        if cached is not None:
-            return cached
-        # The cell-level lookup must not leak into the run-level stats
-        # (the invalid counter keeps accumulating — it is the trace).
-        cache.hits = 0
-        cache.misses = 0
     # One run-cache envelope per cell: every run-level probe and store
     # below goes through a single batched read/write instead of a file
     # per run (engine.cache_scope is a no-op without a cache).
@@ -438,19 +429,17 @@ def _execute_shard_cell(shard, env, scn, cache, engine) -> ShardResult:
             provider = overlay_provider(get_provider(cloud, seed=shard.seed), scn)
             itype = env.instance()
             # Quota requests are retried until granted — the paper's AWS
-            # GPU saga: the reservation was denied repeatedly and finally
-            # granted as a 48-hour block at month's end.
-            try:
-                for attempt in range(10):
-                    try:
-                        grant = provider.request_quota(itype.name, nodes + 1, attempt=attempt)
-                        break
-                    except QuotaError:
-                        if attempt == 9:
-                            raise
-            except QuotaError:
-                if scn is None:
-                    raise
+            # GPU saga (§3.1): the reservation was denied repeatedly and
+            # "eventually" granted as a 48-hour block at month's end.  A
+            # scenario caps the saga at 10 requests.
+            grant = None
+            for attempt in range(10) if scn is not None else itertools.count():
+                try:
+                    grant = provider.request_quota(itype.name, nodes + 1, attempt=attempt)
+                    break
+                except QuotaError:
+                    pass
+            if grant is None:
                 # Under a quota-squeeze scenario a cell can be denied
                 # outright; the counterfactual outcome is an abandoned cell
                 # (skip records + an effort incident), not a crashed study.

@@ -9,36 +9,48 @@ counts: the shards are pure functions, the pool preserves submission
 order, and the merge folds per world in shard-plan order.
 
 How a plan executes — worker count, cache, retry ladder, fault
-injection, resume — is one frozen :class:`ExecutionOptions`
+injection, resume accounting — is one frozen :class:`ExecutionOptions`
 value.  Every front-end (study, sweep, ensemble, campaign) takes it and
 passes it here unchanged; its ``__post_init__`` is the one place those
 execution rules are checked.
 
 Shard batches stream through
 :func:`~repro.parallel.pool.pmap_chunked`, so peak memory is bounded by
-one chunk of shard results (plus the world currently being folded) —
-an ensemble of hundreds of worlds never holds more than a window of
+one chunk of shard results (plus the world currently being folded, and
+the attached cells, which load up front) — an ensemble of hundreds of
+worlds, whose results are folded, never holds more than a window of
 records at a time.  A front-end that keeps only a reduction of each
 result passes it as ``fold``: every shard applies it where it executes
 (:func:`~repro.parallel.shard.execute_shard`), and attached cells apply
 it here, so every yielded result is folded alike.
 
-**Incremental mode** (a ``baseline=`` plan) adds diff-aware reuse: the
-plan is diffed against the baseline (:func:`repro.plan.diff.diff_plans`)
-and every cell the diff proves untouched is *attached* — its result
-loaded straight from the cell-level cache the baseline run wrote —
-while only the dirty cells (and any reusable cells whose cache
-entries are cold or malformed) dispatch to shards.  ``resume`` attaches
-the cells the journal proves complete the same way.  Results are still
-yielded in plan order and are byte-identical to a from-scratch run:
-attachment only ever substitutes a cached result stored under the same
-content-addressed key the cell would recompute.
+**Attach before dispatch.**  With a cache directory every cell is
+probed in this process before anything dispatches
+(:meth:`PlanExecutor._attach`, the one place that decides which cells
+attach, for every front-end): a cell whose entry is warm is *attached*
+— its result loaded straight from the cell-level cache — and only the
+misses (cold or malformed entries) dispatch to shards, so a fully warm
+plan starts no pool.  Results are still yielded in plan order and are
+byte-identical to a from-scratch run: attachment only ever substitutes
+a cached result stored under the same content-addressed key the cell
+would recompute.  A content-addressed cell entry is idempotent, so it
+is its own record that the cell completed: rerunning a killed campaign
+against the same cache executes only what the killed run never
+banked.  ``resume`` adds no mechanism; it counts the attached cells as
+resumed.
+
+**Incremental mode** (a ``baseline=`` plan) diffs the plan against the
+baseline (:func:`repro.plan.diff.diff_plans`) and reports what the
+diff predicted beside what attached (:class:`ReuseStats`); the diff
+never decides what attaches.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -51,10 +63,8 @@ from repro.parallel.shard import (
     StudyShard,
     attach_shard,
     execute_shard,
-    shard_summary_key,
 )
 from repro.plan.ir import PlanWorld, RunPlan
-from repro.plan.journal import ExecutionJournal
 from repro.sim.cache import RunCache
 from repro.telemetry import count as telemetry_count
 from repro.telemetry import current_tracer, enabled, span
@@ -82,8 +92,9 @@ class ExecutionOptions:
 
     #: worker processes; 1 executes inline, in this process
     workers: int = 1
-    #: content-addressed cache directory (run, cell and world entries
-    #: plus the resume journal); ``None`` runs uncached
+    #: content-addressed cache directory (run, cell and world
+    #: entries); warm cells attach instead of executing.  ``None`` runs
+    #: uncached
     cache_dir: str | None = None
     #: the pool's fault-recovery ladder; ``None`` = :class:`RetryPolicy`
     #: defaults
@@ -91,8 +102,10 @@ class ExecutionOptions:
     #: fault-injection plan stamped onto every dispatched shard
     #: (:class:`repro.chaos.FaultPlan`); ``None`` = no chaos
     chaos: object | None = None
-    #: re-attach cells the journal proves complete instead of executing
-    #: them (:mod:`repro.plan.journal`)
+    #: count the cells attached from the cache as resumed
+    #: (``FaultStats.resumed``): the rerun of an interrupted campaign.
+    #: Attaching itself needs no flag — every cached run attaches its
+    #: warm cells
     resume: bool = False
 
     def __post_init__(self) -> None:
@@ -108,14 +121,15 @@ class ExecutionOptions:
 class ReuseStats:
     """What incremental execution reused, executed, and rejected."""
 
-    #: cells the diff classified reusable / dirty
+    #: cells the diff classified reusable / dirty (a prediction: a
+    #: dirty cell whose entry is already warm attaches all the same)
     planned_reusable: int = 0
     planned_dirty: int = 0
     #: cells actually attached from the cell-level cache
     attached: int = 0
-    #: cells dispatched to shard execution (dirty + cold/invalid reuse)
+    #: cells dispatched to shard execution (cold or malformed entries)
     executed: int = 0
-    #: malformed cell-summary entries met on the reuse path — each one
+    #: malformed cell-summary entries met while attaching — each one
     #: flowed through :meth:`~repro.sim.cache.RunCache.note_invalid`
     #: and re-executed; surfaced so degradation is never silent
     invalid: int = 0
@@ -140,9 +154,10 @@ class ReuseStats:
 class PlanExecutor:
     """Executes a compiled :class:`RunPlan`, streaming worlds in order.
 
-    The cache is the plan's own (``plan.cache_dir``); ``options`` says
-    how to execute.  A ``baseline`` plan selects incremental mode: cells
-    the diff against it proves untouched attach from the cell cache.
+    The cache is the plan's own (``plan.cache_dir``): with one, warm
+    cells attach and only the rest execute.  ``options`` says how to
+    execute.  A ``baseline`` plan selects incremental mode, which diffs
+    the plan against it and reports the reuse (:attr:`reuse`).
     ``fold`` reduces every shard result before it is yielded (executed
     shards apply it in their worker); :meth:`merged_worlds` needs the
     unfolded stores, so it is for front-ends that pass none.
@@ -173,7 +188,7 @@ class PlanExecutor:
         #: reuse accounting (all zeros for non-incremental runs)
         self.reuse = ReuseStats()
         #: recovery accounting: retries, requeues, rebuilds, resumed
-        #: cells — all zeros for a clean run
+        #: cells — all zeros for a clean run that is not a ``resume``
         self.faults = FaultStats()
 
     def _chunk_size(self) -> int:
@@ -224,61 +239,48 @@ class PlanExecutor:
                 tracer.absorb(snapshot)
             r.trace = None
 
-    def _journal(self) -> ExecutionJournal | None:
-        """The checkpoint journal, when there is a cache to anchor it.
+    def _attach(self) -> tuple[dict[int, ShardResult], dict[int, Counter]]:
+        """Cells that need not execute, attached from the cell cache.
 
-        Journaling is unconditional with a cache directory: it is what
-        makes *this* run resumable if it dies, not a resume-mode-only
-        artifact.  Without a cache there is nothing to re-attach
-        through, so there is nothing worth journaling.
+        The one place that decides which cells attach, for every
+        front-end: with a cache directory, every cell of the plan is
+        probed here, in this process, before anything dispatches (the
+        pool needs its work list up front).  A hit attaches — the
+        cell's cached result, reduced by :attr:`fold` when there is one
+        — and only misses execute, so a fully warm plan starts no pool.
+        The map peaks at the whole attachable set; each entry is popped
+        as its world yields.
+
+        A malformed entry flows through :meth:`RunCache.note_invalid`
+        and its cell executes: reuse degrades to re-execution, never to
+        a hole in the tables.  The second map holds those findings
+        (reason label → count) by shard index, for :meth:`_executed` to
+        put on the executed cell's result.
         """
-        if self.plan.cache_dir is None:
-            return None
-        return ExecutionJournal(self.plan.cache_dir)
-
-    def _attach(self, journal: ExecutionJournal | None) -> dict[int, ShardResult]:
-        """Cells that need not execute, re-attached from the cell cache.
-
-        Two sources: cells the diff against :attr:`baseline` proves
-        untouched, and (with ``resume``) cells the journal proves
-        complete.  Probes happen up front (the pool needs its work list
-        before submission), so the map peaks at the whole attachable
-        set; each entry is the cell's cached result, reduced by
-        :attr:`fold` when there is one, and is popped as its world
-        yields.  A cell whose cache entry is cold or malformed silently
-        joins the dispatch list — reuse degrades to re-execution, never
-        to a hole in the tables; malformed entries additionally flow
-        through :meth:`RunCache.note_invalid` and count in
-        :attr:`reuse.invalid <ReuseStats.invalid>`.
-        """
-        reusable: frozenset[int] = frozenset()
         if self.baseline is not None:
             from repro.plan.diff import diff_plans
 
             with span("plan.diff"):
                 self.diff = diff_plans(self.baseline, self.plan)
-            reusable = self.diff.reusable_indices()
-        done_keys: set[str] = set()
-        if self.options.resume and journal is not None:
-            done_keys = journal.completed()
-        if self.diff is None and not done_keys:
-            return {}
+        if self.plan.cache_dir is None:
+            return {}, {}
         cache = RunCache(self.plan.cache_dir)
         attached: dict[int, ShardResult] = {}
-        resumed = 0
-        with span("plan.attach", reusable=len(reusable), journaled=len(done_keys)):
+        invalid: dict[int, Counter] = {}
+        seen: Counter = Counter()
+        with span("plan.attach", shards=self.plan.n_shards):
             for shard in self.plan.shards:
-                reuse = shard.index in reusable
-                if reuse or (done_keys and shard_summary_key(shard) in done_keys):
-                    result = attach_shard(shard, cache)
-                    if result is not None:
-                        if self.fold is not None:
-                            result = self.fold(result)
-                        attached[shard.index] = result
-                        resumed += not reuse
-        if done_keys:
-            self.faults.resumed += resumed
-            telemetry_count("fault.resumed", resumed)
+                result = attach_shard(shard, cache)
+                if result is not None:
+                    attached[shard.index] = (
+                        result if self.fold is None else self.fold(result)
+                    )
+                elif cache.invalid_reasons != seen:
+                    invalid[shard.index] = Counter(cache.invalid_reasons) - seen
+                    seen = Counter(cache.invalid_reasons)
+        if self.options.resume:
+            self.faults.resumed += len(attached)
+            telemetry_count("fault.resumed", len(attached))
         if self.diff is not None:
             self.reuse.planned_reusable = self.diff.n_reusable
             self.reuse.planned_dirty = self.diff.n_dirty
@@ -287,27 +289,16 @@ class PlanExecutor:
             self.reuse.invalid = cache.invalid
             for name, value in self.reuse.to_dict().items():
                 telemetry_count(f"plan.reuse.{name}", value)
-        return attached
+        return attached, invalid
 
-    def _journaled_results(
-        self, to_run: Sequence[StudyShard], journal: ExecutionJournal | None
+    def _executed(
+        self, to_run: Sequence[StudyShard], invalid: dict[int, Counter]
     ) -> Iterator[ShardResult]:
-        """Execute ``to_run`` through the pool, journaling as drained.
+        """Execute ``to_run`` through the pool, yielding results in order.
 
-        Each completed cell is journaled the moment its result is
-        *retrieved* (the pool's per-delivery hook) — before the chunk
-        it belongs to is yielded, before the caller folds it — so a
-        crash mid-chunk or mid-world still banks every drained cell
-        for ``--resume``.  Deliveries arrive strictly in ``to_run``
-        order, so pairing them with the shard list by position is
-        sound.
+        A cell whose entry :meth:`_attach` found malformed counts that
+        entry on its result, as the cell's own cache accounting.
         """
-        keys = iter(to_run)
-
-        def bank(_result) -> None:
-            if journal is not None:
-                journal.record(shard_summary_key(next(keys)))
-
         batches = pmap_chunked(
             execute_shard if self.fold is None
             else functools.partial(execute_shard, fold=self.fold),
@@ -316,10 +307,14 @@ class PlanExecutor:
             chunk_size=self._chunk_size(),
             policy=self.options.retry,
             stats=self.faults,
-            on_result=bank,
         )
-        for batch in batches:
-            yield from batch
+        for shard, result in zip(to_run, itertools.chain.from_iterable(batches)):
+            for label, n in invalid.get(shard.index, {}).items():
+                result.cache_invalid += n
+                result.cache_invalid_reasons[label] = (
+                    result.cache_invalid_reasons.get(label, 0) + n
+                )
+            yield result
 
     def iter_world_results(self) -> Iterator[tuple[PlanWorld, list[ShardResult]]]:
         """Yield (world, its shard results) in plan order.
@@ -327,7 +322,7 @@ class PlanExecutor:
         Shards execute across the worker pool in plan order; results are
         regrouped by each world's shard count, so a world is yielded the
         moment its last cell returns — no barrier across worlds.  Cells
-        :meth:`_attach` re-attached take their place in that order; the
+        :meth:`_attach` attached take their place in that order; the
         yielded groups are indistinguishable.
         """
         with span(
@@ -336,29 +331,24 @@ class PlanExecutor:
             workers=self.options.workers,
             incremental=self.baseline is not None,
         ):
-            journal = self._journal()
-            try:
-                attached = self._attach(journal)
-                to_run = [s for s in self.plan.shards if s.index not in attached]
-                results = self._journaled_results(to_run, journal)
-                shards = iter(self.plan.shards)
-                for world, n_shards in self.plan.world_shard_counts():
-                    # The world span stays open across the yield, so the
-                    # caller's fold of this world is attributed to it.
-                    with span("plan.world", world=world.index, shards=n_shards):
-                        world_results = []
-                        for _ in range(n_shards):
-                            shard = next(shards)
-                            result = attached.pop(shard.index, None)
-                            world_results.append(
-                                result if result is not None else next(results)
-                            )
-                        assert all(r.world == world.index for r in world_results)
-                        self._absorb_traces(world_results)
-                        yield world, world_results
-            finally:
-                if journal is not None:
-                    journal.close()
+            attached, invalid = self._attach()
+            to_run = [s for s in self.plan.shards if s.index not in attached]
+            results = self._executed(to_run, invalid)
+            shards = iter(self.plan.shards)
+            for world, n_shards in self.plan.world_shard_counts():
+                # The world span stays open across the yield, so the
+                # caller's fold of this world is attributed to it.
+                with span("plan.world", world=world.index, shards=n_shards):
+                    world_results = []
+                    for _ in range(n_shards):
+                        shard = next(shards)
+                        result = attached.pop(shard.index, None)
+                        world_results.append(
+                            result if result is not None else next(results)
+                        )
+                    assert all(r.world == world.index for r in world_results)
+                    self._absorb_traces(world_results)
+                    yield world, world_results
 
     def merged_worlds(
         self,

@@ -184,8 +184,8 @@ class RunPlan:
         (:func:`~repro.plan.diff.diff_plans` matches shards by their
         content-addressed summary keys, never by index) — the campaign
         runner concatenates an ensemble's own baseline replicas with the
-        smoke-stage plan so the grid stage can attach any cell either
-        one already simulated.  Shards whose summary keys collide across
+        smoke-stage plan so the grid stage's diff counts any cell either
+        one already simulated as reusable.  Shards whose summary keys collide across
         inputs are harmless: the diff's key map collapses them.
         """
         worlds: list[PlanWorld] = []

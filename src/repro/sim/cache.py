@@ -24,8 +24,8 @@ source of truth.
 Version skew has one rule.  Keys incorporate :data:`CACHE_VERSION`, so
 after a bump the code never addresses an entry an older version wrote:
 the run misses (no hit, nothing invalid), re-simulates, and leaves the
-old files untouched; a resume journal of the old version names only old
-keys, so it attaches nothing.  An entry found under a current key whose
+old files untouched, so a ``--resume`` against an old cache attaches
+nothing.  An entry found under a current key whose
 header names another version is counted invalid under the label
 ``version skew`` (the message names both versions) and re-simulated.
 

@@ -39,7 +39,7 @@ SPANS: dict[str, str] = {
     "plan.run": "executing one compiled RunPlan end to end",
     "plan.world": "one world: collecting its shard results (and the caller's fold)",
     "plan.diff": "diffing the plan against its baseline (incremental mode)",
-    "plan.attach": "probing the cell cache for every reusable cell",
+    "plan.attach": "probing the cell cache for every cell of a cached plan",
     "plan.merge": "merging one world's shard results in plan order",
     # the process pool
     "pool.dispatch": "submitting one chunk of shards to the worker pool",
@@ -77,7 +77,7 @@ COUNTERS: dict[str, str] = {
     "fault.timeouts": "per-shard deadlines that expired on stragglers",
     "fault.serial_hops": "drops down the workers->serial degradation ladder",
     "fault.injected": "faults attributed to the chaos harness",
-    "fault.resumed": "cells re-attached from the checkpoint journal",
+    "fault.resumed": "cells a --resume run attached from the cell cache",
     # shard transport
     "transport.bytes": "column bytes shard stores shipped through the pool pipe",
     # the cache (levels: run / cell / world)
@@ -102,5 +102,5 @@ COUNTERS: dict[str, str] = {
     "plan.reuse.planned_dirty": "cells the diff classified dirty",
     "plan.reuse.attached": "cells attached from the cell-level cache",
     "plan.reuse.executed": "cells dispatched to shard execution",
-    "plan.reuse.invalid": "malformed cell entries met on the reuse path",
+    "plan.reuse.invalid": "malformed cell entries met while attaching",
 }

@@ -87,6 +87,11 @@ def _spec(envs, apps, sizes, iterations, seed, replicas, scenario_id) -> Ensembl
     apps=["lammps", "stream"], sizes=[64, 128, 256], iterations=3,
     seed=3, replicas=2, scenario_id="quota-crunch",
 )
+# a baseline world granted its AWS GPU quota only at the 12th request
+@example(
+    envs=["cpu-onprem-a", "gpu-eks-aws"], apps=["amg2023"], sizes=[256],
+    iterations=1, seed=382, replicas=3, scenario_id=None,
+)
 def test_worker_fold_equals_the_merged_frame_fold(
     envs, apps, sizes, iterations, seed, replicas, scenario_id
 ):

@@ -59,6 +59,16 @@ def smoke_result():
     return EnsembleRunner(spec).run()
 
 
+def test_a_baseline_ensemble_waits_out_a_long_quota_saga():
+    # World 2 (seed 384) is granted its gpu-eks-aws 256-node quota only
+    # at the 12th request; a baseline world retries until granted.
+    spec = EnsembleSpec(
+        n_replicas=3, base_seed=382, env_ids=("cpu-onprem-a", "gpu-eks-aws"),
+        apps=("amg2023",), sizes=(256,), iterations=1,
+    )
+    assert EnsembleRunner(spec).run().worlds == 3
+
+
 def test_worlds_and_cells(smoke_result):
     # 2 scenarios (baseline + price-war) x 3 replicas
     assert smoke_result.worlds == 6

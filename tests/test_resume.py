@@ -8,7 +8,8 @@ bit-for-bit the one an uninterrupted run produces — at workers 1 and 4.
 Chaos rolls are pure functions of (seed, kind, cell coordinates), so
 the tests *choose* their interruption point: they scan chaos seeds
 against the compiled plan until the abort lands only after the first
-journaled chunk, deterministically.
+chunk, deterministically.  A cell entry is its own record that the cell
+completed: the rerun attaches every cell the interrupted run cached.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from repro.chaos import FaultPlan
 from repro.core.study import StudyConfig, StudyRunner
 from repro.ensemble import EnsembleRunner, EnsembleSpec
 from repro.errors import ConfigurationError, ShardExecutionError
+from repro.parallel.shard import attach_shard
 from repro.plan import ExecutionOptions
-from repro.plan.journal import ExecutionJournal
+from repro.sim.cache import RunCache
 
 pytestmark = pytest.mark.chaos
 
@@ -28,8 +30,8 @@ pytestmark = pytest.mark.chaos
 def _interrupting_seed(shards, *, safe_until: int, rate: float = 0.1) -> int:
     """A chaos seed whose only aborts land at plan index >= safe_until.
 
-    Results journal as each drained chunk arrives, so an abort in a
-    later chunk leaves every earlier chunk's cells checkpointed.
+    Every executed cell writes its entry before its result returns, so
+    an abort in a later chunk leaves every earlier chunk's cells cached.
     """
     for seed in range(5000):
         plan = FaultPlan(abort=rate, seed=seed)
@@ -39,6 +41,12 @@ def _interrupting_seed(shards, *, safe_until: int, rate: float = 0.1) -> int:
         if not any(rolls[:safe_until]) and any(rolls[safe_until:]):
             return seed
     raise AssertionError("no interrupting chaos seed found in range")
+
+
+def _attachable(cache: str, shards) -> int:
+    """How many of ``shards`` a rerun against ``cache`` would attach."""
+    probe = RunCache(cache)
+    return sum(attach_shard(shard, probe) is not None for shard in shards)
 
 
 # -- study campaigns ----------------------------------------------------------
@@ -59,8 +67,8 @@ def study_csv() -> str:
 def test_interrupted_study_resumes_byte_identically(tmp_path, study_csv):
     cache = str(tmp_path / "cache")
     shards = StudyRunner(_STUDY).compile().shards
-    # workers=1 drains chunks of 4: an abort past index 4 leaves the
-    # first chunk's four cells in the journal.
+    # workers=1 runs chunks of 4: an abort past index 4 leaves at least
+    # the first chunk's four cells cached.
     seed = _interrupting_seed(shards, safe_until=4)
     interrupted = StudyRunner(
         _STUDY,
@@ -68,8 +76,7 @@ def test_interrupted_study_resumes_byte_identically(tmp_path, study_csv):
     )
     with pytest.raises(ShardExecutionError):
         interrupted.run()
-    journal = ExecutionJournal(cache)
-    assert len(journal.completed()) >= 4
+    assert _attachable(cache, shards) >= 4
 
     resumed = StudyRunner(_STUDY, ExecutionOptions(cache_dir=cache, resume=True)).run()
     assert resumed.store.to_csv() == study_csv
@@ -90,13 +97,13 @@ def test_resume_without_cache_is_a_configuration_error():
         StudyRunner(_STUDY, ExecutionOptions(resume=True)).run()
 
 
-def test_clean_run_with_cache_still_journals(tmp_path):
-    """Journaling is unconditional with a cache: any run is resumable."""
-    cache = tmp_path / "cache"
-    StudyRunner(_STUDY, ExecutionOptions(cache_dir=str(cache))).run()
-    journal = ExecutionJournal(str(cache))
-    assert journal.path.exists()
-    assert len(journal.completed()) == len(_STUDY.env_ids) * len(_STUDY.sizes)
+def test_every_cell_of_a_clean_cached_run_is_attachable(tmp_path):
+    """Any cached run is resumable: every cell it ran left an entry."""
+    cache = str(tmp_path / "cache")
+    StudyRunner(_STUDY, ExecutionOptions(cache_dir=cache)).run()
+    shards = StudyRunner(_STUDY).compile().shards
+    assert len(shards) == len(_STUDY.env_ids) * len(_STUDY.sizes)
+    assert _attachable(cache, shards) == len(shards)
 
 
 # -- ensembles: interrupt after K of N worlds ---------------------------------
@@ -136,14 +143,13 @@ def test_interrupted_ensemble_resumes_byte_identically(
     )
     with pytest.raises(ShardExecutionError):
         interrupted.run()
-    # The interrupted run checkpointed the worlds it finished...
-    journaled = len(ExecutionJournal(cache).completed())
-    assert journaled >= 4
+    # The interrupted run cached the cells it finished...
+    assert _attachable(cache, shards) >= 4
 
     # ...and the resume completes the remaining worlds to the same bytes.
     # Recovery is two-layered: worlds the interrupted run *folded* replay
-    # from the world-summary cache; cells drained but never folded
-    # re-attach through the journal.  Both layers must engage.
+    # from the world-summary cache; cells cached but never folded attach
+    # from the cell cache.  Both layers must engage.
     resumed_runner = EnsembleRunner(
         _SPEC,
         ExecutionOptions(workers=workers, cache_dir=cache, resume=True),
