@@ -431,9 +431,12 @@ def _execute_shard_cell(shard, env, scn, cache, engine) -> ShardResult:
             # Quota requests are retried until granted — the paper's AWS
             # GPU saga (§3.1): the reservation was denied repeatedly and
             # "eventually" granted as a 48-hour block at month's end.  A
-            # scenario caps the saga at 10 requests.
+            # scenario that touches the cell caps the saga at 10 requests;
+            # a cell it cannot touch shares the baseline cell's cache key,
+            # so it must simulate exactly like it.
+            capped = scn is not None and scn.footprint(cloud) is not None
             grant = None
-            for attempt in range(10) if scn is not None else itertools.count():
+            for attempt in range(10) if capped else itertools.count():
                 try:
                     grant = provider.request_quota(itype.name, nodes + 1, attempt=attempt)
                     break

@@ -12,7 +12,8 @@ scenario sweep, and the ensemble all share:
 * :mod:`repro.plan.diff` — cell-granular plan diffing: classify every
   (env, size) cell of a variant plan as *reusable* (attachable from the
   baseline's cache) or *dirty* (the scenario's overlay hooks touch it),
-  powering the executor's incremental mode.
+  the prediction the executor's incremental mode reports beside what
+  actually attached.
 
 ``repro plan show`` prints a compiled plan — worlds, shards, run
 counts, digest — before anything executes; ``repro plan diff`` prints

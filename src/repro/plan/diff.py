@@ -96,10 +96,6 @@ class PlanDiff:
     def n_dirty(self) -> int:
         return sum(1 for c in self.cells if c.dirty)
 
-    def reusable_indices(self) -> frozenset[int]:
-        """Variant shard indices the executor may attach from cache."""
-        return frozenset(c.shard_index for c in self.cells if not c.dirty)
-
     def describe(self) -> dict:
         """A JSON-safe description (``repro plan diff --json``)."""
         return {

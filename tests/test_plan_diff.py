@@ -98,7 +98,7 @@ def test_diff_of_a_plan_against_itself_is_fully_reusable():
     diff = diff_plans(plan, plan)
     assert diff.n_cells == len(CLOUD_ENVS)
     assert diff.n_dirty == 0
-    assert diff.reusable_indices() == frozenset(range(diff.n_cells))
+    assert {c.shard_index for c in diff.cells if not c.dirty} == set(range(diff.n_cells))
     assert all(c.baseline_index is not None for c in diff.cells)
 
 

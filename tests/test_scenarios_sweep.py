@@ -135,6 +135,24 @@ def test_spot_everything_shows_real_deltas_on_the_default_campaign():
 # ------------------------------------------------------------- quota crunch
 
 
+def test_only_a_scenario_that_touches_a_cell_caps_its_quota_saga():
+    # At seed 384 AWS grants the gpu-eks-aws 256-node request only at
+    # the 12th attempt.  The baseline waits it out; so must a scenario
+    # that cannot touch AWS, since the cell keys like the baseline cell.
+    # A scenario that touches AWS gives up after 10 requests.
+    config = StudyConfig(
+        env_ids=("gpu-eks-aws",), apps=("amg2023",), sizes=(256,),
+        iterations=1, seed=384,
+    )
+    baseline = StudyRunner(config).run()
+    assert baseline.store.query(state=RunState.COMPLETED)
+    untouched = StudyRunner(config, scenario=scenario("azure-price-spike")).run()
+    assert untouched.store.to_csv() == baseline.store.to_csv()
+    touched = StudyRunner(config, scenario=scenario("spot-everything")).run()
+    (record,) = touched.store.records
+    assert record.extra["reason"] == "quota denied"
+
+
 def test_total_quota_denial_abandons_cells_instead_of_crashing():
     total_crunch = Scenario(
         scenario_id="no-quota-at-all",
