@@ -805,6 +805,35 @@ def _entries_sha256(root):
     return len(paths), digest.hexdigest()
 
 
+#: (entry count, :func:`_cell_entries_sha256`) of that run's 28 cell
+#: entries, columnar at ``CACHE_VERSION`` 4.  Hashed by cell key, not by
+#: path, so the digest holds wherever the cache files an entry; a change
+#: to a cell entry's bytes (key, order, value, layout) moves these.
+GOLDEN_CELL_ENTRIES = {
+    0: (28, "e039796e31f118eb58277ac4e5f981c293289c0ddd5c9da6c1097c18fb68530e"),
+    3: (28, "1616f08acbd4bc7b036a1096572a4a800e15cd09ca63e1779b4b7c30faf11a74"),
+}
+
+
+def _cell_entries_sha256(root, config):
+    """(count, sha256) over the cell entries of ``config``'s cells.
+
+    Entries are hashed in order of their cell key's last segment (the
+    :func:`~repro.sim.cache.shard_key` digest), each as that digest, a
+    newline, then the entry's bytes.
+    """
+    cache = RunCache(root)
+    keys = sorted(
+        (shard_summary_key(shard).rsplit("/", 1)[-1], shard_summary_key(shard))
+        for shard in StudyRunner(config).compile().shards
+    )
+    digest = hashlib.sha256()
+    for cell, key in keys:
+        digest.update(cell.encode("utf-8") + b"\n")
+        digest.update(cache.path(key).read_bytes())
+    return len(keys), digest.hexdigest()
+
+
 def _counting(calls, name, fn):
     def spy(*args, **kwargs):
         calls[name] += 1
@@ -857,6 +886,14 @@ def test_cached_study_csv_matches_golden_digest(golden_study):
 def test_cached_study_entries_match_golden_digest(golden_study):
     seed, out, _ = golden_study
     assert _entries_sha256(out / "cache") == GOLDEN_CACHE_ENTRIES[seed]
+
+
+def test_cached_study_cell_entries_match_golden_digest(golden_study):
+    seed, out, _ = golden_study
+    assert (
+        _cell_entries_sha256(out / "cache", _golden_config(seed))
+        == GOLDEN_CELL_ENTRIES[seed]
+    )
 
 
 def test_cached_study_records_encode_like_the_asdict_reference(golden_study):
