@@ -1297,7 +1297,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.errors import ConfigurationError
+    from repro.errors import ConfigurationError, ShardExecutionError
 
     args = build_parser().parse_args(argv)
     if getattr(args, "seed", None) is not None:
@@ -1320,7 +1320,13 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ShardExecutionError as exc:
+        # A cell failed fatally or ran out of retries: one line naming
+        # it, not the worker's traceback (usage errors exit 2).
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

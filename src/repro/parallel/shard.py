@@ -47,7 +47,7 @@ from repro.core.results import ResultStore
 from repro.scenarios.apply import overlay_provider
 from repro.scenarios.spec import Scenario, active, footprint_digest
 from repro.scheduler.queueing import OnPremQueueModel
-from repro.sim.cache import RunCache, shard_key
+from repro.sim.cache import RunCache, batch_key, shard_key
 from repro.sim.execution import ExecutionEngine, HookupCutoff
 from repro.sim.run_result import RunRecord
 from repro.telemetry import Tracer, current_tracer, span, use_tracer
@@ -222,7 +222,13 @@ def _deploy_kubernetes(env: Environment, cluster) -> float:
 
 
 def shard_summary_key(shard: StudyShard, *, azure_ucx_tuned: bool = True) -> str:
-    """The cell-level cache key for one shard's folded summary.
+    """The cache key of one shard's cell entry: ``<batch>/<cell>``.
+
+    ``<cell>`` is the :func:`~repro.sim.cache.shard_key` of the whole
+    cell and ``<batch>`` its :func:`~repro.sim.cache.batch_key` (the same
+    coordinates without the app roster and iteration count), so the
+    entry is filed in its batch's directory, where a cell of another
+    roster reuses its runs (:meth:`~repro.sim.cache.RunCache.batched`).
 
     The scenario contribution is the shard's per-cell overlay
     *footprint* (:meth:`~repro.scenarios.spec.Scenario.footprint` for
@@ -232,16 +238,15 @@ def shard_summary_key(shard: StudyShard, *, azure_ucx_tuned: bool = True) -> str
     (:func:`attach_shard`), and :mod:`repro.plan.diff` predicts which
     cells those are.
     """
-    cloud = ENVIRONMENTS[shard.env_id].cloud
-    return shard_key(
+    coordinates = dict(
         seed=shard.seed,
         env_id=shard.env_id,
         scale=shard.scale,
-        apps=shard.apps,
-        iterations=shard.iterations,
         engine_options={"azure_ucx_tuned": azure_ucx_tuned},
-        scenario=footprint_digest(shard.scenario, cloud),
+        scenario=footprint_digest(shard.scenario, ENVIRONMENTS[shard.env_id].cloud),
     )
+    cell = shard_key(apps=shard.apps, iterations=shard.iterations, **coordinates)
+    return f"{batch_key(**coordinates)}/{cell}"
 
 
 def _shard_cache_key(shard: StudyShard, engine: ExecutionEngine) -> str:
@@ -340,12 +345,15 @@ def execute_shard(
 ) -> ShardResult:
     """Run one cell start to finish; pure in (shard) → (result).
 
-    With a cache directory configured, the cache works at two levels:
-    the engine consults the run-level cache per record, and the whole
-    cell is stored under a :func:`~repro.sim.cache.shard_key` so a
-    repeat campaign skips provisioning and Kubernetes bring-up too.
-    The cell entry is only written here: :func:`attach_shard` reads it,
-    in the parent, before the cell would dispatch.
+    With a cache directory configured, the cell leaves one entry, under
+    its :func:`shard_summary_key`, that serves two levels.  A repeat of
+    the cell attaches it whole, in the parent, before the cell would
+    dispatch (:func:`attach_shard`), skipping provisioning and
+    Kubernetes bring-up too.  A later cell of the same batch, under
+    another app roster or iteration count, reuses its runs: this
+    function executes every cell inside the engine's
+    :meth:`~repro.sim.execution.ExecutionEngine.cache_scope`.  The entry
+    is only written here.
 
     ``fold`` reduces the result where the shard ran, after its cell
     entry is written and inside the ``shard.execute`` span: a pool
@@ -392,10 +400,10 @@ def _execute_shard_body(shard: StudyShard) -> ShardResult:
     scn = active(shard.scenario)
     cache = RunCache(shard.cache_dir) if shard.cache_dir else None
     engine = ExecutionEngine(seed=shard.seed, cache=cache, scenario=scn)
-    # One run-cache envelope per cell: every run-level probe and store
-    # below goes through a single batched read/write instead of a file
-    # per run (engine.cache_scope is a no-op without a cache).
-    with engine.cache_scope(env, shard.scale):
+    # The cell's run level: run_block reuses the runs the other cell
+    # entries of its batch hold (engine.cache_scope is a no-op without a
+    # cache).
+    with engine.cache_scope(_shard_cache_key(shard, engine)):
         return _execute_shard_cell(shard, env, scn, cache, engine)
 
 

@@ -10,16 +10,20 @@ entirely.
 
 The cache is a plain directory of entry files fanned out by hash prefix
 (``<key[:2]>/<key>.json``), so large campaigns don't produce a single
-huge directory.  A study cell leaves two *columnar* entries: its run
-envelope (:meth:`RunCache.batched`, every run of one (environment,
-size) cell) and its cell entry (:meth:`RunCache.put_columns`).  Both are
+huge directory.  A study cell leaves one *columnar* entry
+(:meth:`RunCache.put_columns`):
 :meth:`ResultStore.to_bytes <repro.core.results.ResultStore.to_bytes>`
 output — one JSON header line, then the store's columns as raw bytes —
-so a cold cached study writes each record once per level as column
-bytes, with no per-record row or JSON.  World summaries, and run records
-written outside an envelope, stay JSON documents.  Corrupt or unreadable
-entries are treated as misses — the cache is an accelerator, never a
-source of truth.
+so a cold cached study writes each record once, as column bytes, with no
+per-record row or JSON.  A cell entry's key names its *batch* too
+(``<batch>/<cell>``, see :func:`batch_key`), so it is filed at
+``<batch[:2]>/<batch>/<cell>.json``.  Cells that differ only in app
+roster or iteration count share that directory, and it is the run
+level: a cell executing under :meth:`RunCache.batched` reuses every run
+its sibling entries hold.  World summaries, and the single-run entries
+of :meth:`ExecutionEngine.run <repro.sim.execution.ExecutionEngine.run>`,
+stay JSON documents.  Corrupt or unreadable entries are treated as
+misses — the cache is an accelerator, never a source of truth.
 
 Version skew has one rule.  Keys incorporate :data:`CACHE_VERSION`, so
 after a bump the code never addresses an entry an older version wrote:
@@ -42,16 +46,17 @@ cached and fresh records.
 from __future__ import annotations
 
 import contextlib
-import fcntl
 import hashlib
 import json
 import logging
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.sim.run_result import RunRecord, RunState
+import numpy as np
+
+from repro.sim.run_result import STATE_CODE, RunRecord, RunState
 from repro.sim.run_result import jsonable as _jsonable
 from repro.telemetry import count as telemetry_count
 
@@ -74,13 +79,11 @@ INVALID_REASON_CAP = 8
 #: like the baseline cell, which is what incremental plan execution
 #: (:mod:`repro.plan.diff`) reuses.  World-level keys keep the full
 #: scenario digest (a world aggregates every cell).
-#: v4: cell entries and run envelopes are columnar
+#: v4: cell entries are columnar
 #: (:meth:`~repro.core.results.ResultStore.to_bytes`), not JSON records.
 CACHE_VERSION = 4
 
-#: bytes of one run key in a run envelope's key blob (``run_key`` is
-#: this many bytes of BLAKE2b, as hex)
-_KEY_BYTES = 16
+_SKIPPED = STATE_CODE[RunState.SKIPPED]
 
 
 def run_key(
@@ -119,60 +122,6 @@ def run_key(
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def run_key_block(
-    *,
-    seed: int,
-    env_id: str,
-    app: str,
-    scale: int,
-    iterations,
-    engine_options: Mapping[str, Any] | None = None,
-    scenario: str | None = None,
-) -> list[str]:
-    """:func:`run_key` for a whole (env, app, size) group at once.
-
-    Only the iteration number varies inside a group, so the canonical
-    JSON payload is serialized **once** and the per-iteration digests
-    splice each iteration into the payload template — the key for
-    iteration ``i`` is byte-identical to ``run_key(..., iteration=i)``.
-    The split points come from diffing two rendered payloads (iteration
-    0 vs 1), so the template never mis-splits even if some option value
-    happens to contain ``"iteration"``.
-    """
-    fixed = dict(
-        seed=seed, env_id=env_id, app=app, scale=scale,
-        engine_options=engine_options, scenario=scenario,
-    )
-
-    def _payload(iteration: int) -> bytes:
-        return json.dumps(
-            {
-                "v": CACHE_VERSION,
-                "seed": fixed["seed"],
-                "env": fixed["env_id"],
-                "app": fixed["app"],
-                "scale": fixed["scale"],
-                "iteration": iteration,
-                "engine": _jsonable(dict(fixed["engine_options"] or {})),
-                "scenario": fixed["scenario"],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-
-    a, b = _payload(0), _payload(1)
-    lo = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-    hi = next(i for i, (x, y) in enumerate(zip(a[::-1], b[::-1])) if x != y)
-    prefix, suffix = a[:lo], a[len(a) - hi :]
-    blake2b = hashlib.blake2b
-    return [
-        blake2b(
-            prefix + str(int(i)).encode("ascii") + suffix, digest_size=16
-        ).hexdigest()
-        for i in iterations
-    ]
-
-
 def batch_key(
     *,
     seed: int,
@@ -181,16 +130,17 @@ def batch_key(
     engine_options: Mapping[str, Any] | None = None,
     scenario: str | None = None,
 ) -> str:
-    """Content hash naming one cell's run-level *batch envelope*.
+    """Content hash naming one cell's *batch*: the directory its cell
+    entry is filed in.
 
-    Deliberately coarser than :func:`run_key`: no app list, no iteration
-    count, no per-run options — every run of a ``(seed, env, scale,
-    scenario)`` cell lands in the same envelope regardless of which apps
-    or how many iterations produced it, so a re-run with a different
-    app roster or a longer iteration axis still finds its earlier runs
-    in one read.  The envelope's *entries* are keyed by full
-    :func:`run_key`, so coarse envelope addressing never conflates
-    distinct runs.
+    Deliberately coarser than :func:`shard_key`: no app list and no
+    iteration count — every cell entry of one ``(seed, env, scale,
+    engine options, scenario)`` tuple lands in the same directory,
+    whichever apps and however many iterations produced it.  Inside that
+    tuple a run depends only on its app and iteration (every draw is
+    keyed on them), so a re-run with a different app roster or a longer
+    iteration axis reuses the runs its siblings hold
+    (:meth:`RunCache.batched`).
     """
     payload = json.dumps(
         {
@@ -290,9 +240,8 @@ def encode_record(record: RunRecord) -> dict[str, Any]:
     which deep-copies every value only for :func:`_jsonable` to walk the
     copy again: ``state`` is its enum value and every other field goes
     through :func:`_jsonable` once.  The keys are :class:`RunRecord`'s
-    fields in declaration order, so the JSON bytes (a run entry written
-    outside an envelope, ``study --json``) match the ``asdict``
-    encoding.  A dataclass nested in
+    fields in declaration order, so the JSON bytes (a single-run entry,
+    ``study --json``) match the ``asdict`` encoding.  A dataclass nested in
     ``phases`` or ``extra`` is encoded as its ``str()`` like any other
     non-JSON value; no app puts one there.
     """
@@ -321,74 +270,6 @@ def decode_record(data: dict[str, Any]) -> RunRecord:
     return RunRecord(**fields)
 
 
-def _decode_envelope(data: bytes) -> tuple["ResultStore", list[str]]:
-    """(records, run keys) of a run envelope; ``ValueError`` if malformed."""
-    # Deferred: repro.core imports this module.
-    from repro.core.results import ResultStore
-
-    store, _, blob = ResultStore.from_bytes(data, kind="batch", v=CACHE_VERSION)
-    if len(blob) != _KEY_BYTES * len(store):
-        raise ValueError(
-            f"malformed batch entry: {len(blob)} key bytes for {len(store)} records"
-        )
-    hexed = blob.hex()
-    step = 2 * _KEY_BYTES
-    return store, [hexed[i : i + step] for i in range(0, len(hexed), step)]
-
-
-class _CacheBatch:
-    """One open run envelope: the records read at entry plus buffered
-    writes.
-
-    The envelope is one columnar entry holding a whole cell's runs, and
-    a blob of their run keys: one read primes the overlay, every
-    buffered :meth:`RunCache.put` or :meth:`RunCache.put_block` appends
-    to ``pending``, and closing the batch writes the union back in
-    **one** atomic write.
-    """
-
-    __slots__ = (
-        "group_key", "level", "overlay", "index", "dirs",
-        "pending", "pending_keys", "pending_index",
-    )
-
-    def __init__(
-        self,
-        group_key: str,
-        level: str,
-        overlay: "ResultStore | None",
-        keys: list[str],
-        dirs: frozenset[str] | None,
-    ):
-        from repro.core.results import ResultStore
-
-        self.group_key = group_key
-        self.level = level
-        #: the envelope read at entry (``None`` when there was none)
-        self.overlay = overlay
-        #: run key -> overlay row (a repeated key resolves to its last row)
-        self.index = {key: i for i, key in enumerate(keys)}
-        #: the fan-out directories that existed at entry (``None`` when
-        #: the root could not be listed): a key whose directory is not
-        #: here had no file of its own then
-        self.dirs = dirs
-        self.pending = ResultStore()
-        self.pending_keys: list[str] = []
-        self.pending_index: dict[str, int] = {}
-
-    def lookup(self, key: str) -> RunRecord | None:
-        i = self.pending_index.get(key)
-        if i is not None:
-            return self.pending.row(i)
-        i = self.index.get(key)
-        return None if i is None else self.overlay.row(i)
-
-    def add_keys(self, keys: list[str]) -> None:
-        start = len(self.pending_keys)
-        self.pending_index.update(zip(keys, range(start, start + len(keys))))
-        self.pending_keys.extend(keys)
-
-
 class RunCache:
     """Directory-backed cache of simulated run records.
 
@@ -398,11 +279,10 @@ class RunCache:
     torn entry and concurrent writers of one key leave exactly one of
     their payloads (the last rename wins).
 
-    Run envelopes (:meth:`batched`) lose no update: their key
-    (:func:`batch_key`) ignores the app roster and the iteration count,
-    so writers of one cell with different rosters share one envelope,
-    and each writes back the union of what is on disk and what it
-    added, under an exclusive lock (see :meth:`batched`).
+    Writers of one cell with different app rosters or iteration counts
+    write different files (one cell entry each, in their shared batch
+    directory), so no entry is ever rewritten to add runs and nothing
+    needs a lock.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -422,18 +302,14 @@ class RunCache:
         #: :data:`INVALID_REASON_CAP` distinct labels (overflow folds
         #: into ``"other"``) so one corrupt directory cannot balloon it
         self.invalid_reasons: dict[str, int] = {}
-        #: payload bytes read on hits / written on puts
+        #: payload bytes read on hits (sibling entries included) /
+        #: written on puts
         self.hit_bytes = 0
         self.put_bytes = 0
-        #: envelope-granularity I/O counters (see :meth:`batched`);
-        #: deliberately separate from the per-record hits/misses above,
-        #: which keep counting at consumption time so batched and bare
-        #: engines report probe-for-probe identical stats
-        self.batch_hits = 0
-        self.batch_misses = 0
-        self.batch_puts = 0
-        #: open batch per level (``"run"``/``"cell"``/``"world"``)
-        self._batches: dict[str, _CacheBatch] = {}
+        #: the open :meth:`batched` scope's (batch, own entry file name),
+        #: and its sibling runs once :meth:`runs` indexed them
+        self._scope: tuple[str, str] | None = None
+        self._runs: dict | None = None
 
     def note_invalid(self, key: str, reason: str) -> None:
         """Count one unusable entry and leave a one-line warning trace.
@@ -580,139 +456,85 @@ class RunCache:
             fh.write(payload)
         os.replace(tmp, path)
 
-    # -- batched I/O (one envelope per cell) --------------------------------
+    # -- the run level: a cell's sibling entries ----------------------------
 
     @contextlib.contextmanager
-    def batched(self, group_key: str, *, level: str = "run"):
-        """Group this scope's reads and writes into one *batch envelope*.
+    def batched(self, cell_key: str):
+        """Open the run level of the cell whose entry ``cell_key`` names.
 
-        On entry the envelope stored under ``group_key`` (if any) is
-        read **once** and becomes a lookup overlay for every
-        :meth:`get` inside the scope (a key it lacks falls through to
-        the key's own file, if its fan-out directory existed at entry,
-        so a cold probe costs no file system call); every :meth:`put` and
-        :meth:`put_block` is buffered; on exit (including via an
-        exception) the buffered records are written back in **one**
-        atomic file write.  Per-record ``hits``/``misses`` keep counting
-        at consumption time, so an engine running inside a batch reports
-        stats probe-for-probe identical to a bare one — only the file
-        I/O collapses, tracked separately by the ``batch_*`` counters.
-
-        Reentrant per level: a nested ``batched`` reuses the open batch
-        (the outer ``group_key`` wins) so helper layers can wrap
-        defensively.  The write loses no update: under an exclusive
-        ``flock`` on a hidden per-envelope lock file, it re-reads the
-        envelope and writes the union of what is on disk and what this
-        scope buffered, the buffered record winning for a key both
-        hold.  Concurrent writers of one cell with different app rosters
-        or iteration counts therefore keep each other's runs.
+        ``cell_key`` is ``<batch>/<cell>``
+        (:func:`~repro.parallel.shard.shard_summary_key`).  Inside the
+        scope, :meth:`runs` serves the runs of the *other* cell entries
+        in the batch directory; the cell's own entry is skipped, because
+        the plan executor already probed it.  Nothing is read on entry
+        and nothing is written on exit: the cell's entry, written when
+        the cell finishes (:meth:`put_columns`), is the run level of the
+        cells after it.
         """
-        outer = self._batches.get(level)
-        if outer is not None:
-            yield outer
-            return
+        batch, _, cell = cell_key.rpartition("/")
+        outer = self._scope, self._runs
+        self._scope, self._runs = (batch, cell + ".json"), None
         try:
-            dirs = frozenset(os.listdir(self._root))
-        except OSError:
-            dirs = None
-        batch = _CacheBatch(group_key, level, *self._read_envelope(group_key, level), dirs)
-        self._batches[level] = batch
-        try:
-            yield batch
+            yield
         finally:
-            del self._batches[level]
-            self._flush_envelope(batch)
+            self._scope, self._runs = outer
 
-    def _read_envelope(
-        self, group_key: str, level: str
-    ) -> "tuple[ResultStore | None, list[str]]":
-        loaded = self._load(group_key, _decode_envelope)
-        if loaded is None:
-            self.batch_misses += 1
-            telemetry_count(f"cache.{level}.batch_misses")
-            return None, []
-        (store, keys), nbytes = loaded
-        self.batch_hits += 1
-        self.hit_bytes += nbytes
-        telemetry_count(f"cache.{level}.batch_hits")
-        telemetry_count(f"cache.{level}.batch_hit_bytes", nbytes)
-        return store, keys
+    def runs(self) -> "dict[tuple[str, int], tuple[ResultStore, int]] | None":
+        """``(app, iteration) -> (store, row)`` over every non-skipped run
+        of the open scope's sibling cell entries; ``None`` outside
+        :meth:`batched`.
 
-    def _flush_envelope(self, batch: _CacheBatch) -> None:
+        The first call lists the batch directory once and decodes each
+        sibling; a cold batch has no directory, so its index is empty
+        and nothing more is read.  An unusable sibling is noted invalid
+        (:meth:`note_invalid`) and serves nothing.  Loading a sibling is
+        not a hit — hits count as runs are reused
+        (:meth:`count_runs`) — but its bytes count as run-level bytes
+        served.
+        """
+        if self._scope is not None and self._runs is None:
+            self._runs = self._sibling_runs(*self._scope)
+        return self._runs
+
+    def _sibling_runs(self, batch: str, own: str) -> dict:
         from repro.core.results import ResultStore
 
-        if not batch.pending_keys:
-            return
-        path = self._file(batch.group_key)
-        directory, name = os.path.split(path)
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, f".{name}.lock"), "ab") as lock:
-            # Held until the file closes: a second writer re-reads only
-            # after this one's union is in place.
-            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
-            try:
-                with open(path, "rb") as fh:
-                    disk, disk_keys = _decode_envelope(fh.read())
-            except (OSError, ValueError):
-                # Nothing usable on disk (the entry probe counted any
-                # invalid envelope): this scope's records are the union.
-                disk, disk_keys = None, []
-            kept = [i for i, key in enumerate(disk_keys) if key not in batch.pending_index]
-            if len(kept) < len(disk_keys):
-                # The buffered record wins for a key both sides hold.
-                disk = ResultStore(disk.row(i) for i in kept)
-            merged = ResultStore.merge([disk, batch.pending]) if kept else batch.pending
-            keys = [disk_keys[i] for i in kept] + batch.pending_keys
-            data = merged.to_bytes(
-                kind="batch",
-                v=CACHE_VERSION,
-                blob=bytes.fromhex("".join(keys)),
+        index: dict = {}
+        try:
+            names = sorted(os.listdir(os.path.join(self._root, batch[:2], batch)))
+        except OSError:
+            return index
+        for name in names:
+            if not name.endswith(".json") or name == own:
+                continue
+            loaded = self._load(
+                f"{batch}/{name[:-5]}",
+                lambda data: ResultStore.from_bytes(data, kind="cell", v=CACHE_VERSION)[0],
             )
-            self._atomic_write(batch.group_key, data)
-        self.put_bytes += len(data)
-        self.batch_puts += 1
-        telemetry_count(f"cache.{batch.level}.batch_puts")
-        telemetry_count(f"cache.{batch.level}.batch_put_bytes", len(data))
+            if loaded is None:
+                continue
+            store, nbytes = loaded
+            self.hit_bytes += nbytes
+            telemetry_count("cache.run.hit_bytes", nbytes)
+            columns = store.frame_columns()
+            apps, iterations = columns["app"], columns["iteration"]
+            for i in np.flatnonzero(columns["state"] != _SKIPPED).tolist():
+                index[str(apps[i]), int(iterations[i])] = (store, i)
+        return index
 
-    def get_many(
-        self, keys: Iterable[str], *, group_key: str | None = None, level: str = "run"
-    ) -> list[RunRecord | None]:
-        """Probe many keys with (at most) one envelope read.
+    def count_runs(self, hits: int, misses: int) -> None:
+        """Count run-level probes that :meth:`runs` answered."""
+        self.hits += hits
+        self.misses += misses
+        if hits:
+            telemetry_count("cache.run.hits", hits)
+        if misses:
+            telemetry_count("cache.run.misses", misses)
 
-        With ``group_key`` the probe runs inside :meth:`batched`; keys
-        absent from the envelope still fall through to their individual
-        files, so batched and unbatched caches interoperate.
-        """
-        if group_key is None:
-            return [self.get(key) for key in keys]
-        with self.batched(group_key, level=level):
-            return [self.get(key) for key in keys]
-
-    def put_many(
-        self, entries: Mapping[str, RunRecord], *, group_key: str, level: str = "run"
-    ) -> None:
-        """Store many records in one envelope write."""
-        with self.batched(group_key, level=level):
-            for key, record in entries.items():
-                self.put(key, record)
-
-    # -- per-record probes --------------------------------------------------
+    # -- single-run entries (ExecutionEngine.run) ---------------------------
 
     def get(self, key: str) -> RunRecord | None:
-        """The cached record for ``key``, or ``None`` on a miss."""
-        batch = self._batches.get("run")
-        if batch is not None:
-            record = batch.lookup(key)
-            if record is not None:
-                # The envelope's bytes were counted once at batch entry;
-                # per-record accounting here is hits/misses only.
-                self.hits += 1
-                telemetry_count("cache.run.hits")
-                return record
-            if batch.dirs is not None and key[:2] not in batch.dirs:
-                return self._miss("run")
-            # fall through: a key the envelope doesn't know may still
-            # exist as an individual file (unbatched writer)
+        """The single-run entry for ``key``, or ``None`` on a miss."""
         # _read, not get_json: tests stub the public JSON probes
         # (cell/world granularity) without touching the run-record path.
         data = self._read(key, level="run")
@@ -730,48 +552,16 @@ class RunCache:
             return None
 
     def put(self, key: str, record: RunRecord) -> None:
-        """Store ``record`` under ``key`` (atomic, last-writer-wins).
-
-        Inside a :meth:`batched` scope the record is appended to the
-        open envelope instead of touching its own file.
-        """
-        batch = self._batches.get("run")
-        if batch is not None:
-            batch.pending.add(record)
-            batch.add_keys([key])
-            telemetry_count("cache.run.puts")
-            return
+        """Store ``record`` as ``key``'s single-run entry (atomic,
+        last-writer-wins)."""
         self._write(key, encode_record(record), level="run")
 
-    def put_block(self, keys: list[str], **block) -> None:
-        """Store one simulated block: ``block`` holds
-        :meth:`~repro.core.results.ResultStore.append_block`'s arguments
-        and ``keys[i]`` names its record ``i``.
-
-        Inside a :meth:`batched` scope the block is appended to the open
-        envelope as columns; outside one, each record goes to its own
-        file as :meth:`put` writes it.
-        """
-        batch = self._batches.get("run")
-        if batch is None:
-            from repro.core.results import ResultStore
-
-            rows = ResultStore()
-            rows.append_block(**block)
-            for key, record in zip(keys, rows.records):
-                self.put(key, record)
-            return
-        batch.pending.append_block(**block)
-        batch.add_keys(keys)
-        telemetry_count("cache.run.puts", len(keys))
-
     def __len__(self) -> int:
-        """Entries on disk: JSON and columnar ones share one file rule."""
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        """Entries on disk: flat ones and cell entries in batch directories."""
+        return sum(1 for pattern in ("*/*.json", "*/*/*.json") for _ in self.root.glob(pattern))
 
     def stats(self) -> dict[str, Any]:
         """Hit/miss/invalid counts, byte totals, and the reason histogram."""
-        batch_probes = self.batch_hits + self.batch_misses
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -779,11 +569,5 @@ class RunCache:
             "invalid_reasons": dict(self.invalid_reasons),
             "hit_bytes": self.hit_bytes,
             "put_bytes": self.put_bytes,
-            "batch_hits": self.batch_hits,
-            "batch_misses": self.batch_misses,
-            "batch_puts": self.batch_puts,
-            "batch_hit_rate": (
-                self.batch_hits / batch_probes if batch_probes else 0.0
-            ),
             "entries": len(self),
         }

@@ -21,7 +21,6 @@ Engines are deterministic given (seed, env, app, scale, iteration).
 from __future__ import annotations
 
 import contextlib
-from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -42,9 +41,8 @@ from repro.rng import StreamBlock, check_seeds, co_seed, stream_block
 from repro.scenarios.apply import overlay_fabric
 from repro.scenarios.market import preemption_block
 from repro.scenarios.spec import Scenario, active, footprint_digest
-from repro.sim.cache import RunCache, batch_key, run_key, run_key_block
+from repro.sim.cache import RunCache, run_key
 from repro.sim.run_result import STATE_CODE, STATE_ORDER, RunRecord, RunState
-from repro.telemetry import count as telemetry_count
 from repro.telemetry import span
 from repro.units import HOUR
 
@@ -492,30 +490,19 @@ class ExecutionEngine:
             scenario=footprint_digest(self.scenario, env.cloud),
         )
 
-    def cache_scope(self, env: Environment, scale: int):
-        """Batch one cell's run-cache traffic into a single envelope.
+    def cache_scope(self, cell_key: str):
+        """Open the run level of the cell whose entry ``cell_key`` names.
 
-        Returns a context manager: inside it, every run-level cache
-        probe reads from (and every store buffers into) one
-        :func:`~repro.sim.cache.batch_key`-addressed envelope that is
-        written once at scope exit — one file write and one digest pass
-        per cell instead of one per run (see :meth:`RunCache.batched`).
-        The envelope key is app- and iteration-insensitive, so re-runs
-        with different app rosters or iteration counts still hit it.
-        A no-op without a cache; per-record hit/miss stats are
-        identical either way.
+        Returns a context manager: inside it, :meth:`run_block` reuses
+        every run the *other* cell entries of the cell's batch hold (see
+        :meth:`RunCache.batched`; ``cell_key`` is ``<batch>/<cell>``,
+        :func:`~repro.parallel.shard.shard_summary_key`), so a re-run
+        with a different app roster or iteration count simulates only
+        the runs no sibling has.  A no-op without a cache.
         """
         if self.cache is None:
             return contextlib.nullcontext()
-        return self.cache.batched(
-            batch_key(
-                seed=self.seed,
-                env_id=env.env_id,
-                scale=scale,
-                engine_options={"azure_ucx_tuned": self.azure_ucx_tuned},
-                scenario=footprint_digest(self.scenario, env.cloud),
-            )
-        )
+        return self.cache.batched(cell_key)
 
     def skipped(
         self,
@@ -709,13 +696,14 @@ class ExecutionEngine:
         byte-identical to per-iteration :meth:`run` calls that end at
         the first record ``stop`` accepts.
 
-        With a cache configured, every iteration still probes the
-        per-record cache protocol (probe order, puts, and hit/miss stats
-        match per-iteration :meth:`run` calls exactly): a group whose probes all miss
-        lands as columns, as here, and rows materialize only for a group
-        that mixes hits and misses.  A :class:`HookupCutoff` ``stop``
-        applies vectorized, any other callable sees materialized rows in
-        order.
+        With a cache configured, hit/miss stats match per-iteration
+        :meth:`run` calls exactly.  Inside a cell scope
+        (:meth:`cache_scope`) a group without per-run ``options`` reuses
+        its batch's sibling runs (:meth:`_run_block_reusing`) and
+        simulates the rest as a block; anywhere else a cached group is
+        per-iteration :meth:`run` calls, one single-run entry each.  A
+        :class:`HookupCutoff` ``stop`` applies vectorized, any other
+        callable sees materialized rows in order.
         """
         model = app_lookup(app) if isinstance(app, str) else app
 
@@ -734,14 +722,25 @@ class ExecutionEngine:
             "engine.run_block",
             env=env.env_id, app=model.name, scale=scale, iterations=iterations,
         ):
-            if self.cache is not None:
-                return self._run_block_cached(
-                    env, model, scale, iterations, options, stop, store
-                )
+            cache = self.cache
+            if cache is not None:
+                with span("engine.cache_probe", env=env.env_id, app=model.name, probes=iterations):
+                    runs = None if options else cache.runs()
+                    found = {} if not runs else {
+                        i: runs[model.name, i]
+                        for i in range(iterations)
+                        if (model.name, i) in runs
+                    }
+                if runs is None:
+                    return self._run_singly(env, model, scale, iterations, options, stop, store)
+                if found:
+                    return self._run_block_reusing(env, model, scale, iterations, stop, store, found)
 
             group = self.resolve_group(env, model, scale, options=options)
             cols = self._simulate_columns(group, np.arange(iterations, dtype=np.int64))
             cols = self._apply_stop(group, cols, stop)
+            if cache is not None:
+                cache.count_runs(0, len(cols.iteration))
             store.append_block(**self._block_args(group, cols))
             return BlockOutcome(count=len(cols.iteration), total_seconds=_block_total(cols))
 
@@ -786,7 +785,46 @@ class ExecutionEngine:
             extra=cols.extra,
         )
 
-    def _run_block_cached(
+    def _run_block_reusing(
+        self,
+        env: Environment,
+        model: AppModel,
+        scale: int,
+        iterations: int,
+        stop: Callable[[RunRecord], bool] | None,
+        store: "ResultStore",
+        found: dict[int, tuple["ResultStore", int]],
+    ) -> BlockOutcome:
+        """A group some of whose iterations a sibling cell entry holds.
+
+        ``found`` maps each such iteration to its (sibling store, row);
+        the other iterations simulate as one sub-block.  Rows
+        materialize, and hits and misses count only up to the first
+        record ``stop`` accepts, as per-iteration :meth:`run` calls would
+        probe them.
+        """
+        records = [
+            found[i][0].row(found[i][1]) if i in found else None for i in range(iterations)
+        ]
+        missing = [i for i in range(iterations) if i not in found]
+        if missing:
+            group = self.resolve_group(env, model, scale)
+            cols = self._simulate_columns(group, np.asarray(missing, dtype=np.int64))
+            for i, record in zip(missing, self._column_records(group, cols)):
+                records[i] = record
+        prefix = iterations
+        if stop is not None:
+            prefix = next((j + 1 for j, r in enumerate(records) if stop(r)), iterations)
+        hits = sum(1 for i in found if i < prefix)
+        self.cache.count_runs(hits, prefix - hits)
+        kept = records[:prefix]
+        store.extend(kept)
+        total = 0.0
+        for record in kept:
+            total = total + record.total_seconds
+        return BlockOutcome(count=prefix, total_seconds=total)
+
+    def _run_singly(
         self,
         env: Environment,
         model: AppModel,
@@ -796,101 +834,19 @@ class ExecutionEngine:
         stop: Callable[[RunRecord], bool] | None,
         store: "ResultStore",
     ) -> BlockOutcome:
-        """The block path against the per-record cache protocol.
-
-        Keys are digested once per group (:func:`run_key_block`), all
-        iterations probe up front, only the missing ones simulate (as
-        one sub-block, which reaches the run envelope as one block), and
-        — when a ``stop`` truncates the batch — the cache's hit/miss
-        counters are re-aligned to the executed prefix so the stats
-        match per-iteration :meth:`run` calls probe for probe.  A group whose probes all
-        miss lands in ``store`` as columns, like the uncached path; rows
-        materialize only for a group that mixes hits and misses.
-        """
-        keys = run_key_block(
-            seed=self.seed,
-            env_id=env.env_id,
-            app=model.name,
-            scale=scale,
-            iterations=range(iterations),
-            engine_options={
-                "azure_ucx_tuned": self.azure_ucx_tuned,
-                "options": options or {},
-            },
-            scenario=footprint_digest(self.scenario, env.cloud),
-        )
-        cache = self.cache
-        probes: list[RunRecord | None] = []
-        # probe index -> (invalid entries it met, reason bins it touched),
-        # so a stop-truncated batch can unwind them with the counters
-        invalid_at: dict[int, tuple[int, dict[str, int]]] = {}
-        with span("engine.cache_probe", env=env.env_id, app=model.name, probes=len(keys)):
-            invalid, reasons = cache.invalid, dict(cache.invalid_reasons)
-            for key in keys:
-                probes.append(cache.get(key))
-                if cache.invalid != invalid:
-                    invalid_at[len(probes) - 1] = (cache.invalid - invalid, {
-                        label: count - reasons.get(label, 0)
-                        for label, count in cache.invalid_reasons.items()
-                        if count != reasons.get(label, 0)
-                    })
-                    invalid, reasons = cache.invalid, dict(cache.invalid_reasons)
-        missing = [i for i, record in enumerate(probes) if record is None]
-        records: list[RunRecord | None] | None = None
-        if missing:
-            group = self.resolve_group(env, model, scale, options=options)
-            cols = self._simulate_columns(group, np.asarray(missing, dtype=np.int64))
-        if missing and len(missing) == len(probes):
-            cols = self._apply_stop(group, cols, stop)
-            prefix = simulated = len(cols.iteration)
-        else:
-            records = list(probes)
-            if missing:
-                for i, record in zip(missing, self._column_records(group, cols)):
-                    records[i] = record
-            prefix = len(records)
-            if stop is not None:
-                prefix = next(
-                    (j + 1 for j, r in enumerate(records) if stop(r)), len(records)
-                )
-            simulated = bisect_left(missing, prefix)
-        with span("engine.cache_put", env=env.env_id, app=model.name):
-            if simulated:
-                put = cols if simulated == len(cols.iteration) else cols.truncate(simulated)
-                cache.put_block(
-                    [keys[i] for i in missing[:simulated]], **self._block_args(group, put)
-                )
-        if prefix < len(probes):
-            # Per-iteration runs never probe past the stop; re-align all
-            # three counters (a corrupt entry past the stop must not
-            # surface as an invalid-entry degradation it never caused).
-            over_hits = sum(1 for r in probes[prefix:] if r is not None)
-            over_misses = (len(probes) - prefix) - over_hits
-            over = [met for i, met in invalid_at.items() if i >= prefix]
-            over_invalid = sum(count for count, _ in over)
-            cache.hits -= over_hits
-            cache.misses -= over_misses
-            cache.invalid -= over_invalid
-            telemetry_count("cache.run.hits", -over_hits)
-            telemetry_count("cache.run.misses", -over_misses)
-            telemetry_count("cache.invalid", -over_invalid)
-            # The reason histogram unwinds with the invalid counter.
-            for _, deltas in over:
-                for label, count in deltas.items():
-                    remaining = cache.invalid_reasons.get(label, 0) - count
-                    if remaining > 0:
-                        cache.invalid_reasons[label] = remaining
-                    else:
-                        cache.invalid_reasons.pop(label, None)
-        if records is None:
-            store.append_block(**self._block_args(group, cols))
-            return BlockOutcome(count=prefix, total_seconds=_block_total(cols))
-        kept = records[:prefix]
-        store.extend(kept)
-        total = 0.0
-        for record in kept:
+        """A cached group outside a cell scope, or with per-run
+        ``options``: per-iteration :meth:`run` calls, each probing and
+        storing its own single-run entry, up to the first record
+        ``stop`` accepts."""
+        count, total = 0, 0.0
+        for iteration in range(iterations):
+            record = self.run(env, model, scale, iteration=iteration, options=options)
+            store.add(record)
+            count += 1
             total = total + record.total_seconds
-        return BlockOutcome(count=len(kept), total_seconds=total)
+            if stop is not None and stop(record):
+                break
+        return BlockOutcome(count=count, total_seconds=total)
 
 
 def _block_total(cols: _BlockColumns) -> float:

@@ -58,8 +58,7 @@ SPANS: dict[str, str] = {
     "engine.rng": "batched keyed-stream seeding and hookup draws",
     "engine.physics": "the app model's columnar simulation",
     "engine.price": "walltime policy, spot preemption, and pricing as array math",
-    "engine.cache_probe": "probing the run cache for a group's iterations",
-    "engine.cache_put": "storing a group's simulated records in the run cache",
+    "engine.cache_probe": "probing the cell's sibling runs for a group's iterations",
     # the benchmark suite
     "bench.run": "the whole benchmark suite",
     "bench.seed": "the per-iteration seed pipeline",

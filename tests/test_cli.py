@@ -511,7 +511,7 @@ def test_study_cache_line_shows_invalid_reasons(tmp_path, capsys):
     ]
     assert main(argv) == 0
     capsys.readouterr()
-    for entry in cache_dir.glob("*/*.json"):
+    for entry in cache_dir.rglob("*.json"):
         entry.write_text("{ not json")
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -653,6 +653,21 @@ def test_study_bad_chaos_spec_is_a_clean_error(capsys):
 def test_study_chaos_rate_out_of_range_is_a_clean_error(capsys):
     assert main(["study", "--chaos", "kill=1.5"]) == 2
     assert "within [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_study_fatal_shard_failure_is_one_error_line(workers, capfd):
+    # Every cell aborts: inline, and in pool workers whose traceback
+    # crosses the pipe as the error's cause.  The run fails with exit 1
+    # (a usage error is 2) and one stderr line naming the cell.
+    argv = [
+        "study", "--envs", "cpu-onprem-a,cpu-parallelcluster-aws", "--apps", "amg2023",
+        "--sizes", "32,64", "--workers", str(workers), "--chaos", "abort=1.0,seed=0",
+    ]
+    assert main(argv) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: cell (") and err.count("\n") == 1
+    assert "chaos: injected fatal abort" in err
 
 
 def test_study_resume_without_cache_is_a_clean_error(capsys):

@@ -281,8 +281,8 @@ def test_malformed_run_cache_entry_warns_and_counts(tmp_path, caplog):
     )
     cold = StudyRunner(config, ExecutionOptions(cache_dir=str(tmp_path))).run()
     assert cold.cache_invalid == 0
-    # Corrupt every entry (run-level and cell-level alike).
-    for entry in tmp_path.glob("*/*.json"):
+    # Corrupt every entry: the one cell entry, in its batch directory.
+    for entry in tmp_path.rglob("*.json"):
         entry.write_text("{truncated")
     with caplog.at_level("WARNING", logger="repro.sim.cache"):
         warm = StudyRunner(config, ExecutionOptions(cache_dir=str(tmp_path))).run()

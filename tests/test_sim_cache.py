@@ -1,10 +1,11 @@
 """Run-cache behaviour: hits, misses, invalidation, corruption."""
 
 import collections
+import contextlib
 import dataclasses
-import fcntl
 import functools
 import hashlib
+import io
 import json
 import multiprocessing
 import shutil
@@ -291,7 +292,7 @@ def test_cached_study_seed_change_is_all_misses(tmp_path):
     assert other.cache_misses > 0
 
 
-# ------------------------------------------------------------ batched I/O
+# ------------------------------------------------------- the cell scope
 
 
 def _records(n):
@@ -304,79 +305,18 @@ def _records(n):
     }
 
 
-def _cache_files(tmp_path):
-    return [p for p in tmp_path.rglob("*.json") if not p.name.startswith(".")]
-
-
-def test_put_many_writes_one_envelope(tmp_path):
-    from repro.sim.cache import batch_key
-
-    cache = RunCache(tmp_path)
-    group = batch_key(seed=0, env_id=ENV.env_id, scale=32)
-    cache.put_many(_records(6), group_key=group)
-    assert len(_cache_files(tmp_path)) == 1
-    assert cache.batch_puts == 1
-
-
-def test_get_many_round_trips_across_instances(tmp_path):
-    from repro.sim.cache import batch_key
-
-    records = _records(4)
-    group = batch_key(seed=0, env_id=ENV.env_id, scale=32)
-    RunCache(tmp_path).put_many(records, group_key=group)
-
-    fresh = RunCache(tmp_path)
-    found = fresh.get_many(records.keys(), group_key=group)
-    assert [_csv_fields(r) for r in found] == [
-        _csv_fields(r) for r in records.values()
-    ]
-    assert fresh.batch_hits == 1
-    assert fresh.hits == len(records)
-
-
-def test_stats_expose_batch_counters(tmp_path):
-    from repro.sim.cache import batch_key
-
-    cache = RunCache(tmp_path)
-    group = batch_key(seed=0, env_id=ENV.env_id, scale=32)
-    cache.put_many(_records(2), group_key=group)
-    cache.get_many([], group_key=group)
-    stats = cache.stats()
-    assert stats["batch_puts"] == 1
-    assert stats["batch_hits"] == 1
-    assert stats["batch_misses"] == 1  # the cold read at put_many entry
-    assert stats["batch_hit_rate"] == 0.5
-
-
-def test_corrupt_envelope_is_a_miss_not_a_crash(tmp_path):
-    from repro.sim.cache import batch_key
-
-    records = _records(2)
-    group = batch_key(seed=0, env_id=ENV.env_id, scale=32)
-    cache = RunCache(tmp_path)
-    cache.put_many(records, group_key=group)
-    (path,) = _cache_files(tmp_path)
-    path.write_text('{"kind": "not-a-batch"}', encoding="utf-8")
-
-    fresh = RunCache(tmp_path)
-    assert fresh.get_many(records.keys(), group_key=group) == [None, None]
-    assert fresh.invalid >= 1
-    assert fresh.batch_misses == 1
-    assert fresh.batch_hits == 0
-
-
 def test_batched_get_falls_through_to_per_key_files(tmp_path):
-    from repro.sim.cache import batch_key
-
     records = _records(3)
     keys = list(records)
     plain = RunCache(tmp_path)
     for key in keys[:2]:
-        plain.put(key, records[key])  # unbatched writer: individual files
+        plain.put(key, records[key])  # ExecutionEngine.run's single-run entries
 
-    group = batch_key(seed=0, env_id=ENV.env_id, scale=32)
     fresh = RunCache(tmp_path)
-    found = fresh.get_many(keys, group_key=group)
+    # A cell scope serves sibling cell entries to run_block; a single-run
+    # probe inside it still reads its own file.
+    with fresh.batched(f"{'ab' * 16}/{'cd' * 16}"):
+        found = [fresh.get(key) for key in keys]
     assert [r is not None for r in found] == [True, True, False]
     assert fresh.hits == 2 and fresh.misses == 1
 
@@ -411,14 +351,15 @@ def test_concurrent_threads_writing_one_key_never_collide(tmp_path):
     assert RunCache(tmp_path).get_json(key) in payloads
 
 
-def test_cached_study_writes_envelopes_not_per_run_files(tmp_path):
-    report = StudyRunner(
-        StudyConfig.smoke(seed=4),
-        ExecutionOptions(cache_dir=str(tmp_path)),
-    ).run()
-    # Far fewer files than runs: one run-batch envelope (plus cell
-    # summaries) per (env, size) cell instead of one file per record.
-    assert report.datasets > len(_cache_files(tmp_path))
+def test_cached_study_writes_one_entry_per_cell(tmp_path):
+    config = StudyConfig.smoke(seed=4)
+    report = StudyRunner(config, ExecutionOptions(cache_dir=str(tmp_path))).run()
+    shards = StudyRunner(config).compile().shards
+    cache = RunCache(tmp_path)
+    # One cell entry per (env, size) cell, filed in its batch directory,
+    # and no file per run: the entry is the run level too.
+    assert all(cache.path(shard_summary_key(shard)).is_file() for shard in shards)
+    assert len(cache) == cache.stats()["entries"] == len(shards) < report.datasets
 
 
 # ------------------------------------------------- columnar entries: faults
@@ -556,21 +497,6 @@ def test_any_layout_dtype_decodes_or_raises_value_error(dtype):
         pass
 
 
-def test_run_envelope_with_a_short_key_blob_is_a_counted_miss(tmp_path):
-    from repro.sim.cache import batch_key
-
-    records = _records(2)
-    group = batch_key(seed=0, env_id=ENV.env_id, scale=32)
-    RunCache(tmp_path).put_many(records, group_key=group)
-    path = RunCache(tmp_path).path(group)
-    path.write_bytes(
-        _edit_entry(path.read_bytes(), lambda h, b: _set(_layout(h, "blob"), 2, 16))
-    )
-    fresh = RunCache(tmp_path)
-    assert fresh.get_many(records.keys(), group_key=group) == [None, None]
-    assert fresh.invalid_reasons == {"malformed batch entry": 1}
-
-
 @pytest.mark.parametrize("edit, label", [
     (lambda h, b: h.update(v=3), "version skew"),
     (lambda h, b: h.update(clusters_created=float("inf")), "study-cell entry malformed"),
@@ -602,12 +528,12 @@ def test_a_cache_written_under_another_version_is_missed_untouched(
     with monkeypatch.context() as patch:
         patch.setattr(cache_module, "CACHE_VERSION", 3)
         assert main([*_SKEW_ARGV, "--cache", str(cache), "--output", str(tmp_path / "v3.csv")]) == 0
-    entries = {path: path.read_bytes() for path in cache.glob("*/*")}
+    entries = {path: path.read_bytes() for path in cache.rglob("*") if path.is_file()}
     capsys.readouterr()
     assert main([*_SKEW_ARGV, "--cache", str(cache), "--output", str(tmp_path / "v4.csv")]) == 0
     assert "run cache         : 0 hits, 12 misses\n" in capsys.readouterr().out
     assert (tmp_path / "v4.csv").read_bytes() == (tmp_path / "v3.csv").read_bytes()
-    assert len(entries) == 6  # two cells: envelope, cell entry, lock file
+    assert len(entries) == 2  # two cells: one cell entry each
     assert all(path.read_bytes() == data for path, data in entries.items())
 
 
@@ -627,135 +553,97 @@ def test_resume_against_another_versions_journal_attaches_nothing(tmp_path, monk
     assert resumed.store.to_csv() == old.store.to_csv()
 
 
-# ------------------------------------------------ run envelopes: no lost update
+# ------------------------------------------- the run level: sibling entries
 
 
-def _run_roster(cache: RunCache, apps) -> ExecutionEngine:
-    env = ENVIRONMENTS["cpu-onprem-a"]
-    engine = ExecutionEngine(seed=0, cache=cache)
-    with engine.cache_scope(env, 32):
-        for app in apps:
-            engine.run_block(env, app, 32, iterations=3, store=ResultStore())
-    return engine
+def _roster_config(apps) -> StudyConfig:
+    """One (env, size) cell under the app roster ``apps``."""
+    return StudyConfig(env_ids=("cpu-onprem-a",), apps=tuple(apps), sizes=(32,), iterations=3)
 
 
-def test_envelope_writers_with_different_rosters_keep_both(tmp_path):
-    env = ENVIRONMENTS["cpu-onprem-a"]
-    first, second = (ExecutionEngine(seed=0, cache=RunCache(tmp_path)) for _ in range(2))
-    # Both open the (absent) envelope before either flushes; the inner
-    # scope flushes first, then the outer one writes the union.
-    with first.cache_scope(env, 32), second.cache_scope(env, 32):
-        first.run_block(env, "amg2023", 32, iterations=3, store=ResultStore())
-        second.run_block(env, "lammps", 32, iterations=3, store=ResultStore())
-    rerun = _run_roster(RunCache(tmp_path), ("amg2023", "lammps"))
-    assert (rerun.cache.hits, rerun.cache.misses) == (6, 0)
+def _write_roster(root: str, apps, barrier) -> None:
+    """One writer: run ``apps``' cell into the cache at ``root`` once
+    every writer is ready."""
+    barrier.wait(timeout=60)
+    StudyRunner(_roster_config(apps), ExecutionOptions(cache_dir=root)).run()
 
 
-def test_envelope_flush_replaces_only_the_runs_it_buffered(tmp_path):
-    env = ENVIRONMENTS["cpu-onprem-a"]
-    wide, narrow = (ExecutionEngine(seed=0, cache=RunCache(tmp_path)) for _ in range(2))
-    # The inner (wide) scope flushes first; the narrow one then re-reads
-    # amg2023 and lammps, replaces amg2023 with its own runs, keeps lammps.
-    with narrow.cache_scope(env, 32), wide.cache_scope(env, 32):
-        for app in ("amg2023", "lammps"):
-            wide.run_block(env, app, 32, iterations=3, store=ResultStore())
-        narrow.run_block(env, "amg2023", 32, iterations=3, store=ResultStore())
-    store = ResultStore()
-    rerun = ExecutionEngine(seed=0, cache=RunCache(tmp_path))
-    with rerun.cache_scope(env, 32):
-        for app in ("amg2023", "lammps"):
-            rerun.run_block(env, app, 32, iterations=3, store=store)
-    assert (rerun.cache.hits, rerun.cache.misses) == (6, 0)
-    fresh = ResultStore()
-    for app in ("amg2023", "lammps"):
-        ExecutionEngine(seed=0).run_block(env, app, 32, iterations=3, store=fresh)
-    assert store.to_csv() == fresh.to_csv()
-
-
-def _write_roster(root: str, app: str, barrier) -> None:
-    """One writer process: open the cell's envelope, put ``app``'s runs,
-    and flush only once the other writer has opened it too."""
-    env = ENVIRONMENTS["cpu-onprem-a"]
-    engine = ExecutionEngine(seed=0, cache=RunCache(root))
-    with engine.cache_scope(env, 32):
-        engine.run_block(env, app, 32, iterations=3, store=ResultStore())
-        barrier.wait(timeout=60)
-
-
-def test_envelope_flush_waits_for_the_envelope_lock(tmp_path):
-    from repro.sim.cache import batch_key
-
-    group = batch_key(seed=0, env_id=ENV.env_id, scale=32)
-    path = RunCache(tmp_path).path(group)
-    path.parent.mkdir()
-    writer = threading.Thread(
-        target=RunCache(tmp_path).put_many, args=(_records(2),), kwargs={"group_key": group}
-    )
-    with open(path.parent / f".{path.name}.lock", "ab") as lock:
-        fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
-        writer.start()
-        writer.join(timeout=0.5)
-        assert writer.is_alive() and not path.exists()
-    writer.join(timeout=30)
-    assert not writer.is_alive() and path.exists()
-
-
-def test_envelope_writer_threads_keep_every_roster(tmp_path):
-    apps = ("amg2023", "lammps", "minife", "kripke")
-    barrier = threading.Barrier(len(apps))
+def test_writers_of_different_rosters_keep_every_run(tmp_path):
+    """More writers than cores, each a different roster of one cell:
+    four threads that switch as often as the interpreter allows, and two
+    spawned processes.  Each writes its own cell entry, so a rerun of
+    the union roster finds every run in a sibling entry."""
+    thread_rosters = [("amg2023",), ("lammps",), ("minife", "amg2023"), ("kripke",)]
+    process_rosters = [("osu", "lammps"), ("laghos",)]
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(len(thread_rosters) + len(process_rosters))
     errors = []
 
-    def write(app):
+    def write(apps):
         try:
-            _write_roster(str(tmp_path), app, barrier)
+            _write_roster(str(tmp_path), apps, barrier)
         except Exception as exc:  # the thread's boundary: report it below
             errors.append(exc)
 
-    threads = [threading.Thread(target=write, args=(app,)) for app in apps]
+    threads = [threading.Thread(target=write, args=(apps,)) for apps in thread_rosters]
+    processes = [
+        context.Process(target=_write_roster, args=(str(tmp_path), apps, barrier))
+        for apps in process_rosters
+    ]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the flushes as often as possible
+    sys.setswitchinterval(1e-6)  # interleave the writers as often as possible
     try:
+        for writer in [*processes, *threads]:
+            writer.start()
         for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+            thread.join(timeout=120)
+        for process in processes:
+            process.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    assert not any(writer.is_alive() for writer in [*threads, *processes])
     assert errors == []
-    rerun = _run_roster(RunCache(tmp_path), apps)
-    assert (rerun.cache.hits, rerun.cache.misses) == (12, 0)
+    assert [process.exitcode for process in processes] == [0, 0]
+
+    union = sorted({app for apps in thread_rosters + process_rosters for app in apps})
+    rerun = StudyRunner(_roster_config(union), ExecutionOptions(cache_dir=str(tmp_path))).run()
+    fresh = StudyRunner(_roster_config(union)).run()
+    ran = sum(1 for record in fresh.store.records if record.state is not RunState.SKIPPED)
+    assert (rerun.cache_hits, rerun.cache_misses, rerun.cache_invalid) == (ran, 0, 0)
+    assert rerun.store.to_csv() == fresh.store.to_csv()
 
 
-def test_envelope_writer_processes_with_different_rosters_keep_both(tmp_path):
-    context = multiprocessing.get_context("spawn")
-    barrier = context.Barrier(2)
-    writers = [
-        context.Process(target=_write_roster, args=(str(tmp_path), app, barrier))
-        for app in ("amg2023", "lammps")
-    ]
-    for writer in writers:
-        writer.start()
-    for writer in writers:
-        writer.join(timeout=120)
-    assert not any(writer.is_alive() for writer in writers)
-    assert [writer.exitcode for writer in writers] == [0, 0]
-    rerun = _run_roster(RunCache(tmp_path), ("amg2023", "lammps"))
-    assert (rerun.cache.hits, rerun.cache.misses) == (6, 0)
-
-
-def test_roster_growth_hits_the_old_apps_runs_in_the_envelope(tmp_path):
-    def config(*apps):
-        return StudyConfig(env_ids=("cpu-onprem-a",), apps=apps, sizes=(32,), iterations=3)
-
+def test_roster_growth_hits_the_old_apps_runs_in_a_sibling_entry(tmp_path):
     options = ExecutionOptions(cache_dir=str(tmp_path))
-    StudyRunner(config("amg2023"), options).run()
-    grown = StudyRunner(config("amg2023", "lammps"), options).run()
+    StudyRunner(_roster_config(["amg2023"]), options).run()
+    grown = StudyRunner(_roster_config(["amg2023", "lammps"]), options).run()
     # A new cell key (the roster changed), so the runs came from the
-    # envelope, the one run-level entry there is.
+    # first cell's entry, its sibling in the batch directory.
     assert (grown.cache_hits, grown.cache_misses) == (3, 3)
-    assert len(RunCache(tmp_path)) == 3
-    assert grown.store.to_csv() == StudyRunner(config("amg2023", "lammps")).run().store.to_csv()
+    assert len(RunCache(tmp_path)) == 2
+    assert (
+        grown.store.to_csv()
+        == StudyRunner(_roster_config(["amg2023", "lammps"])).run().store.to_csv()
+    )
+
+
+@pytest.mark.parametrize("fault, label", [
+    ("truncated body", "malformed cell entry"),
+    ("version skew", "version skew"),
+])
+def test_malformed_sibling_entry_is_a_counted_miss(tmp_path, fault, label):
+    options = ExecutionOptions(cache_dir=str(tmp_path))
+    StudyRunner(_roster_config(["amg2023"]), options).run()
+    (shard,) = StudyRunner(_roster_config(["amg2023"])).compile().shards
+    path = RunCache(tmp_path).path(shard_summary_key(shard))
+    path.write_bytes(_FAULTS[fault](path.read_bytes()))
+    grown = StudyRunner(_roster_config(["amg2023", "lammps"]), options).run()
+    assert (grown.cache_hits, grown.cache_misses) == (0, 6)
+    assert (grown.cache_invalid, grown.cache_invalid_reasons) == (1, {label: 1})
+    assert (
+        grown.store.to_csv()
+        == StudyRunner(_roster_config(["amg2023", "lammps"])).run().store.to_csv()
+    )
 
 
 # ---------------------------------------------------------- golden anchors
@@ -780,30 +668,6 @@ GOLDEN_STUDY_CSV_SHA256 = {
     0: "2a503b1618bdd040d6fcd7690ce30ce90fcc0a906447dafe1418140d652d9501",
     3: "40c2df76072d9a50659014dabc97fb69ebfbdfd1fff6e32bbd9a26fb082c2e0f",
 }
-
-#: (entry count, :func:`_entries_sha256`) of the cache directory that
-#: run leaves behind: one run envelope and one cell entry per cell, both
-#: columnar at ``CACHE_VERSION`` 4.  A change to the bytes the cache
-#: writes (key, order, value, layout) moves these.
-GOLDEN_CACHE_ENTRIES = {
-    0: (56, "83580d2e1c987f6f2c4b74d75b7b3c7b859ea7920ae480dea30917013877048f"),
-    3: (56, "3a14e6a90a936b3459b6a6df25347e0482354a495fc90cf98397472dc69450ec"),
-}
-
-
-def _entries_sha256(root):
-    """(count, sha256) over every ``*/*.json`` entry under ``root``.
-
-    Entries are hashed in order of their relative POSIX path, each as
-    the path, a newline, then the file's bytes.
-    """
-    digest = hashlib.sha256()
-    paths = sorted(p.relative_to(root).as_posix() for p in root.glob("*/*.json"))
-    for rel in paths:
-        digest.update(rel.encode("utf-8") + b"\n")
-        digest.update((root / rel).read_bytes())
-    return len(paths), digest.hexdigest()
-
 
 #: (entry count, :func:`_cell_entries_sha256`) of that run's 28 cell
 #: entries, columnar at ``CACHE_VERSION`` 4.  Hashed by cell key, not by
@@ -842,23 +706,28 @@ def _counting(calls, name, fn):
     return spy
 
 
+def _golden_argv(seed, output, *, cache=None, iterations=GOLDEN_ITERATIONS):
+    argv = [
+        "study", "--envs", ",".join(GOLDEN_ENVS), "--iterations", str(iterations),
+        "--output", str(output), "--seed", str(seed),
+    ]
+    return argv if cache is None else [*argv, "--cache", str(cache)]
+
+
 @pytest.fixture(scope="module", params=sorted(GOLDEN_STUDY_CSV_SHA256))
 def golden_study(request, tmp_path_factory):
     """The cached study CLI run at one golden seed, into an empty cache.
 
     ``(seed, directory, calls)``: ``calls`` counts the run's
-    ``encode_record`` and ``ExecutionEngine._column_records`` calls.
+    ``encode_record`` and ``ExecutionEngine._column_records`` calls, and
+    ``directory / "stdout.txt"`` holds what the run printed.
     """
     seed = request.param
     out = tmp_path_factory.mktemp(f"golden-study-{seed}")
-    argv = [
-        "study", "--envs", ",".join(GOLDEN_ENVS),
-        "--iterations", str(GOLDEN_ITERATIONS),
-        "--cache", str(out / "cache"), "--output", str(out / "study.csv"),
-        "--seed", str(seed),
-    ]
+    argv = _golden_argv(seed, out / "study.csv", cache=out / "cache")
     calls = collections.Counter()
-    with pytest.MonkeyPatch.context() as patch:
+    printed = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(printed):
         patch.setattr(
             cache_module, "encode_record", _counting(calls, "encode_record", encode_record)
         )
@@ -868,6 +737,7 @@ def golden_study(request, tmp_path_factory):
             _counting(calls, "_column_records", ExecutionEngine._column_records),
         )
         assert main(argv) == 0
+    (out / "stdout.txt").write_text(printed.getvalue(), encoding="utf-8")
     return seed, out, calls
 
 
@@ -881,11 +751,6 @@ def test_cached_study_csv_matches_golden_digest(golden_study):
     seed, out, _ = golden_study
     digest = hashlib.sha256((out / "study.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_STUDY_CSV_SHA256[seed]
-
-
-def test_cached_study_entries_match_golden_digest(golden_study):
-    seed, out, _ = golden_study
-    assert _entries_sha256(out / "cache") == GOLDEN_CACHE_ENTRIES[seed]
 
 
 def test_cached_study_cell_entries_match_golden_digest(golden_study):
@@ -920,17 +785,33 @@ def test_cold_cached_study_writes_each_record_once_as_columns(golden_study):
     assert calls["_column_records"] == 0
 
 
+def test_cold_cached_study_misses_every_run_into_one_entry_per_cell(golden_study):
+    _, out, _ = golden_study
+    printed = (out / "stdout.txt").read_text(encoding="utf-8")
+    assert "run cache         : 0 hits, 11840 misses\n" in printed
+    assert len(RunCache(out / "cache")) == 28
+
+
 def test_warm_cached_study_hits_every_run(golden_study, tmp_path, capsys):
     seed, out, _ = golden_study
     cache = tmp_path / "cache"
     shutil.copytree(out / "cache", cache)
-    argv = [
-        "study", "--envs", ",".join(GOLDEN_ENVS),
-        "--iterations", str(GOLDEN_ITERATIONS),
-        "--cache", str(cache), "--output", str(tmp_path / "study.csv"),
-        "--seed", str(seed),
-    ]
     capsys.readouterr()
-    assert main(argv) == 0
+    assert main(_golden_argv(seed, tmp_path / "study.csv", cache=cache)) == 0
     assert "run cache         : 12320 hits, 0 misses\n" in capsys.readouterr().out
     assert (tmp_path / "study.csv").read_bytes() == (out / "study.csv").read_bytes()
+
+
+def test_grown_cached_study_reuses_every_earlier_run(golden_study, tmp_path, capsys):
+    """One more iteration is a new cell key for every cell, so nothing
+    attaches; each cell finds its 40 earlier iterations in the sibling
+    entry of its batch and simulates only the 41st."""
+    seed, out, _ = golden_study
+    cache = tmp_path / "cache"
+    shutil.copytree(out / "cache", cache)
+    grown = GOLDEN_ITERATIONS + 1
+    capsys.readouterr()
+    assert main(_golden_argv(seed, tmp_path / "grown.csv", cache=cache, iterations=grown)) == 0
+    assert "run cache         : 11840 hits, 296 misses\n" in capsys.readouterr().out
+    assert main(_golden_argv(seed, tmp_path / "fresh.csv", iterations=grown)) == 0
+    assert (tmp_path / "grown.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()

@@ -155,23 +155,22 @@ def test_stop_truncation_realigns_invalid_counter(tmp_path):
     """A corrupt cache entry past the stop point is not a degradation.
 
     Per-iteration runs never probe beyond the stop, so they never see
-    the corrupt entry; the block path probes up front and must re-align
-    ``cache.invalid`` (not just hits/misses) to the executed prefix.
+    the corrupt entry, and neither may the block path: ``cache.invalid``
+    (not just hits/misses) counts only the executed prefix.
     """
     env = ENVIRONMENTS["cpu-aks-az"]
     stop = HookupCutoff(env_id="cpu-aks-az", scale=256, threshold_s=300.0)
     warm = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "c"))
     _block_store(warm, env, "lammps", 256, iterations=5)  # populate entries
     # Corrupt the entry for an iteration the stop will cut off.
-    from repro.sim.cache import run_key_block
+    from repro.sim.cache import run_key
 
-    keys = run_key_block(
-        seed=0, env_id=env.env_id, app="lammps", scale=256,
-        iterations=range(5),
+    key = run_key(
+        seed=0, env_id=env.env_id, app="lammps", scale=256, iteration=3,
         engine_options={"azure_ucx_tuned": True, "options": {}},
         scenario=None,
     )
-    (warm.cache.path(keys[3])).write_text("garbage", encoding="utf-8")
+    warm.cache.path(key).write_text("garbage", encoding="utf-8")
 
     per_run = ExecutionEngine(seed=0, cache=RunCache(tmp_path / "c"))
     reference = _per_iteration_runs(per_run, env, "lammps", 256, iterations=5, stop=stop)

@@ -423,7 +423,7 @@ def test_invalid_reasons_reported_by_study(tmp_path):
         env_ids=("cpu-eks-aws",), apps=("lammps",), sizes=(32,), iterations=2
     )
     StudyRunner(config, ExecutionOptions(cache_dir=str(cache_dir))).run()
-    for victim in cache_dir.glob("*/*.json"):
+    for victim in cache_dir.rglob("*.json"):
         victim.write_text("{ not json")
     report = StudyRunner(config, ExecutionOptions(cache_dir=str(cache_dir))).run()
     assert report.cache_invalid >= 1
