@@ -260,8 +260,8 @@ def _shard_cache_key(shard: StudyShard, engine: ExecutionEngine) -> str:
 def attach_shard(shard: StudyShard, cache: RunCache) -> ShardResult | None:
     """A shard's cached result, or ``None`` when it must execute.
 
-    The one reader of cell entries: the plan executor probes every cell
-    of a cached plan here, in the parent, before dispatch
+    The one reader of a cell's own entry: the plan executor probes every
+    cell of a cached plan here, in the parent, before dispatch
     (:meth:`~repro.plan.executor.PlanExecutor._attach`), and a hit
     rebuilds the :class:`ShardResult` without provisioning, simulation,
     or a worker round-trip.  A malformed entry flows through
@@ -400,9 +400,10 @@ def _execute_shard_body(shard: StudyShard) -> ShardResult:
     scn = active(shard.scenario)
     cache = RunCache(shard.cache_dir) if shard.cache_dir else None
     engine = ExecutionEngine(seed=shard.seed, cache=cache, scenario=scn)
+    if cache is None:
+        return _execute_shard_cell(shard, env, scn, cache, engine)
     # The cell's run level: run_block reuses the runs the other cell
-    # entries of its batch hold (engine.cache_scope is a no-op without a
-    # cache).
+    # entries of its batch hold.
     with engine.cache_scope(_shard_cache_key(shard, engine)):
         return _execute_shard_cell(shard, env, scn, cache, engine)
 

@@ -627,6 +627,26 @@ def test_roster_growth_hits_the_old_apps_runs_in_a_sibling_entry(tmp_path):
     )
 
 
+def test_a_group_with_options_never_reuses_sibling_runs(tmp_path):
+    # Cell entries hold runs without per-run options only, so a group
+    # with options keeps to its own single-run entries inside the scope.
+    StudyRunner(_roster_config(["amg2023"]), ExecutionOptions(cache_dir=str(tmp_path))).run()
+    (shard,) = StudyRunner(_roster_config(["amg2023", "lammps"])).compile().shards
+    env, topology = ENVIRONMENTS["cpu-onprem-a"], {"process_topology": (8, 4, 2)}
+    engine = ExecutionEngine(seed=0, cache=RunCache(tmp_path))
+    store = ResultStore()
+    with engine.cache_scope(shard_summary_key(shard)):
+        engine.run_block(env, "amg2023", 32, iterations=3, store=store)
+        engine.run_block(env, "amg2023", 32, iterations=3, store=store, options=topology)
+    assert (engine.cache.hits, engine.cache.misses) == (3, 3)
+    fresh = ResultStore()
+    for options in (None, topology):
+        ExecutionEngine(seed=0).run_block(
+            env, "amg2023", 32, iterations=3, store=fresh, options=options
+        )
+    assert store.to_csv() == fresh.to_csv()
+
+
 @pytest.mark.parametrize("fault, label", [
     ("truncated body", "malformed cell entry"),
     ("version skew", "version skew"),
