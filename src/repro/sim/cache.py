@@ -307,7 +307,7 @@ class RunCache:
         self.hit_bytes = 0
         self.put_bytes = 0
         #: the open :meth:`batched` scope's (batch, own entry file name),
-        #: and its sibling runs once :meth:`runs` indexed them
+        #: and its sibling runs once :meth:`sibling_runs` indexed them
         self._scope: tuple[str, str] | None = None
         self._runs: dict | None = None
 
@@ -464,12 +464,12 @@ class RunCache:
 
         ``cell_key`` is ``<batch>/<cell>``
         (:func:`~repro.parallel.shard.shard_summary_key`).  Inside the
-        scope, :meth:`runs` serves the runs of the *other* cell entries
-        in the batch directory; the cell's own entry is skipped, because
-        the plan executor already probed it.  Nothing is read on entry
-        and nothing is written on exit: the cell's entry, written when
-        the cell finishes (:meth:`put_columns`), is the run level of the
-        cells after it.
+        scope, :meth:`sibling_runs` serves the runs of the *other* cell
+        entries in the batch directory; the cell's own entry is skipped,
+        because the plan executor already probed it.  Nothing is read on
+        entry and nothing is written on exit: the cell's entry, written
+        when the cell finishes (:meth:`put_columns`), is the run level of
+        the cells after it.
         """
         batch, _, cell = cell_key.rpartition("/")
         outer = self._scope, self._runs
@@ -479,7 +479,7 @@ class RunCache:
         finally:
             self._scope, self._runs = outer
 
-    def runs(self) -> "dict[tuple[str, int], tuple[ResultStore, int]] | None":
+    def sibling_runs(self) -> "dict[tuple[str, int], tuple[ResultStore, int]] | None":
         """``(app, iteration) -> (store, row)`` over every non-skipped run
         of the open scope's sibling cell entries; ``None`` outside
         :meth:`batched`.
@@ -493,10 +493,10 @@ class RunCache:
         served.
         """
         if self._scope is not None and self._runs is None:
-            self._runs = self._sibling_runs(*self._scope)
+            self._runs = self._index_siblings(*self._scope)
         return self._runs
 
-    def _sibling_runs(self, batch: str, own: str) -> dict:
+    def _index_siblings(self, batch: str, own: str) -> dict:
         from repro.core.results import ResultStore
 
         index: dict = {}
@@ -523,7 +523,7 @@ class RunCache:
         return index
 
     def count_runs(self, hits: int, misses: int) -> None:
-        """Count run-level probes that :meth:`runs` answered."""
+        """Count run-level probes that :meth:`sibling_runs` answered."""
         self.hits += hits
         self.misses += misses
         if hits:

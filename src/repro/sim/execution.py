@@ -725,7 +725,7 @@ class ExecutionEngine:
             cache = self.cache
             if cache is not None:
                 with span("engine.cache_probe", env=env.env_id, app=model.name, probes=iterations):
-                    runs = None if options else cache.runs()
+                    runs = None if options else cache.sibling_runs()
                     found = {} if not runs else {
                         i: runs[model.name, i]
                         for i in range(iterations)

@@ -647,6 +647,27 @@ def test_a_group_with_options_never_reuses_sibling_runs(tmp_path):
     assert store.to_csv() == fresh.to_csv()
 
 
+def test_a_reused_group_counts_runs_only_up_to_its_stop(tmp_path):
+    # Per-iteration run() calls never probe past the stop, so sibling
+    # runs past it are neither hits nor misses.
+    StudyRunner(_roster_config(["amg2023"]), ExecutionOptions(cache_dir=str(tmp_path))).run()
+    (shard,) = StudyRunner(_roster_config(["amg2023", "lammps"])).compile().shards
+    env = ENVIRONMENTS["cpu-onprem-a"]
+
+    def stop(record):
+        return record.iteration >= 1
+
+    engine = ExecutionEngine(seed=0, cache=RunCache(tmp_path))
+    store = ResultStore()
+    with engine.cache_scope(shard_summary_key(shard)):
+        outcome = engine.run_block(env, "amg2023", 32, iterations=3, store=store, stop=stop)
+    assert outcome.count == 2
+    assert (engine.cache.hits, engine.cache.misses) == (2, 0)
+    fresh = ResultStore()
+    ExecutionEngine(seed=0).run_block(env, "amg2023", 32, iterations=3, store=fresh, stop=stop)
+    assert store.to_csv() == fresh.to_csv()
+
+
 @pytest.mark.parametrize("fault, label", [
     ("truncated body", "malformed cell entry"),
     ("version skew", "version skew"),
