@@ -568,15 +568,27 @@ def _write_roster(root: str, apps, barrier) -> None:
     StudyRunner(_roster_config(apps), ExecutionOptions(cache_dir=root)).run()
 
 
-def test_writers_of_different_rosters_keep_every_run(tmp_path):
-    """More writers than cores, each a different roster of one cell:
-    four threads that switch as often as the interpreter allows, and two
-    spawned processes.  Each writes its own cell entry, so a rerun of
-    the union roster finds every run in a sibling entry."""
-    thread_rosters = [("amg2023",), ("lammps",), ("minife", "amg2023"), ("kripke",)]
-    process_rosters = [("osu", "lammps"), ("laghos",)]
-    context = multiprocessing.get_context("spawn")
-    barrier = context.Barrier(len(thread_rosters) + len(process_rosters))
+def _assert_union_rerun_hits_every_run(root: str, rosters) -> None:
+    """A rerun of the union of ``rosters`` finds every run in the
+    writers' sibling entries, and writes an uncached run's CSV."""
+    union = sorted({app for apps in rosters for app in apps})
+    rerun = StudyRunner(_roster_config(union), ExecutionOptions(cache_dir=root)).run()
+    fresh = StudyRunner(_roster_config(union)).run()
+    ran = sum(1 for record in fresh.store.records if record.state is not RunState.SKIPPED)
+    assert (rerun.cache_hits, rerun.cache_misses, rerun.cache_invalid) == (ran, 0, 0)
+    assert rerun.store.to_csv() == fresh.store.to_csv()
+
+
+# The two writer tests below keep the names they had when writers of one
+# cell merged their runs into a shared run envelope; each writer now
+# writes its own cell entry, and no run may be lost either way.
+
+
+def test_envelope_writer_threads_keep_every_roster(tmp_path):
+    """More writer threads than cores, each a different roster of one
+    cell, switching as often as the interpreter allows."""
+    rosters = [("amg2023",), ("lammps",), ("minife", "amg2023"), ("kripke",)]
+    barrier = threading.Barrier(len(rosters))
     errors = []
 
     def write(apps):
@@ -585,32 +597,37 @@ def test_writers_of_different_rosters_keep_every_run(tmp_path):
         except Exception as exc:  # the thread's boundary: report it below
             errors.append(exc)
 
-    threads = [threading.Thread(target=write, args=(apps,)) for apps in thread_rosters]
-    processes = [
-        context.Process(target=_write_roster, args=(str(tmp_path), apps, barrier))
-        for apps in process_rosters
-    ]
+    threads = [threading.Thread(target=write, args=(apps,)) for apps in rosters]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the writers as often as possible
     try:
-        for writer in [*processes, *threads]:
-            writer.start()
+        for thread in threads:
+            thread.start()
         for thread in threads:
             thread.join(timeout=120)
-        for process in processes:
-            process.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(writer.is_alive() for writer in [*threads, *processes])
+    assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert [process.exitcode for process in processes] == [0, 0]
+    _assert_union_rerun_hits_every_run(str(tmp_path), rosters)
 
-    union = sorted({app for apps in thread_rosters + process_rosters for app in apps})
-    rerun = StudyRunner(_roster_config(union), ExecutionOptions(cache_dir=str(tmp_path))).run()
-    fresh = StudyRunner(_roster_config(union)).run()
-    ran = sum(1 for record in fresh.store.records if record.state is not RunState.SKIPPED)
-    assert (rerun.cache_hits, rerun.cache_misses, rerun.cache_invalid) == (ran, 0, 0)
-    assert rerun.store.to_csv() == fresh.store.to_csv()
+
+def test_envelope_writer_processes_with_different_rosters_keep_both(tmp_path):
+    """Two spawned writer processes, each a different roster of one cell."""
+    rosters = [("osu", "lammps"), ("laghos",)]
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(len(rosters))
+    processes = [
+        context.Process(target=_write_roster, args=(str(tmp_path), apps, barrier))
+        for apps in rosters
+    ]
+    for process in processes:
+        process.start()
+    for process in processes:
+        process.join(timeout=120)
+    assert not any(process.is_alive() for process in processes)
+    assert [process.exitcode for process in processes] == [0, 0]
+    _assert_union_rerun_hits_every_run(str(tmp_path), rosters)
 
 
 def test_roster_growth_hits_the_old_apps_runs_in_a_sibling_entry(tmp_path):
