@@ -26,6 +26,7 @@ from repro.core.study import StudyConfig, StudyRunner
 from repro.envs.registry import ENVIRONMENTS
 from repro.parallel.shard import shard_summary_key
 from repro.plan import ExecutionOptions
+from repro.scenarios import scenario
 from repro.sim.cache import (
     RunCache,
     _jsonable,
@@ -737,7 +738,7 @@ GOLDEN_CELL_ENTRIES = {
 }
 
 
-def _cell_entries_sha256(root, config):
+def _cell_entries_sha256(root, config, scenario=None):
     """(count, sha256) over the cell entries of ``config``'s cells.
 
     Entries are hashed in order of their cell key's last segment (the
@@ -747,7 +748,7 @@ def _cell_entries_sha256(root, config):
     cache = RunCache(root)
     keys = sorted(
         (shard_summary_key(shard).rsplit("/", 1)[-1], shard_summary_key(shard))
-        for shard in StudyRunner(config).compile().shards
+        for shard in StudyRunner(config, scenario=scenario).compile().shards
     )
     digest = hashlib.sha256()
     for cell, key in keys:
@@ -873,3 +874,31 @@ def test_grown_cached_study_reuses_every_earlier_run(golden_study, tmp_path, cap
     assert "run cache         : 11840 hits, 296 misses\n" in capsys.readouterr().out
     assert main(_golden_argv(seed, tmp_path / "fresh.csv", iterations=grown)) == 0
     assert (tmp_path / "grown.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+#: (entry count, :func:`_cell_entries_sha256`) of the 56 cell entries a
+#: cached ``spot-everything`` study over every environment and app at 2
+#: iterations writes.  Full precision where the CSV rounds: per-app spot
+#: preemption, the cpu-aks-az 256 hookup cutoff, and skipped apps in the
+#: middle of a cell's roster.
+GOLDEN_SPOT_CELL_ENTRIES = {
+    0: (56, "90fc6384270841aa81a1ab9a04e27c09d464302b123d99ff91dc82a8ca8ea5ae"),
+    3: (56, "98c0697330a7ed0b941b7c2ae9cf275648b015714695a07c30ce4f66bbacc0f1"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SPOT_CELL_ENTRIES))
+def test_cached_spot_study_cell_entries_match_golden_digest(seed, tmp_path):
+    spot = scenario("spot-everything")
+    config = StudyConfig(
+        env_ids=tuple(ENVIRONMENTS), apps=tuple(APPS), iterations=2, seed=seed
+    )
+    report = StudyRunner(
+        config, ExecutionOptions(cache_dir=str(tmp_path)), scenario=spot
+    ).run()
+    records = report.store.records
+    # The three cases the digest anchors are all present.
+    assert any(r.failure_kind == "spot-preemption" for r in records)
+    assert any(r.state is RunState.SKIPPED for r in records)
+    assert [r.iteration for r in records if (r.env_id, r.scale) == ("cpu-aks-az", 256)] == [0] * 11
+    assert _cell_entries_sha256(tmp_path, config, spot) == GOLDEN_SPOT_CELL_ENTRIES[seed]
