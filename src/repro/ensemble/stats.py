@@ -123,6 +123,26 @@ class StreamAccumulator:
         }
 
 
+def percentile_rows(
+    accumulators: "list[StreamAccumulator]", qs: tuple[float, ...]
+) -> list[tuple[float, ...]]:
+    """Each accumulator's exact ``qs`` percentiles, as
+    :meth:`StreamAccumulator.percentile` gives them one at a time (NaN
+    when empty), from one ``np.percentile`` call per distinct sample
+    count instead of one per accumulator and percentile."""
+    rows: list[tuple[float, ...]] = [(math.nan,) * len(qs)] * len(accumulators)
+    by_count: dict[int, list[int]] = {}
+    for i, acc in enumerate(accumulators):
+        if acc._samples:
+            by_count.setdefault(len(acc._samples), []).append(i)
+    for members in by_count.values():
+        samples = np.array([accumulators[i]._samples for i in members], dtype=np.float64)
+        values = np.percentile(samples, qs, axis=1).T.tolist()
+        for i, row in zip(members, values):
+            rows[i] = tuple(row)
+    return rows
+
+
 @dataclass
 class CellStats:
     """Streaming distribution state for one (scenario, env, app, scale).

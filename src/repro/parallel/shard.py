@@ -91,7 +91,7 @@ class ShardResult:
     """Everything one cell produced, ready to merge.
 
     Run results live in a columnar :class:`ResultStore`: the worker
-    fills typed buffers directly (:meth:`ExecutionEngine.run_block`)
+    fills typed buffers directly (:meth:`ExecutionEngine.run_cell`)
     and the store pickles as raw column arrays — shard transport never
     serializes per-record objects.  :attr:`records` materializes rows
     for callers that still want them.
@@ -414,9 +414,9 @@ def _execute_shard_cell(shard, env, scn, cache, engine) -> ShardResult:
     )
 
     if not env.deployable:
-        # Record skips so the dataset shows the missing environment.
-        for app_name in shard.apps:
-            result.store.add(engine.run(env, app_name, shard.scale, iteration=0))
+        # Record one skip per app so the dataset shows the missing
+        # environment.
+        engine.run_cell(env, shard.apps, shard.scale, iterations=1, store=result.store)
         _finish_shard(shard, result, cache, engine)
         return result
 
@@ -500,19 +500,20 @@ def _execute_shard_cell(shard, env, scn, cache, engine) -> ShardResult:
     # 8.82 minutes.
     aks_single_iteration = HookupCutoff(env_id="cpu-aks-az", scale=256, threshold_s=300.0)
 
-    for app_name in shard.apps:
-        # One block per (env, app, size) group: the engine resolves
-        # placement/fabric/pricing once, gathers every iteration's keyed
-        # draws up front, and computes the group as array math straight
-        # into the shard's columnar store.
-        outcome = engine.run_block(
-            env,
-            app_name,
-            shard.scale,
-            iterations=shard.iterations,
-            store=result.store,
-            stop=aks_single_iteration,
-        )
+    # One block for the cell's whole roster: the engine resolves
+    # placement/fabric/pricing and seeds the keyed draws once, and
+    # computes every app as array math straight into the shard's
+    # columnar store.  The clock advances app by app, each by its runs'
+    # record-order total, so billing sees the per-record floats.
+    outcomes = engine.run_cell(
+        env,
+        shard.apps,
+        shard.scale,
+        iterations=shard.iterations,
+        store=result.store,
+        stop=aks_single_iteration,
+    )
+    for outcome in outcomes:
         now += outcome.total_seconds
 
     if scn is not None and scn.spot is not None:

@@ -30,6 +30,8 @@ def _fmt_or_na(value: float) -> object:
 
 def distribution_table(result) -> Table:
     """Per-cell distribution rows for an :class:`EnsembleResult`."""
+    from repro.ensemble.stats import percentile_rows
+
     table = Table(
         title="Ensemble distributions (per cell)",
         columns=(
@@ -44,7 +46,9 @@ def distribution_table(result) -> Table:
             "meeting the seed study's point estimate for the same cell."
         ),
     )
-    for (sid, env, app, scale), stats in result.cells.items():
+    cells = list(result.cells.items())
+    percentiles = percentile_rows([stats.fom for _, stats in cells], (10.0, 50.0, 90.0))
+    for ((sid, env, app, scale), stats), (p10, p50, p90) in zip(cells, percentiles):
         fom = stats.fom
         threshold = result.threshold_for(env, app, scale)
         if fom.count == 0:
@@ -57,9 +61,9 @@ def distribution_table(result) -> Table:
             sid, env, app, int(scale), fom.count,
             _fmt_or_na(fom.mean if fom.count else math.nan),
             _fmt_or_na(fom.ci95_halfwidth() if fom.count else math.nan),
-            _fmt_or_na(fom.percentile(10.0)),
-            _fmt_or_na(fom.percentile(50.0)),
-            _fmt_or_na(fom.percentile(90.0)),
+            _fmt_or_na(p10),
+            _fmt_or_na(p50),
+            _fmt_or_na(p90),
             _fmt_or_na(stats.wall.mean if stats.wall.count else math.nan),
             _fmt_or_na(stats.cost.mean if stats.cost.count else math.nan),
             exceed,

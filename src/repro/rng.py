@@ -51,6 +51,7 @@ their streams.
 from __future__ import annotations
 
 import hashlib
+import threading
 from typing import Any, Sequence
 
 import numpy as np
@@ -408,13 +409,22 @@ class StreamBlock:
         """Adopt an identical block's streams (from :meth:`seeded_states`)."""
         self._streams = streams
 
+    def fresh(self) -> "StreamBlock":
+        """An undrawn block over this block's seeded streams, normal
+        prefix included: the next app of a cell draws from it."""
+        block = StreamBlock(self.seed, self.key, self.iterations)
+        block._streams = self.seeded_states()
+        return block
+
     def _enter(self, j: int) -> Generator:
         """Point the shared generator at stream ``j``'s seeded state."""
         streams = self._streams
-        _INNER["state"] = streams.states[j]
-        _INNER["inc"] = streams.incs[j]
-        _SCRATCH_BG.state = _STATE
-        return _SCRATCH
+        scratch = _SCRATCH
+        inner = scratch.inner
+        inner["state"] = streams.states[j]
+        inner["inc"] = streams.incs[j]
+        scratch.bit_generator.state = scratch.state
+        return scratch.generator
 
     def generator(self, j: int) -> Generator:
         """Stream ``j`` from its seeded start (shared object — draw from
@@ -488,15 +498,26 @@ class StreamBlock:
         return out
 
 
-#: one process-wide scratch bit generator for state injection — every
-#: block *sets* the state before drawing, so sharing is safe for the
-#: single-threaded simulation loop (each worker process gets its own).
-#: One reused state dict: the setter copies its values into the bit
-#: generator's C state, so mutating ``_INNER`` between entries is safe.
-_SCRATCH_BG = PCG64(0)
-_SCRATCH = Generator(_SCRATCH_BG)
-_INNER = {"state": 0, "inc": 0}
-_STATE = {"bit_generator": "PCG64", "state": _INNER, "has_uint32": 0, "uinteger": 0}
+class _Scratch(threading.local):
+    """One scratch bit generator per thread for state injection.
+
+    Every block *sets* the state before drawing, so blocks share it;
+    threads may not, or one thread's injection lands between another's
+    injection and its draw (studies run in threads of one process).  One
+    reused state dict: the setter copies its values into the bit
+    generator's C state, so mutating ``inner`` between entries is safe.
+    """
+
+    def __init__(self):
+        self.bit_generator = PCG64(0)
+        self.generator = Generator(self.bit_generator)
+        self.inner = {"state": 0, "inc": 0}
+        self.state = {
+            "bit_generator": "PCG64", "state": self.inner, "has_uint32": 0, "uinteger": 0,
+        }
+
+
+_SCRATCH = _Scratch()
 
 
 def co_seed(*blocks: StreamBlock) -> None:

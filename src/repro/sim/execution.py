@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class HookupCutoff:
 
 @dataclass
 class BlockOutcome:
-    """What one :meth:`ExecutionEngine.run_block` call produced."""
+    """What one app of an :meth:`ExecutionEngine.run_cell` call produced."""
 
     #: records appended to the caller's store
     count: int
@@ -125,7 +125,7 @@ class BlockOutcome:
 
 @dataclass
 class _BlockColumns:
-    """One group's simulated iterations as parallel columns."""
+    """One app's simulated iterations of a cell as parallel columns."""
 
     iteration: np.ndarray  # i8
     state: np.ndarray  # i1 codes
@@ -170,26 +170,24 @@ class _BlockColumns:
 
 
 @dataclass(frozen=True)
-class ResolvedGroup:
-    """Everything iteration-independent about one (env, app, size) group.
+class ResolvedCell:
+    """Everything app- and iteration-independent about one (env, size) cell.
 
     Placement, effective fabric, ECC-conditioned node model, walltime
-    limit, and hourly rate depend only on the group coordinates (plus
-    the engine's seed/scenario) — never on the iteration — so a batch
-    resolves them once and every iteration reuses them.  All members
-    are immutable values, safe to share across runs.
+    limit and hourly rate depend only on the cell coordinates (plus the
+    engine's seed/scenario), never on the app or the iteration, so a
+    cell resolves them once and every app and iteration of it reuses
+    them, one :class:`RunContext` included.  All members are immutable
+    values or pure memos, safe to share across runs.
     """
 
     env: Environment
-    model: AppModel
     scale: int
     nodes: int
-    ranks: int
-    node_model: Any
-    fabric: Fabric
     rate: float
     walltime_limit: float
-    options: dict[str, Any]
+    #: what every app of the cell sees (its collective memo is shared)
+    context: RunContext
 
 
 @dataclass
@@ -295,59 +293,43 @@ class ExecutionEngine:
 
     # -- context construction --------------------------------------------------
 
-    def resolve_group(
+    def resolve_cell(
         self,
         env: Environment,
-        app: AppModel | str,
         scale: int,
         *,
         options: dict[str, Any] | None = None,
-    ) -> ResolvedGroup:
-        """Resolve everything iteration-independent about one group.
+    ) -> ResolvedCell:
+        """Resolve everything app- and iteration-independent about a cell.
 
         Placement sampling, topology-effective fabric, ECC-conditioned
-        node model, and pricing are functions of (seed, env, scale) —
-        :meth:`run_block` resolves them once per (env, app, size) group
-        instead of once per iteration, with identical results, and the
-        node model and fabric once per cell (:meth:`_resolve_cell`).
+        node model, and pricing are functions of (seed, env, scale):
+        :meth:`run_cell` resolves them once per cell for all its apps
+        and iterations, with identical results.  Without ``options`` the
+        resolved cell is memoized with the cell's streams.
         """
-        model = app_lookup(app) if isinstance(app, str) else app
-        with span(
-            "engine.resolve_group", env=env.env_id, app=model.name, scale=scale
-        ):
-            nodes = env.nodes_for(scale)
-            ranks = env.ranks_for(scale)
-            node_model, fabric = self._resolve_cell(env, nodes)
+        key = None if options else ("resolved", env, scale)
+        cell = self._block_memo.get(key) if key else None
+        if cell is not None:
+            return cell
+        with span("engine.resolve_group", env=env.env_id, scale=scale):
+            ctx = self.context(env, scale, options=options)
             itype = env.instance()
             rate = itype.cost_per_hour
             scn = active(self.scenario)
             if scn is not None:
-                rate = effective_rate(itype, scn.price_multiplier(env.cloud, nodes))
-            return ResolvedGroup(
+                rate = effective_rate(itype, scn.price_multiplier(env.cloud, ctx.nodes))
+            cell = ResolvedCell(
                 env=env,
-                model=model,
                 scale=scale,
-                nodes=nodes,
-                ranks=ranks,
-                node_model=node_model,
-                fabric=fabric,
+                nodes=ctx.nodes,
                 rate=rate,
                 walltime_limit=ONPREM_WALLTIME_S if env.cloud == "p" else CLOUD_WALLTIME_S,
-                options=options or {},
+                context=ctx,
             )
-
-    @staticmethod
-    def _group_context(group: ResolvedGroup) -> RunContext:
-        """The :class:`RunContext` a resolved group's physics sees."""
-        return RunContext(
-            env=group.env,
-            scale=group.scale,
-            nodes=group.nodes,
-            ranks=group.ranks,
-            node_model=group.node_model,
-            fabric=group.fabric,
-            options=group.options,
-        )
+        if key:
+            self._block_memo[key] = cell
+        return cell
 
     def context(
         self,
@@ -436,9 +418,9 @@ class ExecutionEngine:
     ) -> RunRecord:
         """Execute one run; never raises for in-study failure modes.
 
-        A one-iteration block: every draw is keyed on the iteration, so
-        the record equals row ``iteration`` of a :meth:`run_block` over
-        the same group.
+        A one-iteration cell of one app: every draw is keyed on the
+        iteration, so the record equals row ``iteration`` of a
+        :meth:`run_block` over the same group.
         """
         model = app_lookup(app) if isinstance(app, str) else app
         reason = self._skip_reason(env, model)
@@ -450,9 +432,9 @@ class ExecutionEngine:
             record = self.cache.get(key)
             if record is not None:
                 return record
-        group = self.resolve_group(env, model, scale, options=options)
-        cols = self._simulate_columns(group, np.array([iteration], dtype=np.int64))
-        record = self._column_records(group, cols)[0]
+        cell = self.resolve_cell(env, scale, options=options)
+        (cols,) = self._simulate_cell(cell, [model], np.array([iteration], dtype=np.int64))
+        record = self._column_records(cell, model, cols)[0]
         if key is not None:
             self.cache.put(key, record)
         return record
@@ -543,46 +525,57 @@ class ExecutionEngine:
 
     # -- the array-native block path -------------------------------------------
 
-    def _simulate_columns(self, group: ResolvedGroup, iters: np.ndarray) -> _BlockColumns:
-        """Simulate the given iterations of a resolved group as columns.
+    def _simulate_cell(
+        self, cell: ResolvedCell, models: list[AppModel], iters: np.ndarray
+    ) -> list[_BlockColumns]:
+        """Simulate the given iterations of every app in ``models`` on a
+        resolved cell, as one column block per app.
 
-        Hookup, walltime policy, spot preemption and pricing run as
-        array operations over the app's physics columns; every draw is
-        keyed on the iteration (:meth:`cell_streams`), so a column value
-        does not depend on which other iterations share the block.
+        The cell's streams are seeded once and each app draws from a
+        fresh block over them (:meth:`cell_streams`); every app sees the
+        cell's one context.  Walltime policy and pricing run as one
+        array pass over every app's physics columns, failure kinds and
+        spot preemption on each app's own rows.  Every draw is keyed on
+        the iteration, so a column value depends neither on which other
+        iterations nor on which other apps share the block.
         """
-        env = group.env
-        model = group.model
+        env = cell.env
         n = len(iters)
-        ctx = self._group_context(group)
-        block, hookup = self.cell_streams(env, group.scale, iters)
-        with span("engine.physics", env=env.env_id, app=model.name, iterations=n):
-            result = model.simulate_block(ctx, block)
+        block, hookup = self.cell_streams(env, cell.scale, iters)
+        results = []
+        for k, model in enumerate(models):
+            with span("engine.physics", env=env.env_id, app=model.name, iterations=n):
+                results.append(model.simulate_block(cell.context, block.fresh() if k else block))
 
-        with span("engine.price", env=env.env_id, iterations=n):
-            failed = result.failed if result.failed is not None else np.zeros(n, dtype=bool)
-            wall = np.array(result.wall, dtype=np.float64, copy=True)
-            fom = np.array(result.fom, dtype=np.float64, copy=True)
-            limit = group.walltime_limit
+        with span("engine.price", env=env.env_id, apps=len(models), iterations=n):
+            m = len(models)
+            failed = np.zeros((m, n), dtype=bool)
+            for a, result in enumerate(results):
+                if result.failed is not None:
+                    failed[a] = result.failed
+            wall = np.array([result.wall for result in results], dtype=np.float64)
+            fom = np.array([result.fom for result in results], dtype=np.float64)
+            limit = cell.walltime_limit
             timeout = ~failed & (wall > limit)
             wall[timeout] = limit
-            state = np.full(n, _COMPLETED, dtype=np.int8)
+            state = np.full((m, n), _COMPLETED, dtype=np.int8)
             state[timeout] = _TIMEOUT
             state[failed] = _FAILED
             fom_none = failed | timeout | np.isnan(fom)
             fom[fom_none] = np.nan
 
-            app_kind = result.failure_kind
-            mixed = bool(timeout.any()) or (bool(failed.any()) and not bool(failed.all()))
-            if mixed:
-                kinds: Any = [
-                    app_kind if failed[j] else ("walltime" if timeout[j] else None)
-                    for j in range(n)
-                ]
-            else:
-                kinds = app_kind if bool(failed.any()) else None
-            phases = result.phases
-            extra = result.extra
+            any_failed = failed.any(axis=1)
+            mixed = timeout.any(axis=1) | (any_failed & ~failed.all(axis=1))
+            kinds: list[Any] = []
+            for a, result in enumerate(results):
+                if mixed[a]:
+                    kinds.append([
+                        result.failure_kind if failed[a, j] else ("walltime" if timeout[a, j] else None)
+                        for j in range(n)
+                    ])
+                else:
+                    kinds.append(result.failure_kind if any_failed[a] else None)
+            extras = [result.extra for result in results]
 
             scn = active(self.scenario)
             if (
@@ -591,74 +584,84 @@ class ExecutionEngine:
                 and env.is_cloud
                 and env.cloud in scn.spot.clouds
             ):
-                # Spot preemption: a reclaimed run dies partway through its
-                # window; the consumed node-time still bills.  Runs that
-                # already failed on their own keep their original cause.
-                eligible = np.flatnonzero(state != _FAILED)
-                fracs = np.full(n, np.nan)
-                if eligible.size:
-                    fracs[eligible] = preemption_block(
-                        scn.spot,
-                        self.seed,
-                        scn.scenario_id,
-                        env.env_id,
-                        model.name,
-                        group.scale,
-                        iters[eligible],
-                        (wall + hookup)[eligible],
-                    )
-                hit = np.flatnonzero(~np.isnan(fracs))
-                if hit.size:
-                    from repro.core.results import payload_slot
+                from repro.core.results import payload_slot
 
-                    extra = [payload_slot(result.extra, j) for j in range(n)]
-                    if not isinstance(kinds, list):
-                        kinds = [
-                            kinds if failed[j] else ("walltime" if timeout[j] else None)
+                for a, model in enumerate(models):
+                    # Spot preemption, on the app's own row: a reclaimed
+                    # run dies partway through its window; the consumed
+                    # node-time still bills.  Runs that already failed on
+                    # their own keep their original cause.
+                    eligible = np.flatnonzero(state[a] != _FAILED)
+                    fracs = np.full(n, np.nan)
+                    if eligible.size:
+                        fracs[eligible] = preemption_block(
+                            scn.spot,
+                            self.seed,
+                            scn.scenario_id,
+                            env.env_id,
+                            model.name,
+                            cell.scale,
+                            iters[eligible],
+                            (wall[a] + hookup)[eligible],
+                        )
+                    hit = np.flatnonzero(~np.isnan(fracs))
+                    if not hit.size:
+                        continue
+                    extra = [payload_slot(extras[a], j) for j in range(n)]
+                    if not isinstance(kinds[a], list):
+                        kinds[a] = [
+                            kinds[a] if failed[a, j] else ("walltime" if timeout[a, j] else None)
                             for j in range(n)
                         ]
                     for j in hit:
                         slot = dict(extra[j])
                         slot["preempted_at_fraction"] = float(fracs[j])
                         extra[j] = slot
-                        kinds[j] = "spot-preemption"
-                    wall[hit] = wall[hit] * fracs[hit]
-                    state[hit] = _FAILED
-                    fom[hit] = np.nan
-                    fom_none[hit] = True
+                        kinds[a][j] = "spot-preemption"
+                    extras[a] = extra
+                    wall[a, hit] = wall[a, hit] * fracs[hit]
+                    state[a, hit] = _FAILED
+                    fom[a, hit] = np.nan
+                    fom_none[a, hit] = True
 
-            cost = (group.nodes * group.rate) * (wall + hookup) / HOUR
-        return _BlockColumns(
-            iteration=np.asarray(iters, dtype=np.int64),
-            state=state,
-            fom=fom,
-            fom_none=fom_none,
-            wall=wall,
-            hookup=hookup,
-            cost=cost,
-            failure_kind=kinds,
-            phases=phases,
-            extra=extra,
-        )
+            cost = (cell.nodes * cell.rate) * (wall + hookup) / HOUR
+        iteration = np.asarray(iters, dtype=np.int64)
+        return [
+            _BlockColumns(
+                iteration=iteration,
+                state=state[a],
+                fom=fom[a],
+                fom_none=fom_none[a],
+                wall=wall[a],
+                hookup=hookup,
+                cost=cost[a],
+                failure_kind=kinds[a],
+                phases=result.phases,
+                extra=extras[a],
+            )
+            for a, result in enumerate(results)
+        ]
 
-    def _column_records(self, group: ResolvedGroup, cols: _BlockColumns) -> list[RunRecord]:
+    def _column_records(
+        self, cell: ResolvedCell, model: AppModel, cols: _BlockColumns
+    ) -> list[RunRecord]:
         """Materialize a column block into per-run records (:meth:`run`'s
-        one row, a cached group that mixes hits and misses, and a
-        ``stop`` without ``stop_index`` need row objects; the block fast
-        path never calls this)."""
+        one row, a group reusing sibling runs, and a ``stop`` without
+        ``stop_index`` need row objects; the block fast path never calls
+        this)."""
         from repro.core.results import payload_slot
 
-        env_id = group.env.env_id
-        app = group.model.name
-        units = group.model.fom_units
+        env_id = cell.env.env_id
+        app = model.name
+        units = model.fom_units
         records = []
         for j in range(len(cols.iteration)):
             records.append(
                 RunRecord(
                     env_id=env_id,
                     app=app,
-                    scale=group.scale,
-                    nodes=group.nodes,
+                    scale=cell.scale,
+                    nodes=cell.nodes,
                     iteration=int(cols.iteration[j]),
                     state=STATE_ORDER[cols.state[j]],
                     fom=None if cols.fom_none[j] else float(cols.fom[j]),
@@ -684,94 +687,154 @@ class ExecutionEngine:
         options: dict[str, Any] | None = None,
         stop: Callable[[RunRecord], bool] | None = None,
     ) -> BlockOutcome:
-        """Run one (env, app, size) group entirely as array math.
+        """Run one (env, app, size) group: a one-app :meth:`run_cell`."""
+        (outcome,) = self.run_cell(
+            env, (app,), scale, iterations=iterations, store=store, stop=stop, options=options
+        )
+        return outcome
 
-        The fully vectorized hot path: per-iteration draws are gathered
-        through :func:`~repro.rng.stream_block`, the app computes its
-        physics as columns (:meth:`~repro.apps.base.AppModel.simulate_block`),
-        pricing/walltime/preemption apply as array operations, and the
-        results land in ``store`` via
-        :meth:`~repro.core.results.ResultStore.append_block` — no
-        per-run :class:`RunRecord` on the fast path.  Records are
-        byte-identical to per-iteration :meth:`run` calls that end at
-        the first record ``stop`` accepts.
+    def run_cell(
+        self,
+        env: Environment,
+        apps: "Sequence[AppModel | str]",
+        scale: int,
+        *,
+        iterations: int,
+        store: "ResultStore",
+        stop: Callable[[RunRecord], bool] | None = None,
+        options: dict[str, Any] | None = None,
+    ) -> list[BlockOutcome]:
+        """Run every app of one (env, size) cell, as one block.
 
-        With a cache configured, hit/miss stats match per-iteration
-        :meth:`run` calls exactly.  Inside a cell scope
-        (:meth:`cache_scope`) a group without per-run ``options`` reuses
-        its batch's sibling runs (:meth:`_run_block_reusing`) and
-        simulates the rest as a block; anywhere else a cached group is
-        per-iteration :meth:`run` calls, one single-run entry each.  A
-        :class:`HookupCutoff` ``stop`` applies vectorized, any other
-        callable sees materialized rows in order.
+        The engine's block path.  The cell resolves once
+        (:meth:`resolve_cell`), seeds its run and hookup streams once,
+        and hands each app a fresh block over them; the apps' physics
+        computes as columns (:meth:`~repro.apps.base.AppModel.simulate_block`),
+        walltime policy and pricing apply as one array pass over every
+        app, and each app's columns land in ``store`` via
+        :meth:`~repro.core.results.ResultStore.append_block`, in roster
+        order — no per-run :class:`RunRecord` on the fast path.  Records
+        are byte-identical to per-app :meth:`run_block` calls, and to
+        per-iteration :meth:`run` calls that end at the first record
+        ``stop`` accepts.  Returns one :class:`BlockOutcome` per app.
+
+        A :class:`HookupCutoff` ``stop`` applies once, from the cell's
+        hookup column (every app draws the same one); any other callable
+        sees each app's materialized rows in order.  An app that never
+        executes (:meth:`_skip_reason`) records skips at its roster
+        position.  With a cache configured, hit/miss stats match
+        per-iteration :meth:`run` calls exactly: inside a cell scope
+        (:meth:`cache_scope`) and without per-run ``options``, an app
+        some of whose runs a sibling cell entry holds reuses them
+        (:meth:`_run_block_reusing`) and the other apps simulate as the
+        cell's block; anywhere else every app is per-iteration
+        :meth:`run` calls, one single-run entry each (:meth:`_run_singly`).
         """
-        model = app_lookup(app) if isinstance(app, str) else app
-
-        reason = self._skip_reason(env, model)
-        if reason is not None:
-            count = 0
-            for iteration in range(iterations):
-                record = self._skip(env, model, scale, iteration, reason)
-                store.add(record)
-                count += 1
-                if stop is not None and stop(record):
-                    break
-            return BlockOutcome(count=count, total_seconds=0.0)
-
-        with span(
-            "engine.run_block",
-            env=env.env_id, app=model.name, scale=scale, iterations=iterations,
-        ):
+        models = [app_lookup(app) if isinstance(app, str) else app for app in apps]
+        reasons = [self._skip_reason(env, model) for model in models]
+        with span("engine.run_block", env=env.env_id, scale=scale, iterations=iterations):
             cache = self.cache
+            singly = False
+            found: dict[int, dict[int, tuple["ResultStore", int]]] = {}
             if cache is not None:
-                with span("engine.cache_probe", env=env.env_id, app=model.name, probes=iterations):
+                with span("engine.cache_probe", env=env.env_id, probes=iterations * len(models)):
                     runs = None if options else cache.sibling_runs()
-                    found = {} if not runs else {
-                        i: runs[model.name, i]
-                        for i in range(iterations)
-                        if (model.name, i) in runs
-                    }
-                if runs is None:
-                    return self._run_singly(env, model, scale, iterations, options, stop, store)
-                if found:
-                    return self._run_block_reusing(env, model, scale, iterations, stop, store, found)
+                    singly = runs is None
+                    for a, model in enumerate(models):
+                        if runs and reasons[a] is None:
+                            hits = {
+                                i: runs[model.name, i]
+                                for i in range(iterations)
+                                if (model.name, i) in runs
+                            }
+                            if hits:
+                                found[a] = hits
 
-            group = self.resolve_group(env, model, scale, options=options)
-            cols = self._simulate_columns(group, np.arange(iterations, dtype=np.int64))
-            cols = self._apply_stop(group, cols, stop)
-            if cache is not None:
-                cache.count_runs(0, len(cols.iteration))
-            store.append_block(**self._block_args(group, cols))
-            return BlockOutcome(count=len(cols.iteration), total_seconds=_block_total(cols))
+            fused = [
+                a for a in range(len(models))
+                if reasons[a] is None and not singly and a not in found
+            ]
+            columns: dict[int, _BlockColumns] = {}
+            if fused:
+                cell = self.resolve_cell(env, scale, options=options)
+                blocks = self._simulate_cell(
+                    cell, [models[a] for a in fused], np.arange(iterations, dtype=np.int64)
+                )
+                columns = dict(zip(fused, self._apply_stop(cell, fused, models, blocks, stop)))
+                if cache is not None:
+                    cache.count_runs(0, sum(len(cols.iteration) for cols in columns.values()))
+
+            outcomes = []
+            for a, model in enumerate(models):
+                if reasons[a] is not None:
+                    outcome = self._add_skips(env, model, scale, iterations, reasons[a], stop, store)
+                elif a in columns:
+                    cols = columns[a]
+                    store.append_block(**self._block_args(cell, model, cols))
+                    outcome = BlockOutcome(count=len(cols.iteration), total_seconds=_block_total(cols))
+                elif a in found:
+                    outcome = self._run_block_reusing(
+                        env, model, scale, iterations, stop, store, found[a]
+                    )
+                else:
+                    outcome = self._run_singly(env, model, scale, iterations, options, stop, store)
+                outcomes.append(outcome)
+            return outcomes
+
+    def _add_skips(
+        self,
+        env: Environment,
+        model: AppModel,
+        scale: int,
+        iterations: int,
+        reason: str,
+        stop: Callable[[RunRecord], bool] | None,
+        store: "ResultStore",
+    ) -> BlockOutcome:
+        """An app that never executes: one skip record per iteration, up
+        to the first record ``stop`` accepts."""
+        count = 0
+        for iteration in range(iterations):
+            record = self._skip(env, model, scale, iteration, reason)
+            store.add(record)
+            count += 1
+            if stop is not None and stop(record):
+                break
+        return BlockOutcome(count=count, total_seconds=0.0)
 
     def _apply_stop(
         self,
-        group: ResolvedGroup,
-        cols: _BlockColumns,
+        cell: ResolvedCell,
+        fused: list[int],
+        models: list[AppModel],
+        blocks: list[_BlockColumns],
         stop: Callable[[RunRecord], bool] | None,
-    ) -> _BlockColumns:
-        """``cols`` up to and including the first record ``stop`` accepts."""
+    ) -> list[_BlockColumns]:
+        """Each app's ``blocks`` up to and including the first record
+        ``stop`` accepts."""
         if stop is None:
-            return cols
+            return blocks
         stop_index = getattr(stop, "stop_index", None)
         if stop_index is not None:
-            k = stop_index(group.env.env_id, group.scale, cols.hookup)
-        else:
-            k = next(
-                (j for j, r in enumerate(self._column_records(group, cols)) if stop(r)),
-                None,
-            )
-        return cols if k is None else cols.truncate(k + 1)
+            # Every app of the cell shares one hookup column.
+            k = stop_index(cell.env.env_id, cell.scale, blocks[0].hookup)
+            return blocks if k is None else [cols.truncate(k + 1) for cols in blocks]
+        cut = []
+        for a, cols in zip(fused, blocks):
+            records = self._column_records(cell, models[a], cols)
+            k = next((j for j, record in enumerate(records) if stop(record)), None)
+            cut.append(cols if k is None else cols.truncate(k + 1))
+        return cut
 
     @staticmethod
-    def _block_args(group: ResolvedGroup, cols: _BlockColumns) -> dict[str, Any]:
+    def _block_args(cell: ResolvedCell, model: AppModel, cols: _BlockColumns) -> dict[str, Any]:
         """:meth:`~repro.core.results.ResultStore.append_block`'s
-        arguments for one column block of ``group``."""
+        arguments for one app's column block of ``cell``."""
         return dict(
-            env_id=group.env.env_id,
-            app=group.model.name,
-            scale=group.scale,
-            nodes=group.nodes,
+            env_id=cell.env.env_id,
+            app=model.name,
+            scale=cell.scale,
+            nodes=cell.nodes,
             iteration=cols.iteration,
             state=cols.state,
             fom=cols.fom,
@@ -779,7 +842,7 @@ class ExecutionEngine:
             wall_seconds=cols.wall,
             hookup_seconds=cols.hookup,
             cost_usd=cols.cost,
-            fom_units=group.model.fom_units,
+            fom_units=model.fom_units,
             failure_kind=cols.failure_kind,
             phases=cols.phases,
             extra=cols.extra,
@@ -795,10 +858,10 @@ class ExecutionEngine:
         store: "ResultStore",
         found: dict[int, tuple["ResultStore", int]],
     ) -> BlockOutcome:
-        """A group some of whose iterations a sibling cell entry holds.
+        """An app some of whose iterations a sibling cell entry holds.
 
         ``found`` maps each such iteration to its (sibling store, row);
-        the other iterations simulate as one sub-block.  Rows
+        the other iterations simulate as a one-app cell.  Rows
         materialize, and hits and misses count only up to the first
         record ``stop`` accepts, as per-iteration :meth:`run` calls would
         probe them.
@@ -808,9 +871,9 @@ class ExecutionEngine:
         ]
         missing = [i for i in range(iterations) if i not in found]
         if missing:
-            group = self.resolve_group(env, model, scale)
-            cols = self._simulate_columns(group, np.asarray(missing, dtype=np.int64))
-            for i, record in zip(missing, self._column_records(group, cols)):
+            cell = self.resolve_cell(env, scale)
+            (cols,) = self._simulate_cell(cell, [model], np.asarray(missing, dtype=np.int64))
+            for i, record in zip(missing, self._column_records(cell, model, cols)):
                 records[i] = record
         prefix = iterations
         if stop is not None:
@@ -834,7 +897,7 @@ class ExecutionEngine:
         stop: Callable[[RunRecord], bool] | None,
         store: "ResultStore",
     ) -> BlockOutcome:
-        """A cached group outside a cell scope, or with per-run
+        """A cached app outside a cell scope, or with per-run
         ``options``: per-iteration :meth:`run` calls, each probing and
         storing its own single-run entry, up to the first record
         ``stop`` accepts."""
@@ -853,6 +916,6 @@ def _block_total(cols: _BlockColumns) -> float:
     """Wall plus hookup seconds of a block, accumulated in record order
     like the per-record shard clock."""
     total = 0.0
-    for j in range(len(cols.iteration)):
-        total = total + (cols.wall[j] + cols.hookup[j])
-    return float(total)
+    for wall, hookup in zip(cols.wall.tolist(), cols.hookup.tolist()):
+        total = total + (wall + hookup)
+    return total

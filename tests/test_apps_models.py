@@ -130,14 +130,3 @@ def test_osu_pair_sampling():
     assert len(nodes) <= 8
     with pytest.raises(ValueError):
         OSUBenchmarks.sample_pairs(1, rng)
-
-
-def test_nodebench_finds_planted_fish():
-    from repro.apps.nodebench import NodeInventory, find_fish
-
-    good = [NodeInventory(i, "EPYC", 96, 448, 0, True) for i in range(10)]
-    bad = NodeInventory(10, "EPYC", 2, 448, 0, True)
-    fish = find_fish(good + [bad])
-    assert fish == [bad]
-    assert find_fish(good) == []
-    assert find_fish([]) == []

@@ -25,7 +25,6 @@ from repro.ensemble.runner import WORLD_SUMMARY_VERSION, fold_cells
 from repro.envs.registry import ENVIRONMENTS
 from repro.plan import ExecutionOptions, PlanExecutor, compile_ensemble
 from repro.scenarios import scenario
-from repro.sim.run_result import RunState
 from repro.telemetry import Tracer, merge_trace, use_tracer
 
 ENV_IDS = tuple(ENVIRONMENTS)
@@ -155,10 +154,16 @@ def test_default_plan_resolves_each_cell_once(default_plan_spies):
 
 
 def test_default_plan_simulates_no_run_one_record_at_a_time(default_plan_spies):
-    """Every simulated group is one block; ``run()`` records only the
-    undeployable environment's skips (8 worlds x 4 sizes x 11 apps)."""
-    _, _, _, run_states = default_plan_spies
-    assert run_states == [RunState.SKIPPED] * (8 * 4 * 11)
+    """Every cell is one ``run_cell`` block, the undeployable
+    environment's skips (8 worlds x 4 sizes x 11 apps) included, so
+    ``run()`` records nothing."""
+    _, result, _, run_states = default_plan_spies
+    assert run_states == []
+    skipped = sum(
+        stats.worlds for (_, env_id, _, _), stats in result.cells.items()
+        if not ENVIRONMENTS[env_id].deployable
+    )
+    assert skipped == 8 * 4 * 11
 
 
 def test_traced_ensemble_ships_no_store():

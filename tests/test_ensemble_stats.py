@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.ensemble.stats import CellStats, StreamAccumulator, t_critical_95
+from repro.ensemble.stats import CellStats, StreamAccumulator, percentile_rows, t_critical_95
 
 
 def _filled(values):
@@ -38,6 +38,27 @@ def test_percentiles_are_exact():
     acc = _filled([float(v) for v in values])
     for q in (10.0, 50.0, 90.0):
         assert acc.percentile(q) == float(np.percentile(values, q))
+
+
+def test_percentile_rows_equal_per_cell_percentiles():
+    """One call per sample count gives every cell's per-cell
+    ``np.percentile`` values bit for bit: cells of 0, 1, 2 and 8
+    samples, ties included, interleaved."""
+    rng = np.random.default_rng(7)
+    cells = []
+    for count in (8, 0, 2, 1, 8, 2, 0, 1, 8):
+        values = rng.choice([0.5, 1.25, 3.0, 1e9 + 0.1], size=count).tolist()
+        cells.append(_filled(values))
+    qs = (10.0, 50.0, 90.0)
+    rows = percentile_rows(cells, qs)
+    assert len(rows) == len(cells)
+    for acc, row in zip(cells, rows):
+        if acc.count == 0:
+            assert all(math.isnan(value) for value in row)
+        else:
+            samples = np.asarray(acc._samples, dtype=np.float64)
+            assert row == tuple(float(np.percentile(samples, q)) for q in qs)
+            assert all(type(value) is float for value in row)
 
 
 def test_single_sample():
