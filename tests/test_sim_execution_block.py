@@ -1,17 +1,23 @@
-"""run_block ≡ per-iteration runs, end to end.
+"""run_cell ≡ run_block ≡ per-iteration runs, end to end.
 
 Every draw is keyed on the iteration, so an n-iteration block — batched
 keyed RNG, columnar app physics, array-native pricing / walltime /
 preemption, ``append_block`` — is byte-identical to n per-iteration
 :meth:`ExecutionEngine.run` calls (one-iteration blocks), over every
 app, over cache states, over early-stop cutoffs, and over whole study /
-scenario / ensemble plans at any worker count.  The absolute anchor for
-both is the run goldens in ``tests/test_sim_execution.py``.
+scenario / ensemble plans at any worker count.  Every draw also names
+no other app, so a cell's whole roster as one :meth:`ExecutionEngine.run_cell`
+block equals one :meth:`ExecutionEngine.run_block` per app.  The
+absolute anchor for all of them is the run goldens in
+``tests/test_sim_execution.py`` and the cell-entry goldens in
+``tests/test_sim_cache.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +29,14 @@ from repro.core.results import ResultStore
 from repro.core.study import StudyConfig, StudyRunner
 from repro.envs.registry import ENVIRONMENTS
 from repro.ensemble import EnsembleRunner, EnsembleSpec
+from repro.parallel.shard import StudyShard, execute_shard, shard_summary_key
 from repro.plan import ExecutionOptions
 from repro.scenarios import ScenarioSweep
 from repro.scenarios.presets import SCENARIOS
 from repro.scenarios.presets import scenario as scenario_lookup
 from repro.sim.cache import RunCache
 from repro.sim.execution import ExecutionEngine, HookupCutoff
+from repro.telemetry import Tracer, use_tracer
 
 
 def _per_iteration_runs(engine, env, app, scale, *, iterations, stop=None):
@@ -247,6 +255,171 @@ def test_block_outcome_totals_match_record_clock():
     for record in store.records:
         total = total + record.total_seconds
     assert outcome.total_seconds == total
+
+
+# ------------------------------------------------------------- whole cells
+
+#: the shard's stop rule (§3.3: AKS CPU at 256 ran one iteration)
+AKS_CUTOFF = HookupCutoff(env_id="cpu-aks-az", scale=256, threshold_s=300.0)
+
+
+def _clock(outcomes):
+    """The shard clock: advanced app by app by each outcome's total."""
+    now = 0.0
+    for outcome in outcomes:
+        now += outcome.total_seconds
+    return now
+
+
+def _assert_cell_equals_groups(
+    tmp_path, env_id, scale, *, iterations=3, scenario=None, stop=None, cache=None
+):
+    """The full roster as one ``run_cell`` against one ``run_block`` per
+    app, each side on its own fresh engine: records and every payload
+    type, per-app outcomes and the shard clock, and cache counts.
+
+    ``cache`` is ``None`` (no cache), ``"scope"`` (an empty cache, inside
+    the cell's scope, as a cold cached shard runs) or ``"unscoped"`` (an
+    empty cache outside any scope: per-iteration single-run entries).
+    """
+    env = ENVIRONMENTS[env_id]
+    shard = StudyShard(
+        index=0, env_id=env_id, scale=scale, apps=tuple(APPS),
+        iterations=iterations, seed=3, scenario=scenario,
+    )
+    sides = {}
+    for side in ("groups", "cell"):
+        engine = ExecutionEngine(
+            seed=3,
+            scenario=scenario,
+            cache=None if cache is None else RunCache(tmp_path / side),
+        )
+        store = ResultStore()
+        scope = (
+            engine.cache_scope(shard_summary_key(shard))
+            if cache == "scope"
+            else contextlib.nullcontext()
+        )
+        with scope:
+            if side == "groups":
+                outcomes = [
+                    engine.run_block(
+                        env, app, scale, iterations=iterations, store=store, stop=stop
+                    )
+                    for app in APPS
+                ]
+            else:
+                outcomes = engine.run_cell(
+                    env, tuple(APPS), scale, iterations=iterations, store=store, stop=stop
+                )
+        sides[side] = (engine, store, outcomes)
+    (groups, group_store, group_outcomes), (cell, cell_store, cell_outcomes) = (
+        sides["groups"], sides["cell"]
+    )
+    assert cell_outcomes == group_outcomes
+    assert _clock(cell_outcomes) == _clock(group_outcomes)
+    records = cell_store.records
+    assert records == group_store.records
+    for record, reference in zip(records, group_store.records):
+        for f in dataclasses.fields(record):
+            assert _typed(getattr(record, f.name)) == _typed(getattr(reference, f.name)), f.name
+    # Each app's outcome totals its own records, in record order.
+    start = 0
+    for outcome in cell_outcomes:
+        total = 0.0
+        for record in records[start : start + outcome.count]:
+            total = total + record.total_seconds
+        assert outcome.total_seconds == total
+        start += outcome.count
+    assert start == len(records)
+    if cache is not None:
+        assert (cell.cache.hits, cell.cache.misses) == (groups.cache.hits, groups.cache.misses)
+        assert cell.cache.hits + cell.cache.misses == sum(
+            1 for record in records if record.failure_kind != "skipped"
+        )
+    return records
+
+
+@pytest.mark.parametrize("cache", [None, "scope", "unscoped"])
+def test_every_environments_roster_as_one_cell(tmp_path, cache):
+    """Every environment, smallest and largest size: unsupported apps
+    skip mid-roster (laghos on GPUs), undeployable environments skip
+    whole."""
+    skipped_mid_roster = undeployable = 0
+    for env_id in ENVIRONMENTS:
+        for scale in (32, 256):
+            records = _assert_cell_equals_groups(
+                tmp_path / f"{env_id}-{scale}", env_id, scale, cache=cache
+            )
+            apps = [record.app for record in records if record.failure_kind == "skipped"]
+            if ENVIRONMENTS[env_id].deployable:
+                skipped_mid_roster += apps == ["laghos"] * 3
+            else:
+                undeployable += len(apps) == 3 * len(APPS)
+    assert skipped_mid_roster == 2 * 6 and undeployable == 2
+
+
+@pytest.mark.parametrize("cache", [None, "scope"])
+def test_cutoff_cell_stops_every_app_at_one_hookup(tmp_path, cache):
+    records = _assert_cell_equals_groups(
+        tmp_path, "cpu-aks-az", 256, iterations=5, stop=AKS_CUTOFF, cache=cache
+    )
+    assert [record.iteration for record in records] == [0] * len(APPS)
+
+
+@pytest.mark.parametrize("cache", [None, "scope"])
+def test_spot_cell_preempts_each_app_on_its_own_rows(tmp_path, cache):
+    spot = scenario_lookup("spot-everything")
+    preempted = Counter()
+    for env_id, scale in (("cpu-aks-az", 128), ("cpu-cyclecloud-az", 64), ("gpu-eks-aws", 256)):
+        records = _assert_cell_equals_groups(
+            tmp_path / env_id, env_id, scale, iterations=8, scenario=spot, cache=cache
+        )
+        preempted.update(
+            (env_id, record.app) for record in records
+            if record.failure_kind == "spot-preemption"
+        )
+    # Several apps of one cell, each on its own rows.
+    assert {app for env_id, app in preempted if env_id == "cpu-aks-az"} >= {"laghos", "mixbench"}
+
+
+def test_generic_stop_applies_to_each_app_of_a_cell(tmp_path):
+    _assert_cell_equals_groups(
+        tmp_path, "cpu-eks-aws", 64, iterations=5,
+        stop=lambda record: record.iteration >= 1 and record.app != "osu",
+    )
+
+
+def test_cell_reuses_sibling_runs_at_their_roster_position(tmp_path):
+    """In a warm batch, an app a sibling entry holds reuses its runs
+    where it stands in the roster, and the others simulate as the
+    cell's block."""
+    first = StudyConfig(
+        env_ids=("cpu-eks-aws",), apps=("lammps", "osu"), sizes=(32,), iterations=3, seed=3
+    )
+    for side in ("groups", "cell"):
+        StudyRunner(first, ExecutionOptions(cache_dir=str(tmp_path / side))).run()
+    records = _assert_cell_equals_groups(tmp_path, "cpu-eks-aws", 32, cache="scope")
+    assert [r.app for r in records][::3] == list(APPS)
+
+
+def test_traced_shard_spans_once_per_cell_and_physics_once_per_app():
+    env = ENVIRONMENTS["gpu-eks-aws"]
+    shard = StudyShard(
+        index=0, env_id=env.env_id, scale=32, apps=tuple(APPS), iterations=2, seed=0
+    )
+    tracer = Tracer()
+    with use_tracer(tracer):
+        execute_shard(shard)
+    names = Counter(tracer.names)
+    for name in ("engine.run_block", "engine.resolve_group", "engine.rng", "engine.price"):
+        assert names[name] == 1, name
+    physics = [
+        attrs["app"] for name, attrs in zip(tracer.names, tracer.attrs)
+        if name == "engine.physics"
+    ]
+    assert physics == [app for app in APPS if APPS[app].supports(env.accelerator)]
+    assert "laghos" not in physics
 
 
 # ------------------------------------------------------------- whole plans
