@@ -45,9 +45,10 @@ def run_matrix(
     """Run apps × environments × sizes × iterations into a store.
 
     Each (environment, app, size) group is one
-    :meth:`~repro.sim.execution.ExecutionEngine.run_block` call, so the
-    records equal per-iteration :meth:`ExecutionEngine.run` calls in
-    environment, app, size, iteration order.
+    :meth:`~repro.sim.execution.ExecutionEngine.run_block` call (a
+    one-app cell), so the records equal per-iteration
+    :meth:`ExecutionEngine.run` calls in environment, app, size,
+    iteration order.
     """
     apps = tuple(apps)
     engine = ExecutionEngine(seed=seed)

@@ -402,7 +402,7 @@ def _execute_shard_body(shard: StudyShard) -> ShardResult:
     engine = ExecutionEngine(seed=shard.seed, cache=cache, scenario=scn)
     if cache is None:
         return _execute_shard_cell(shard, env, scn, cache, engine)
-    # The cell's run level: run_block reuses the runs the other cell
+    # The cell's run level: run_cell reuses the runs the other cell
     # entries of its batch hold.
     with engine.cache_scope(_shard_cache_key(shard, engine)):
         return _execute_shard_cell(shard, env, scn, cache, engine)

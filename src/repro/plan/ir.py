@@ -18,8 +18,8 @@ A plan is three nested granularities, all pure values:
   cluster-per-size granularity).
 * :class:`PlannedRun` — one (world, seed, env, app, size, iteration)
   coordinate: the explicit cross-product the shards group.  Shard
-  execution simulates the consecutive runs of one (env, app, size)
-  group in one :meth:`~repro.sim.execution.ExecutionEngine.run_block`
+  execution simulates every run of one (env, size) cell, its whole app
+  roster, in one :meth:`~repro.sim.execution.ExecutionEngine.run_cell`
   call.
 
 Plans are deterministic in their inputs: worlds are ordered by

@@ -19,8 +19,8 @@ microseconds — twice per simulated run if every run built its own run
 and hookup generators.  :func:`stream_block` removes that cost for the
 iteration axis of a group: it seeds every stream once, to its
 post-seeding PCG64 ``(state, inc)`` pair as Python ints, and *injects*
-a stream's pair into one reused bit generator whenever it draws from
-that stream.  Seeding picks its path by size (:data:`NATIVE_SEED_MAX`):
+a stream's pair into one reused bit generator (one per thread) whenever
+it draws from that stream.  Seeding picks its path by size (:data:`NATIVE_SEED_MAX`):
 a small block runs numpy's own ``SeedSequence(...).generate_state`` per
 stream plus PCG64's two seeding LCG steps in int arithmetic, and a
 larger one reproduces the SeedSequence entropy-pool hash and the LCG

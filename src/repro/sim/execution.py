@@ -15,7 +15,11 @@ orchestration did for each job:
    the app's own failure modes;
 6. price the run (nodes × instance cost × wall time).
 
-Engines are deterministic given (seed, env, app, scale, iteration).
+Steps 1, 3 and 6's rate depend on no app, so the engine runs them once
+per (environment, size) cell for all the cell's apps
+(:meth:`ExecutionEngine.run_cell`), as the study deployed one cluster
+per cell and ran every app in it (§2.9).  Engines are deterministic
+given (seed, env, app, scale, iteration).
 """
 
 from __future__ import annotations
@@ -84,13 +88,14 @@ def shared_cells():
 
 @dataclass(frozen=True)
 class HookupCutoff:
-    """Stop policy: end a group's batch with the first record whose
+    """Stop policy: end each app's runs with the first record whose
     hookup exceeded a threshold.
 
     §3.3's single-iteration rule — AKS CPU at size 256 ran once because
     hookup took 8.82 minutes — as a *value* rather than a closure, so
-    the block path can apply it vectorized (:meth:`stop_index`) while
-    a cached group that mixes hits and misses calls it per record.
+    the block path can apply it vectorized, once per cell from the
+    cell's hookup column (:meth:`stop_index`), while an app that mixes
+    cache hits and misses calls it per record.
     """
 
     env_id: str
@@ -736,7 +741,7 @@ class ExecutionEngine:
             cache = self.cache
             singly = False
             found: dict[int, dict[int, tuple["ResultStore", int]]] = {}
-            if cache is not None:
+            if cache is not None and any(reason is None for reason in reasons):
                 with span("engine.cache_probe", env=env.env_id, probes=iterations * len(models)):
                     runs = None if options else cache.sibling_runs()
                     singly = runs is None
@@ -757,10 +762,11 @@ class ExecutionEngine:
             columns: dict[int, _BlockColumns] = {}
             if fused:
                 cell = self.resolve_cell(env, scale, options=options)
+                fused_models = [models[a] for a in fused]
                 blocks = self._simulate_cell(
-                    cell, [models[a] for a in fused], np.arange(iterations, dtype=np.int64)
+                    cell, fused_models, np.arange(iterations, dtype=np.int64)
                 )
-                columns = dict(zip(fused, self._apply_stop(cell, fused, models, blocks, stop)))
+                columns = dict(zip(fused, self._apply_stop(cell, fused_models, blocks, stop)))
                 if cache is not None:
                     cache.count_runs(0, sum(len(cols.iteration) for cols in columns.values()))
 
@@ -805,12 +811,11 @@ class ExecutionEngine:
     def _apply_stop(
         self,
         cell: ResolvedCell,
-        fused: list[int],
         models: list[AppModel],
         blocks: list[_BlockColumns],
         stop: Callable[[RunRecord], bool] | None,
     ) -> list[_BlockColumns]:
-        """Each app's ``blocks`` up to and including the first record
+        """Each app's block up to and including the first record
         ``stop`` accepts."""
         if stop is None:
             return blocks
@@ -820,8 +825,8 @@ class ExecutionEngine:
             k = stop_index(cell.env.env_id, cell.scale, blocks[0].hookup)
             return blocks if k is None else [cols.truncate(k + 1) for cols in blocks]
         cut = []
-        for a, cols in zip(fused, blocks):
-            records = self._column_records(cell, models[a], cols)
+        for model, cols in zip(models, blocks):
+            records = self._column_records(cell, model, cols)
             k = next((j for j, record in enumerate(records) if stop(record)), None)
             cut.append(cols if k is None else cols.truncate(k + 1))
         return cut

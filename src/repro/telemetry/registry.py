@@ -53,12 +53,12 @@ SPANS: dict[str, str] = {
     "shard.execute": "one (environment, size) cell, start to finish",
     "shard.provision": "quota, cluster provisioning, and environment deploy",
     # the engine
-    "engine.run_block": "one (env, app, size) group through the array-native path",
-    "engine.resolve_group": "placement, fabric, ECC, and pricing resolution",
+    "engine.run_block": "one (env, size) cell's apps through the array-native path",
+    "engine.resolve_group": "one cell's placement, fabric, ECC, and pricing resolution",
     "engine.rng": "batched keyed-stream seeding and hookup draws",
     "engine.physics": "the app model's columnar simulation",
-    "engine.price": "walltime policy, spot preemption, and pricing as array math",
-    "engine.cache_probe": "probing the cell's sibling runs for a group's iterations",
+    "engine.price": "walltime policy, spot preemption, and pricing as one cell's array math",
+    "engine.cache_probe": "probing the cell's sibling runs for its apps' iterations",
     # the benchmark suite
     "bench.run": "the whole benchmark suite",
     "bench.seed": "the per-iteration seed pipeline",

@@ -705,6 +705,24 @@ def test_malformed_sibling_entry_is_a_counted_miss(tmp_path, fault, label):
     )
 
 
+def test_a_cell_that_runs_nothing_reads_no_sibling(tmp_path):
+    # Skips never probe, as per-app run() calls would not: the grown
+    # roster of an undeployable cell leaves its malformed sibling unread.
+    def config(apps):
+        return StudyConfig(
+            env_ids=("gpu-parallelcluster-aws",), apps=tuple(apps), sizes=(32,), iterations=3
+        )
+
+    options = ExecutionOptions(cache_dir=str(tmp_path))
+    StudyRunner(config(["amg2023"]), options).run()
+    (shard,) = StudyRunner(config(["amg2023"])).compile().shards
+    path = RunCache(tmp_path).path(shard_summary_key(shard))
+    path.write_bytes(_FAULTS["truncated body"](path.read_bytes()))
+    grown = StudyRunner(config(["amg2023", "lammps"]), options).run()
+    assert (grown.cache_hits, grown.cache_misses, grown.cache_invalid) == (0, 0, 0)
+    assert grown.store.to_csv() == StudyRunner(config(["amg2023", "lammps"])).run().store.to_csv()
+
+
 # ---------------------------------------------------------- golden anchors
 
 #: the seven deployable environments that are not Kubernetes (VMs and
